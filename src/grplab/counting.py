@@ -126,16 +126,11 @@ def _xyz_cayley(g: FiniteGroup, a: GroupSubset, b: GroupSubset, c: GroupSubset) 
     ai, bi = a.indices, b.indices
     if len(ai) == 0 or len(bi) == 0:
         return 0
-    table = g.table
     count = 0
     rows = max(1, _CHUNK // max(1, len(bi)))
     for lo in range(0, len(ai), rows):
         chunk = ai[lo : lo + rows]
-        if table is not None:
-            prods = table[np.ix_(chunk, bi)]
-        else:
-            prods = g.mul_arrays(chunk[:, None], bi[None, :])
-        count += int(c.mask[prods.ravel()].sum())
+        count += int(c.mask[g.mul_arrays(chunk[:, None], bi[None, :]).ravel()].sum())
     return count
 
 
@@ -451,12 +446,9 @@ def _mixing_brute(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubse
     return count
 
 
-def _translated_mask(g: FiniteGroup, x: int, s: GroupSubset) -> np.ndarray:
-    """{y : x*y in s} as a boolean mask."""
-    table = g.table
-    if table is not None:
-        return s.mask[table[x]]
-    return s.mask[g.mul_arrays(np.full(g.order, x, dtype=np.int64), np.arange(g.order, dtype=np.int64))]
+def _translated_mask(g: FiniteGroup, x: int, mask: np.ndarray) -> np.ndarray:
+    """{y : x*y in mask} as a boolean mask."""
+    return mask[g.mul_arrays(x, np.arange(g.order, dtype=np.int64))]
 
 
 def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubset]) -> int:
@@ -467,7 +459,7 @@ def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubs
     def last_mask(prefix: List[int], prods: Dict[Tuple[int, ...], int]) -> np.ndarray:
         mask = fams[(n,)].mask.copy()
         for f, value in prods.items():
-            mask &= _translated_mask(g, value, fams[f + (n,)])
+            mask &= _translated_mask(g, value, fams[f + (n,)].mask)
         return mask
 
     def recurse(prefix: List[int], prods: Dict[Tuple[int, ...], int]) -> None:

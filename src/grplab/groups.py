@@ -1,9 +1,14 @@
 """Finite groups with a dense 0..n-1 element index space.
 
 Index 0 is always the identity.  Every group exposes scalar ``mul``/``inv``
-and a vectorized ``mul_arrays`` used by the counting kernels; groups of
-order <= TABLE_CAP additionally carry a full Cayley table.  Construction is
-deterministic: the same specification always yields the same indexing.
+and one vectorized product, ``mul_arrays``, used by every caller.  For
+orders n <= TABLE_CAP the full Cayley table is a private cache behind it:
+products go to the subclass kernel (field arithmetic, permutation
+composition, modular addition) until the kernel has evaluated n^2 of them,
+then the table is built and every later product is a gather.  Building at
+that point costs at most twice the cheaper of "never build" and "build
+first".  Construction is deterministic: the same specification always
+yields the same indexing.
 
 Spec grammar accepted by :func:`parse_group_spec`:
 
@@ -151,7 +156,8 @@ def _parse_perm_spec(body: str) -> Permutation:
 
 
 class FiniteGroup:
-    """Base class; concrete groups fill in mul/inv and metadata."""
+    """Base class; concrete groups fill in _mul_kernel, inverse_table and
+    metadata, and may override the scalar ``mul`` with cheaper arithmetic."""
 
     order: int
     spec_text: str
@@ -163,10 +169,13 @@ class FiniteGroup:
         self.order = order
         self.spec_text = spec_text
         self._table: Optional[np.ndarray] = None
+        self._kernel_products = 0
 
     # -- scalar ops -------------------------------------------------------
     def mul(self, i: int, j: int) -> int:
-        raise NotImplementedError
+        if self._table is not None:
+            return int(self._table[i, j])
+        return int(self.mul_arrays(np.asarray(i), np.asarray(j)))
 
     def inv(self, i: int) -> int:
         return int(self.inverse_table[i])
@@ -185,12 +194,25 @@ class FiniteGroup:
     def element_label(self, i: int) -> str:
         return str(i)
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- vector ops -------------------------------------------------------
     def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of index arrays (numpy broadcasting rules)."""
+        """Elementwise product of index arrays (numpy broadcasting rules).
+
+        Gathers from the Cayley table once it is built.  Below TABLE_CAP the
+        table is built when the kernel products evaluated so far, this
+        call's included, reach n^2.
+        """
+        table = self._table
+        if table is None and self.order <= TABLE_CAP:
+            self._kernel_products += np.broadcast(a, b).size
+            if self._kernel_products >= self.order * self.order:
+                table = self.table
+        if table is None:
+            return self._mul_kernel(a, b)
+        return table[a, b].astype(np.int64)
+
+    def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The subclass's own elementwise product, without the table."""
         raise NotImplementedError
 
     def pow_arrays(self, idx: np.ndarray, m: int) -> np.ndarray:
@@ -210,11 +232,12 @@ class FiniteGroup:
         if self._table is None and self.order <= TABLE_CAP:
             n = self.order
             rows = np.arange(n, dtype=np.int64)
-            self._table = np.empty((n, n), dtype=np.int32)
-            chunk = max(1, (1 << 22) // n)
+            table = np.empty((n, n), dtype=np.int32)
+            chunk = max(1, (1 << 20) // n)
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)
-                self._table[lo:hi] = self.mul_arrays(rows[lo:hi, None], rows[None, :])
+                table[lo:hi] = self._mul_kernel(rows[lo:hi, None], rows[None, :])
+            self._table = table
         return self._table
 
     def __eq__(self, other: object) -> bool:
@@ -278,7 +301,7 @@ class CyclicProductGroup(FiniteGroup):
             out += (((i // s) % m + (j // s) % m) % m) * s
         return out
 
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         da = self._decode(np.asarray(a))
         db = self._decode(np.asarray(b))
         return self._encode([(x + y) % m for x, y, m in zip(da, db, self.moduli)])
@@ -312,12 +335,6 @@ class TableGroup(FiniteGroup):
             inv[i] = hits[0]
         self.inverse_table = inv
         self.is_abelian = bool(np.array_equal(self._table, self._table.T))
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self._table[i, j])
-
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._table[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)].astype(np.int64)
 
     def element_label(self, i: int) -> str:
         if self._labels is not None:
@@ -422,7 +439,7 @@ class PSL2Group(_KeyedGroup):
             keys = np.minimum(keys, self._encode(neg[a], neg[b], neg[c], neg[d]))
         return self._lookup(keys)
 
-    def mul_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _mul_kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
         x, y = np.broadcast_arrays(x, y)
@@ -435,11 +452,6 @@ class PSL2Group(_KeyedGroup):
         rc = fadd[fm[c1, a2], fm[d1, c2]]
         rd = fadd[fm[c1, b2], fm[d1, d2]]
         return self._canonical_lookup(ra, rb, rc, rd)
-
-    def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        return int(self.mul_arrays(np.array(i), np.array(j)))
 
     def element_label(self, i: int) -> str:
         a, b, c, d = (int(v[i]) for v in self._mats)
@@ -517,7 +529,7 @@ class PermutationGroup(_KeyedGroup):
                     return False
         return True
 
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         a, b = np.broadcast_arrays(a, b)
@@ -586,7 +598,7 @@ class GeneralDirectProductGroup(FiniteGroup):
         ]
         self.inverse_table = sum(p * s for p, s in zip(parts, self._strides)).astype(np.int32)
 
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
@@ -682,8 +694,9 @@ def _build_table_group(path: str, order_cap: int) -> FiniteGroup:
         perm = [identity] + [i for i in range(n) if i != identity]
         pos = np.argsort(perm)
         table = pos[table[np.ix_(perm, perm)]]
-    _require_associative(table)
-    return TableGroup(table.astype(np.int32), f"table:{path}")
+    group = TableGroup(table.astype(np.int32), f"table:{path}")
+    _require_associative(group, SplitMix64(derive(0xA550C, n)))
+    return group
 
 
 def _require_latin_square(table: np.ndarray) -> None:
@@ -704,24 +717,27 @@ def _find_identity(table: np.ndarray) -> int:
     raise NotAGroup("no two-sided identity")
 
 
-def _require_associative(table: np.ndarray) -> None:
-    n = len(table)
+def _require_associative(group: FiniteGroup, rng: SplitMix64) -> None:
+    """(i*j)*k == i*(j*k): every triple for orders <= 512, else a sample of
+    10*n^2 triples (capped) drawn from ``rng``."""
+    n = group.order
     if n <= _ASSOC_FULL_CAP:
-        # full check: (i*j)*k == i*(j*k) for all triples, one row at a time
+        t = group.table.astype(np.int64)
         for i in range(n):
-            if not np.array_equal(table[table[i]], table[i][table]):
+            if not np.array_equal(t[t[i]], t[i][t]):
                 raise NotAGroup(f"associativity fails in row {i}")
         return
     sample = min(10 * n * n, _ASSOC_SAMPLE_CAP)
-    rng = SplitMix64(derive(0xA550C, n))
-    chunk = 1 << 20
+    chunk = 1 << 19
     done = 0
     while done < sample:
         m = min(chunk, sample - done)
         i = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
         j = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
         k = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-        if not np.array_equal(table[table[i, j], k], table[i, table[j, k]]):
+        lhs = group.mul_arrays(group.mul_arrays(i, j), k)
+        rhs = group.mul_arrays(i, group.mul_arrays(j, k))
+        if not np.array_equal(lhs, rhs):
             raise NotAGroup("associativity fails on sampled triples")
         done += m
 
@@ -758,30 +774,7 @@ def verify_group_axioms(group: FiniteGroup, *, seed: int = 0) -> None:
                 raise NotAGroup(f"row {i} is not a permutation")
             if len(np.unique(group.mul_arrays(idx, np.full(n, i, dtype=np.int64)))) != n:
                 raise NotAGroup(f"column {i} is not a permutation")
-
-    if n <= _ASSOC_FULL_CAP:
-        if table is None:
-            table = group.table
-        assert table is not None
-        t = table.astype(np.int64)
-        for i in range(n):
-            if not np.array_equal(t[t[i]], t[i][t]):
-                raise NotAGroup(f"associativity fails in row {i}")
-    else:
-        sample = min(10 * n * n, _ASSOC_SAMPLE_CAP)
-        rng = SplitMix64(derive(seed, 2))
-        chunk = 1 << 19
-        done = 0
-        while done < sample:
-            m = min(chunk, sample - done)
-            i = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-            j = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-            k = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-            lhs = group.mul_arrays(group.mul_arrays(i, j), k)
-            rhs = group.mul_arrays(i, group.mul_arrays(j, k))
-            if not np.array_equal(lhs, rhs):
-                raise NotAGroup("associativity fails on sampled triples")
-            done += m
+    _require_associative(group, SplitMix64(derive(seed, 2)))
 
 
 # ---------------------------------------------------------------------------

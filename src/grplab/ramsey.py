@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .counting import CountReport, count_xy_eq_z
+from .counting import CountReport, _translated_mask, _xyz_cayley, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec
 from .groups import FiniteGroup
 from .rng import SplitMix64, derive
@@ -107,15 +107,8 @@ def schur_counts(coloring: Coloring, engine: str = "auto") -> SchurReport:
 
 
 def _schur_count_of_mask(group: FiniteGroup, mask: np.ndarray) -> int:
-    idx = np.nonzero(mask)[0].astype(np.int64)
-    if len(idx) == 0:
-        return 0
-    table = group.table
-    if table is not None:
-        prods = table[np.ix_(idx, idx)]
-    else:
-        prods = group.mul_arrays(idx[:, None], idx[None, :])
-    return int(mask[prods.ravel()].sum())
+    s = GroupSubset(group, mask)
+    return _xyz_cayley(group, s, s, s)
 
 
 @dataclass(frozen=True)
@@ -307,7 +300,7 @@ def hindman_greedy(a: GroupSubset, n: int) -> Union[TupleWitness, FailureTrace]:
         best_size = -1
         best_mask: Optional[np.ndarray] = None
         for cand in members.tolist():
-            translated = _left_quotient_mask(group, cand, current)
+            translated = _translated_mask(group, cand, current)
             nxt = current & translated
             size = int(nxt.sum())
             if size > best_size:
@@ -324,17 +317,6 @@ def hindman_greedy(a: GroupSubset, n: int) -> Union[TupleWitness, FailureTrace]:
     if not validate_witness(group, witness, a):
         raise AssertionError("greedy witness failed re-validation")
     return witness
-
-
-def _left_quotient_mask(group: FiniteGroup, x: int, mask: np.ndarray) -> np.ndarray:
-    """{y : x*y in mask}."""
-    table = group.table
-    if table is not None:
-        return mask[table[x]]
-    row = group.mul_arrays(
-        np.full(group.order, x, dtype=np.int64), np.arange(group.order, dtype=np.int64)
-    )
-    return mask[row]
 
 
 def monochromatic_tuple_search(

@@ -8,12 +8,10 @@ with the SplitMix64 finalizer; substreams are derived with :func:`derive`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, TypeVar
+from typing import List
 
 _MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
-
-T = TypeVar("T")
 
 
 def mix64(z: int) -> int:
@@ -58,15 +56,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def choice(self, seq: Sequence[T]) -> T:
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, items: List[T]) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def sample_indices(self, n: int, k: int) -> List[int]:
         """k distinct indices drawn from range(n), in draw order."""
         if not 0 <= k <= n:
@@ -79,16 +68,7 @@ class SplitMix64:
             out.append(pool[i])
         return out
 
-    def subset_mask(self, n: int, density: float) -> List[bool]:
-        """Independent inclusion decisions for indices 0..n-1, in order."""
-        return [self.uniform() < density for _ in range(n)]
-
 
 def stream(seed: int, *path: int) -> SplitMix64:
     """Stream for a derived substream seed; see :func:`derive`."""
     return SplitMix64(derive(seed, *path))
-
-
-def spawn_seeds(seed: int, count: int) -> Iterable[int]:
-    """The first ``count`` derived child seeds of ``seed``."""
-    return [derive(seed, i) for i in range(count)]

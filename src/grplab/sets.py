@@ -131,15 +131,10 @@ def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
 
         conv = cyclic_convolution(g, a.mask.astype(np.int64), b.mask.astype(np.int64))
         return GroupSubset(g, conv > 0)
-    table = g.table
     rows = max(1, _PRODUCT_CHUNK // len(bi))
     for lo in range(0, len(ai), rows):
         chunk = ai[lo : lo + rows]
-        if table is not None:
-            prods = table[np.ix_(chunk, bi)]
-        else:
-            prods = g.mul_arrays(chunk[:, None], bi[None, :])
-        out[prods.ravel()] = True
+        out[g.mul_arrays(chunk[:, None], bi[None, :]).ravel()] = True
     return GroupSubset(g, out)
 
 
@@ -209,15 +204,10 @@ def is_product_free(a: GroupSubset) -> bool:
     ai = a.indices
     if len(ai) == 0:
         return True
-    table = g.table
     rows = max(1, _PRODUCT_CHUNK // len(ai))
     for lo in range(0, len(ai), rows):
         chunk = ai[lo : lo + rows]
-        if table is not None:
-            prods = table[np.ix_(chunk, ai)]
-        else:
-            prods = g.mul_arrays(chunk[:, None], ai[None, :])
-        if a.mask[prods.ravel()].any():
+        if a.mask[g.mul_arrays(chunk[:, None], ai[None, :]).ravel()].any():
             return False
     return True
 

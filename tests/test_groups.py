@@ -5,8 +5,10 @@ from math import gcd
 import numpy as np
 import pytest
 
+from grplab.counting import count_ap3
 from grplab.errors import MalformedSpec, NotAGroup, NotPrimePower, OrderCapExceeded
 from grplab.groups import (
+    TABLE_CAP,
     Cyclic,
     DirectProduct,
     PSL2,
@@ -16,6 +18,7 @@ from grplab.groups import (
     parse_group_spec,
     verify_group_axioms,
 )
+from grplab.sets import make_set
 
 from conftest import FLEET_SPECS, fleet_group
 
@@ -254,10 +257,14 @@ def test_psl2_labels_identity():
 
 def test_group_above_table_cap_uses_keyed_lookup():
     # PSL2(23) has order 6072 > 4096, so no Cayley table is materialized and
-    # multiplication goes through the sorted-key lookup
+    # multiplication goes through the sorted-key lookup, however many
+    # products the kernel has already evaluated
     g = build_group("PSL2(23)")
     assert g.order == 6072
     assert g.table is None
+    g._kernel_products = g.order * g.order
+    g.mul_arrays(np.arange(g.order), np.arange(g.order))
+    assert g._table is None
     rng = np.random.default_rng(3)
     i = rng.integers(0, g.order, size=200)
     j = rng.integers(0, g.order, size=200)
@@ -280,3 +287,49 @@ def test_direct_product_of_nonabelian_components():
     verify_group_axioms(g)
     cc = conjugacy_classes(g)
     assert cc.count == 9  # 3 classes of S3 times 3 singletons of Z/3
+
+
+# the table cache: fresh groups, because fleet_group shares one instance
+# (and so one cache state) across tests
+CACHE_SPECS = FLEET_SPECS + ["PSL2(13)"]
+
+
+@pytest.mark.parametrize("spec", CACHE_SPECS)
+def test_mul_arrays_agrees_with_the_kernel_before_and_after_the_table(spec):
+    g = build_group(spec)
+    n = g.order
+    idx = np.arange(n, dtype=np.int64)
+    oracle = g._mul_kernel(idx[:, None], idx[None, :])
+    rows, from_kernel = [], 0
+    for x in range(n):
+        from_kernel += g._table is None
+        rows.append(g.mul_arrays(x, idx))
+    assert g._table is not None
+    if n > 4:  # smaller groups build the table while validating inverses
+        assert from_kernel > 0
+    assert np.array_equal(np.array(rows), oracle)
+    assert np.array_equal(g.mul_arrays(idx[:, None], idx[None, :]), oracle)
+    assert np.array_equal(g.table, oracle)
+
+
+@pytest.mark.parametrize("spec", CACHE_SPECS)
+def test_table_is_built_after_n_squared_kernel_products(spec):
+    g = build_group(spec)
+    n = g.order
+    if g._table is None:
+        left = n * n - g._kernel_products
+        zeros = np.zeros(left - 1, dtype=np.int64)
+        g.mul_arrays(zeros, zeros)
+        assert g._table is None
+        assert g.mul_arrays(0, 0) == 0
+    assert g._table is not None
+    assert g._kernel_products >= n * n
+
+
+def test_sparse_ap3_count_builds_no_table():
+    # |A| ~ 0.3 n: the count evaluates ~2 * (0.3 n)^2 < n^2 products
+    g = build_group("PSL2(17)")
+    a = make_set(g, "random:0.3,11")
+    count_ap3(a)
+    assert g.order <= TABLE_CAP
+    assert g._table is None
