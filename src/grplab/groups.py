@@ -7,8 +7,12 @@ products go to the subclass kernel (field arithmetic, permutation
 composition, modular addition) until the kernel has evaluated n^2 of them,
 then the table is built and every later product is a gather.  Building at
 that point costs at most twice the cheaper of "never build" and "build
-first".  Construction is deterministic: the same specification always
-yields the same indexing.
+first".  Above TABLE_CAP every product goes to the kernel: PSL2(q) multiplies
+matrices through the flattened GF(q) tables and finds the product in a dense
+index of q^3 slots over SL2(q); a permutation group composes through the
+flattened image array and finds the product's key among the sorted keys.
+Construction is deterministic: the same specification always yields the same
+indexing.
 
 Spec grammar accepted by :func:`parse_group_spec`:
 
@@ -351,13 +355,14 @@ class _KeyedGroup(FiniteGroup):
         rest = np.sort(keys[keys != identity_key])
         self.keys = np.concatenate(([identity_key], rest))
         order = np.argsort(self.keys, kind="stable")
-        self._sorted_keys = self.keys[order]
-        self._sorted_to_index = order.astype(np.int64)
+        # a trailing sentinel above every key: searchsorted never runs off the
+        # end, and a key past the last one meets the sentinel and is rejected
+        self._sorted_keys = np.append(self.keys[order], np.iinfo(np.int64).max)
+        self._sorted_to_index = np.append(order, 0).astype(np.int64)
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.minimum(pos, len(self._sorted_keys) - 1)
-        if np.any(self._sorted_keys[pos] != keys):
+        if np.count_nonzero(self._sorted_keys[pos] != keys):
             raise NotAGroup("product fell outside the element set")
         return self._sorted_to_index[pos]
 
@@ -366,7 +371,11 @@ class PSL2Group(_KeyedGroup):
     """PSL2(q): unimodular 2x2 matrices over GF(q) modulo +-identity.
 
     Matrices are canonicalized to the lexicographically smaller of M and -M
-    on the flattened entry tuple (a, b, c, d).
+    on the flattened entry tuple (a, b, c, d); the elements are indexed by
+    that key.  Products are looked up in a dense index over every matrix of
+    SL2(q), both signs included: (a, b, c) determine d when a != 0, and
+    (b, d) determine c when a = 0, so each matrix has its own slot among
+    q^3 and one remaining entry to compare.
     """
 
     def __init__(self, q: int) -> None:
@@ -400,21 +409,30 @@ class PSL2Group(_KeyedGroup):
         if len(sl2) != q * (q * q - 1):
             raise NotAGroup(f"SL2({q}) enumeration found {len(sl2)} matrices")
 
-        keys = self._encode(sl2[:, 0], sl2[:, 1], sl2[:, 2], sl2[:, 3])
+        sa, sb, sc, sd = sl2.T
+        keys = self._encode(sa, sb, sc, sd)
         if p != 2:
-            neg_keys = self._encode(
-                f_neg[sl2[:, 0]], f_neg[sl2[:, 1]], f_neg[sl2[:, 2]], f_neg[sl2[:, 3]]
-            )
-            keys = np.minimum(keys, neg_keys)
-        keys = np.unique(keys)
-        if len(keys) != order:
-            raise NotAGroup(f"PSL2({q}) canonicalization found {len(keys)} classes")
+            keys = np.minimum(keys, self._encode(f_neg[sa], f_neg[sb], f_neg[sc], f_neg[sd]))
+        classes = np.unique(keys)
+        if len(classes) != order:
+            raise NotAGroup(f"PSL2({q}) canonicalization found {len(classes)} classes")
 
         identity_key = int(self._encode(np.array(one), np.array(0), np.array(0), np.array(one)))
-        self._init_keys(keys, identity_key)
+        self._init_keys(classes, identity_key)
 
-        a, b, c, d = self._decode(self.keys)
+        # an empty slot keeps remaining entry -1, which no product matches
+        slot, rest = self._slot(sa, sb, sc, sd)
+        self._slot_index = np.zeros(q**3, dtype=np.int32)
+        self._slot_rest = np.full(q**3, -1, dtype=np.int16)
+        self._slot_index[slot] = self._lookup(keys)
+        self._slot_rest[slot] = rest
+
+        self._fmul = f_mul.ravel()
+        self._fadd = field.add_table.ravel()
+        a, b, c, d = (v.astype(np.int32) for v in self._decode(self.keys))
         self._mats = (a, b, c, d)
+        # the left factor of a product indexes a table row, so keep it times q
+        self._mats_q = tuple(v * q for v in self._mats)
         # inverse of unimodular [[a,b],[c,d]] is [[d,-b],[-c,a]]
         self.inverse_table = self._canonical_lookup(d, f_neg[b], f_neg[c], a).astype(np.int32)
 
@@ -432,25 +450,30 @@ class PSL2Group(_KeyedGroup):
         a = rest // q
         return a, b, c, d
 
+    def _slot(self, a, b, c, d):
+        """Dense-index slot and remaining entry of the matrix [[a,b],[c,d]]:
+        slot (a*q + b)*q + c with remaining d when a != 0, which lies in
+        [q^2, q^3); slot b*q + d with remaining c when a = 0, in [0, q^2)."""
+        swap = (a == 0) * (d - c)
+        return (a * self.q + b) * self.q + c + swap, d - swap
+
     def _canonical_lookup(self, a, b, c, d) -> np.ndarray:
-        keys = self._encode(a, b, c, d)
-        if self.field.p != 2:
-            neg = self.field.neg_table
-            keys = np.minimum(keys, self._encode(neg[a], neg[b], neg[c], neg[d]))
-        return self._lookup(keys)
+        """Element index of each matrix; raises NotAGroup off SL2(q)."""
+        slot, rest = self._slot(a, b, c, d)
+        if np.count_nonzero(self._slot_rest[slot] != rest):
+            raise NotAGroup("product fell outside the element set")
+        return self._slot_index[slot].astype(np.int64)
 
     def _mul_kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
         x, y = np.broadcast_arrays(x, y)
-        fa, fb, fc, fd = self._mats
-        fm, fadd = self.field.mul_table, self.field.add_table
-        a1, b1, c1, d1 = fa[x], fb[x], fc[x], fd[x]
-        a2, b2, c2, d2 = fa[y], fb[y], fc[y], fd[y]
-        ra = fadd[fm[a1, a2], fm[b1, c2]]
-        rb = fadd[fm[a1, b2], fm[b1, d2]]
-        rc = fadd[fm[c1, a2], fm[d1, c2]]
-        rd = fadd[fm[c1, b2], fm[d1, d2]]
+        q = self.q
+        a1, b1, c1, d1 = (v[x] for v in self._mats_q)
+        a2, b2, c2, d2 = (v[y] for v in self._mats)
+        fm, fadd = self._fmul, self._fadd
+        ra = fadd[fm[a1 + a2] * q + fm[b1 + c2]]
+        rb = fadd[fm[a1 + b2] * q + fm[b1 + d2]]
+        rc = fadd[fm[c1 + a2] * q + fm[d1 + c2]]
+        rd = fadd[fm[c1 + b2] * q + fm[d1 + d2]]
         return self._canonical_lookup(ra, rb, rc, rd)
 
     def element_label(self, i: int) -> str:
@@ -495,6 +518,8 @@ class PermutationGroup(_KeyedGroup):
         self.degree = degree
         if degree**degree >= 2**62:
             raise OrderCapExceeded(f"permutation degree {degree} too large to index")
+        # key = images read as base-degree digits, first point most significant
+        self._key_weights = degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
 
         perm_array = np.array(elems, dtype=np.int64)
         keys = self._keys_of(perm_array)
@@ -516,10 +541,7 @@ class PermutationGroup(_KeyedGroup):
         return tuple(images)
 
     def _keys_of(self, perms: np.ndarray) -> np.ndarray:
-        keys = np.zeros(len(perms), dtype=np.int64)
-        for col in range(self.degree):
-            keys = keys * self.degree + perms[:, col]
-        return keys
+        return perms @ self._key_weights
 
     @staticmethod
     def _check_abelian(gens: List[Tuple[int, ...]]) -> bool:
@@ -530,23 +552,15 @@ class PermutationGroup(_KeyedGroup):
         return True
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         a, b = np.broadcast_arrays(a, b)
-        flat_a, flat_b = a.ravel(), b.ravel()
-        pb = self.images[flat_b]
-        composed = np.take_along_axis(self.images[flat_a], pb, axis=1)
+        # (f*g)(x) = f(g(x)) is entry f*degree + g(x) of the flat image array
+        composed = self.images.ravel()[(a.ravel() * self.degree)[:, None] + self.images[b.ravel()]]
         return self._lookup(self._keys_of(composed)).reshape(a.shape)
 
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
             return int(self._table[i, j])
-        pi, pj = self.images[i], self.images[j]
-        prod = pi[pj]
-        key = 0
-        for col in range(self.degree):
-            key = key * self.degree + int(prod[col])
-        return int(self._lookup(np.array([key]))[0])
+        return int(self._lookup(self._keys_of(self.images[i][self.images[j]])))
 
     def element_label(self, i: int) -> str:
         images = self.images[i]
@@ -802,8 +816,13 @@ class ConjugacyClasses:
         return [c[0] for c in self.partition]
 
 
-def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
-    """Exact conjugation orbits, computed by brute force over all g."""
+def conjugacy_classes(group: FiniteGroup, *, limit: Optional[int] = None) -> ConjugacyClasses:
+    """Exact conjugation orbits, computed by brute force over all g.
+
+    With ``limit``, enumeration stops once ``limit`` classes are found; the
+    partition then covers only part of the group and ``class_of`` is -1 on
+    the rest.
+    """
     n = group.order
     all_g = np.arange(n, dtype=np.int64)
     inv_g = group.inverse_table.astype(np.int64)
@@ -812,6 +831,8 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
     for x in range(n):
         if class_of[x] >= 0:
             continue
+        if limit is not None and len(partition) >= limit:
+            break
         orbit = np.unique(group.mul_arrays(group.mul_arrays(all_g, x), inv_g))
         cid = len(partition)
         class_of[orbit] = cid

@@ -66,11 +66,15 @@ def abelianization_order(group: FiniteGroup) -> int:
     members[0] = True
     frontier = np.array([0], dtype=np.int64)
     gen_arr = np.array(sorted(gens), dtype=np.int64)
+    step = max(1, (1 << 20) // len(gen_arr))
     while len(frontier):
-        prods = np.unique(group.mul_arrays(frontier[:, None], gen_arr[None, :]))
-        new = prods[~members[prods]]
-        members[new] = True
-        frontier = new
+        found = []
+        for lo in range(0, len(frontier), step):
+            prods = np.unique(group.mul_arrays(frontier[lo : lo + step, None], gen_arr[None, :]))
+            new = prods[~members[prods]]
+            members[new] = True
+            found.append(new)
+        frontier = np.concatenate(found)
     commutator_order = int(members.sum())
     if n % commutator_order:
         raise ValidationFailed("commutator subgroup order does not divide |G|")
@@ -92,11 +96,18 @@ def _class_matrices(group: FiniteGroup, classes: ConjugacyClasses) -> np.ndarray
 
 
 def character_degrees(group: FiniteGroup, *, seed: int = 0) -> DegreeProfile:
-    """Exact irreducible character degrees via the class-algebra method."""
-    classes = conjugacy_classes(group)
+    """Exact irreducible character degrees via the class-algebra method.
+
+    Refuses a group with more than CLASS_COUNT_CAP classes before building
+    any class matrix: at once for an abelian group, whose n elements are
+    its classes, and after CLASS_COUNT_CAP + 1 classes otherwise.
+    """
+    if group.is_abelian and group.order > CLASS_COUNT_CAP:
+        raise BudgetExceeded(f"{group.order} conjugacy classes exceed cap {CLASS_COUNT_CAP}")
+    classes = conjugacy_classes(group, limit=CLASS_COUNT_CAP + 1)
     r = classes.count
     if r > CLASS_COUNT_CAP:
-        raise BudgetExceeded(f"{r} conjugacy classes exceed cap {CLASS_COUNT_CAP}")
+        raise BudgetExceeded(f"at least {r} conjugacy classes exceed cap {CLASS_COUNT_CAP}")
     ab_order = abelianization_order(group)
     if r == 1:
         profile = DegreeProfile((1,), 1, ab_order)

@@ -7,6 +7,7 @@ import pytest
 
 from grplab.counting import count_ap3
 from grplab.errors import MalformedSpec, NotAGroup, NotPrimePower, OrderCapExceeded
+from grplab.gf import _int_to_poly, _poly_mul_mod, _poly_to_int
 from grplab.groups import (
     TABLE_CAP,
     Cyclic,
@@ -257,8 +258,9 @@ def test_psl2_labels_identity():
 
 def test_group_above_table_cap_uses_keyed_lookup():
     # PSL2(23) has order 6072 > 4096, so no Cayley table is materialized and
-    # multiplication goes through the sorted-key lookup, however many
-    # products the kernel has already evaluated
+    # multiplication goes through the PSL2 field-arithmetic kernel and its
+    # dense SL2 slot index, however many products the kernel has already
+    # evaluated
     g = build_group("PSL2(23)")
     assert g.order == 6072
     assert g.table is None
@@ -333,3 +335,82 @@ def test_sparse_ap3_count_builds_no_table():
     count_ap3(a)
     assert g.order <= TABLE_CAP
     assert g._table is None
+
+
+# independent oracles for the two kernels used above TABLE_CAP
+
+
+def _gf_scalar_ops(field):
+    """GF(q) add and mul on element indices from base-p digits and
+    polynomial products modulo the field's modulus, not its tables."""
+    p, k = field.p, field.k
+
+    def digits(e):
+        return _int_to_poly(e, p) + (0,) * k
+
+    def add(x, y):
+        return _poly_to_int(tuple((u + v) % p for u, v in zip(digits(x)[:k], digits(y)[:k])), p)
+
+    def mul(x, y):
+        if k == 1:
+            return x * y % p
+        return _poly_to_int(_poly_mul_mod(_int_to_poly(x, p), _int_to_poly(y, p), field.modulus, p), p)
+
+    def neg(x):
+        return _poly_to_int(tuple(-u % p for u in digits(x)[:k]), p)
+
+    return add, mul, neg
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 73])
+def test_psl2_kernel_matches_scalar_matrix_products(q):
+    g = build_group(f"PSL2({q})")
+    add, mul, neg = _gf_scalar_ops(g.field)
+    mats = [tuple(int(v[i]) for v in g._mats) for i in range(g.order)]
+    index = {m: i for i, m in enumerate(mats)}
+    assert len(index) == g.order
+    rng = np.random.default_rng(q)
+    x = rng.integers(0, g.order, size=400)
+    y = rng.integers(0, g.order, size=400)
+    got = g._mul_kernel(x, y)
+    for i, j, k in zip(x.tolist(), y.tolist(), got.tolist()):
+        a1, b1, c1, d1 = mats[i]
+        a2, b2, c2, d2 = mats[j]
+        prod = (
+            add(mul(a1, a2), mul(b1, c2)),
+            add(mul(a1, b2), mul(b1, d2)),
+            add(mul(c1, a2), mul(d1, c2)),
+            add(mul(c1, b2), mul(d1, d2)),
+        )
+        assert k == index[min(prod, tuple(neg(e) for e in prod))]
+
+
+@pytest.mark.parametrize("q", [4, 7])
+def test_psl2_canonical_lookup_rejects_matrices_off_sl2(q):
+    g = build_group(f"PSL2({q})")
+
+    def lookup(*mats):
+        return g._canonical_lookup(*(np.array(entries) for entries in zip(*mats)))
+
+    one, minus_one = 1, int(g.field.neg_table[1])
+    assert lookup((one, 0, 0, one), (minus_one, 0, 0, minus_one)).tolist() == [0, 0]
+    # det 0 with a != 0, a = b = 0 (twice), and a = 0 with det -1 or 0
+    off_sl2 = [(1, 1, 1, 1), (0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 1, 0) if q == 7 else (0, 1, 0, 1)]
+    for mat in off_sl2:
+        with pytest.raises(NotAGroup):
+            lookup((one, 0, 0, one), mat)
+
+
+@pytest.mark.parametrize("spec", ["perm:(1 2 3 4 5 6 7);(1 2)", "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)"])
+def test_permutation_kernel_matches_python_composition(spec):
+    g = build_group(spec)
+    perms = [tuple(int(v) for v in row) for row in g.images]
+    index = {perm: i for i, perm in enumerate(perms)}
+    rng = np.random.default_rng(g.order)
+    x = rng.integers(0, g.order, size=2000)
+    y = rng.integers(0, g.order, size=2000)
+    got = g._mul_kernel(x, y)
+    for i, j, k in zip(x.tolist(), y.tolist(), got.tolist()):
+        f, h = perms[i], perms[j]
+        assert k == index[tuple(f[h[pt]] for pt in range(g.degree))]
+        assert g.mul(i, j) == k

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from grplab.errors import BudgetExceeded
-from grplab.groups import build_group, conjugacy_classes
+from grplab.groups import Cyclic, DirectProduct, build_group, conjugacy_classes, parse_group_spec
 from grplab.spectral import (
     abelianization_order,
     character_degrees,
@@ -101,3 +102,19 @@ def test_quaternion_group_profile():
 def test_seed_independence():
     g = fleet_group("perm:(1 2 3 4);(1 2)")
     assert character_degrees(g, seed=0) == character_degrees(g, seed=999)
+
+
+def test_class_cap_refuses_abelian_groups_at_once():
+    with pytest.raises(BudgetExceeded, match="8000 conjugacy classes exceed cap 300"):
+        character_degrees(build_group("Z/8000"))
+
+
+def test_class_cap_stops_enumeration_after_cap_plus_one_classes():
+    # S3 x Z/200 is nonabelian with 3 * 200 = 600 classes
+    g = build_group(DirectProduct((parse_group_spec("perm:(1 2 3);(1 2)"), Cyclic(200))))
+    assert conjugacy_classes(g).count == 600
+    partial = conjugacy_classes(g, limit=301)
+    assert partial.count == 301
+    assert np.count_nonzero(partial.class_of >= 0) == sum(partial.sizes()) < g.order
+    with pytest.raises(BudgetExceeded, match="at least 301 conjugacy classes exceed cap 300"):
+        character_degrees(g)
