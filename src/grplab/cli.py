@@ -443,6 +443,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _BUDGET_ERRORS as exc:
         print(f"grplab: budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("grplab: budget exceeded: out of memory", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"grplab: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from .errors import (
     GroupMismatch,
     PointwiseIdentityFailed,
 )
-from .groups import FiniteGroup, element_order
+from .groups import FiniteGroup
 from .sets import GroupSubset, _require_same_group
 
 ENGINE_BRUTE = "BruteForce"
@@ -277,13 +277,10 @@ def count_power_equation(
 
 
 def _torsion_free(g: FiniteGroup, indices: np.ndarray, exponents: Tuple[int, ...]) -> bool:
-    for i in indices.tolist():
-        if i == 0:
-            continue
-        order = element_order(g, i)
-        if any(n % order == 0 for n in exponents):
-            return False
-    return True
+    """No nontrivial i in ``indices`` has order dividing an exponent, i.e.
+    i^e is never the identity."""
+    idx = indices[indices != 0]
+    return not any(np.any(g.pow_arrays(idx, e) == 0) for e in exponents)
 
 
 # ---------------------------------------------------------------------------

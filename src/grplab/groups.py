@@ -746,9 +746,9 @@ def _require_associative(group: FiniteGroup, rng: SplitMix64) -> None:
     done = 0
     while done < sample:
         m = min(chunk, sample - done)
-        i = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-        j = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-        k = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
+        i = rng.randrange_array(n, m)
+        j = rng.randrange_array(n, m)
+        k = rng.randrange_array(n, m)
         lhs = group.mul_arrays(group.mul_arrays(i, j), k)
         rhs = group.mul_arrays(i, group.mul_arrays(j, k))
         if not np.array_equal(lhs, rhs):

@@ -59,12 +59,7 @@ class Coloring:
 
     @classmethod
     def random(cls, group: FiniteGroup, k: int, seed: int) -> "Coloring":
-        stream = SplitMix64(derive(seed, 0xC0105))
-        colors = np.fromiter(
-            (stream.randrange(k) for _ in range(group.order)),
-            dtype=np.int64,
-            count=group.order,
-        )
+        colors = SplitMix64(derive(seed, 0xC0105)).randrange_array(k, group.order)
         return cls(group, colors, k)
 
 
@@ -435,10 +430,14 @@ def monochromatic_tuple_density(
         else:
             hits = 0
             stream = SplitMix64(derive(seed, 0xC1B, j))
-            for _ in range(samples):
-                tup = [stream.randrange(group.order) for _ in range(n)]
-                if _tuple_is_monochromatic(group, cls_.mask, tup):
-                    hits += 1
+            # blocks of about 2^16 draws bound memory; consecutive block draws
+            # continue one stream, so the tuples equal one samples*n draw
+            rows = max(1, (1 << 16) // n)
+            for lo in range(0, samples, rows):
+                block = stream.randrange_array(group.order, min(rows, samples - lo) * n)
+                for tup in block.reshape(-1, n).tolist():
+                    if _tuple_is_monochromatic(group, cls_.mask, tup):
+                        hits += 1
             p = hits / samples
             se = (p * (1 - p) / samples) ** 0.5
             entry = {

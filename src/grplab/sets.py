@@ -325,11 +325,7 @@ def make_set(group: FiniteGroup, spec: Union[SetSpec, str]) -> GroupSubset:
     if isinstance(spec, RandomSet):
         if not 0.0 <= spec.density <= 1.0:
             raise MalformedSpec(f"density {spec.density} outside [0,1]")
-        stream = SplitMix64(spec.seed)
-        mask = np.fromiter(
-            (stream.uniform() < spec.density for _ in range(n)), dtype=bool, count=n
-        )
-        return GroupSubset(group, mask)
+        return GroupSubset(group, SplitMix64(spec.seed).uniform_array(n) < spec.density)
     if isinstance(spec, SubgroupSet):
         for g in spec.generators:
             if not 0 <= g < n:

@@ -122,7 +122,7 @@ def character_degrees(group: FiniteGroup, *, seed: int = 0) -> DegreeProfile:
     last_error: Optional[str] = None
     for attempt in range(_RETRY_SEEDS):
         rng = SplitMix64(derive(seed, 0xB0B, attempt))
-        weights = np.array([rng.uniform() for _ in range(r)])
+        weights = rng.uniform_array(r)
         combo = sum(w * m for w, m in zip(weights, mats))
         _, vecs = np.linalg.eig(combo)
         degrees = _degrees_from_eigenvectors(group.order, mats, sizes, vecs)

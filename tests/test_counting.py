@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import FLEET_SPECS, fleet_group
 from grplab.counting import (
     FiberFunction,
+    _torsion_free,
     all_nonempty_subsets,
     convolution_identity_check,
     count_ap3,
@@ -23,7 +25,7 @@ from grplab.errors import (
     GroupMismatch,
     PointwiseIdentityFailed,
 )
-from grplab.groups import build_group
+from grplab.groups import build_group, element_order
 from grplab.rng import SplitMix64, derive
 from grplab.sets import GroupSubset, make_set
 
@@ -193,6 +195,23 @@ def test_power_torsion_flag():
     a = GroupSubset.from_indices(z6, [0, 3])  # 3 has order 2, dividing n3=2
     rep = count_power_equation(a, 1, 1, 2)
     assert rep.extras["torsion_free"] is False
+
+
+@pytest.mark.parametrize("spec", FLEET_SPECS + ["perm:(1 2 3 4 5 6 7);(1 2)", "Z/20011"])
+def test_torsion_check_matches_element_order_oracle(spec):
+    g = fleet_group(spec)
+    n = g.order
+    pool = list(range(n)) if n <= 5040 else sorted({0, *SplitMix64(n).sample_indices(n, 8)})
+    order = {i: element_order(g, i) for i in pool}
+    for exponents in ((2, 3, 5), (2, 2, 4), (1, 1, 2)):
+        bad = [i for i in pool if i != 0 and any(e % order[i] == 0 for e in exponents)]
+        good = [i for i in pool if i not in set(bad)]
+        assert _torsion_free(g, np.array(pool), exponents) == (not bad)
+        assert _torsion_free(g, np.array(good), exponents)
+        assert _torsion_free(g, np.array([0]), exponents)
+        step = max(1, len(bad) // 64)
+        for i in bad[::step]:
+            assert not _torsion_free(g, np.array([i]), exponents)
 
 
 def test_power_brute_agrees():

@@ -324,6 +324,19 @@ def test_cli_exit_codes(capsys, tmp_path):
     )[0] == 3
 
 
+def test_cli_maps_memory_error_to_budget_exit(capsys, monkeypatch):
+    import grplab.cli as cli
+
+    def exhausted(args, started):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "group", exhausted)
+    code, out, err = _run_cli(["group", "--group", "Z/6"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "grplab: budget exceeded: out of memory"
+
+
 def test_cli_config_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text('recipe = "schur"\nseed = 99\nformat = "csv"\n[params]\nk = 2\n')

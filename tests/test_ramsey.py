@@ -6,6 +6,7 @@ import pytest
 from grplab.groups import build_group
 from grplab.ramsey import (
     Coloring,
+    _tuple_is_monochromatic,
     Exhausted,
     FailureTrace,
     TupleWitness,
@@ -13,12 +14,13 @@ from grplab.ramsey import (
     exhaustive_schur_minimum,
     hindman_greedy,
     increasing_products,
+    monochromatic_tuple_density,
     monochromatic_tuple_search,
     schur_adversarial_search,
     schur_counts,
     validate_witness,
 )
-from grplab.rng import derive
+from grplab.rng import SplitMix64, derive
 from grplab.sets import GroupSubset
 
 from conftest import fleet_group
@@ -248,6 +250,24 @@ def test_cip_exact_matches_oracle_on_z3():
     for trial_idx, trial in enumerate(out["per_trial"]):
         col = Coloring.random(z3, 2, derive(6, trial_idx))
         assert trial["max_density"] == pytest.approx(_mono_density_oracle(z3, col, 2))
+
+
+def test_random_coloring_and_sampled_density_follow_the_scalar_stream():
+    # 22000 triples are 66000 draws: more than one block of 2^16
+    z12 = build_group("Z/12")
+    col = Coloring.random(z12, 3, 4)
+    colors = SplitMix64(derive(4, 0xC0105))
+    assert col.color_of.tolist() == [colors.randrange(3) for _ in range(12)]
+    samples = 22000
+    out = monochromatic_tuple_density(col, 3, max_exact_iterations=0, samples=samples, seed=9)
+    for j, entry in enumerate(out["per_color"]):
+        mask = col.color_class(j).mask
+        stream = SplitMix64(derive(9, 0xC1B, j))
+        hits = sum(
+            _tuple_is_monochromatic(z12, mask, [stream.randrange(12) for _ in range(3)])
+            for _ in range(samples)
+        )
+        assert entry["density"] == hits / samples
 
 
 def test_cip_sampling_close_to_exact():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from grplab.rng import SplitMix64, derive, mix64, stream
+import numpy as np
+import pytest
+
+from grplab.rng import _BLOCK, SplitMix64, derive, mix64, stream
 
 
 def test_mix64_reference_values():
@@ -41,3 +44,64 @@ def test_sample_indices_distinct():
     got = s.sample_indices(10, 7)
     assert len(set(got)) == 7
     assert all(0 <= v < 10 for v in got)
+
+
+# --- block draws: each must equal the scalar stream, and leave the stream
+# where the scalar calls would -----------------------------------------------
+
+SEEDS = [0, 1, 12345, (1 << 64) - 1]  # the last wraps on the first step
+SIZES = [0, 1, 1000, _BLOCK + 3]  # the last crosses a block boundary
+
+
+def _after_block(block, scalar, seed, m):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    got = block(fast, m).tolist()
+    assert got == [scalar(slow) for _ in range(m)]
+    assert fast.next_u64() == slow.next_u64()
+    return got
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", SIZES)
+def test_next_u64_array_matches_scalar_stream(seed, m):
+    got = _after_block(SplitMix64.next_u64_array, SplitMix64.next_u64, seed, m)
+    assert all(0 <= w < 1 << 64 for w in got)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", SIZES)
+def test_uniform_array_matches_scalar_stream(seed, m):
+    _after_block(SplitMix64.uniform_array, SplitMix64.uniform, seed, m)
+
+
+# 1 and powers of two reject nothing; 2^64 // 3 + 1 rejects about a third of
+# the words and 2^62 + 12345 about a quarter
+MODULI = [1, 2, 1 << 63, 20011, (1 << 64) // 3 + 1, (1 << 62) + 12345]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", MODULI)
+@pytest.mark.parametrize("m", SIZES)
+def test_randrange_array_matches_scalar_stream(seed, n, m):
+    got = _after_block(
+        lambda s, m: s.randrange_array(n, m), lambda s: s.randrange(n), seed, m
+    )
+    assert all(0 <= v < n for v in got)
+
+
+def test_block_draws_reject_bad_arguments():
+    assert SplitMix64(3).randrange_array(1 << 63, 4).dtype == np.int64
+    for n in (0, -1, (1 << 63) + 12345):
+        with pytest.raises(ValueError):
+            SplitMix64(3).randrange_array(n, 4)
+    s = SplitMix64(3)
+    for block in (s.next_u64_array, s.uniform_array, lambda m: s.randrange_array(5, m)):
+        with pytest.raises(ValueError):
+            block(-1)
+
+
+def test_consecutive_blocks_continue_one_stream():
+    whole = SplitMix64(77).randrange_array(20011, 3000)
+    parts = SplitMix64(77)
+    pieces = [parts.randrange_array(20011, m) for m in (1, 999, 2000)]
+    assert np.array_equal(np.concatenate(pieces), whole)
