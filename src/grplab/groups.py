@@ -14,6 +14,10 @@ flattened image array and finds the product's key among the sorted keys.
 Construction is deterministic: the same specification always yields the same
 indexing.
 
+A ``table:`` CSV is validated exactly at every order: it must be a Latin
+square with a two-sided identity, and it must pass Light's associativity test
+on a greedy generating set (at most log2 n generators, n^2 triples each).
+
 Spec grammar accepted by :func:`parse_group_spec`:
 
     Z/n                       cyclic group of order n
@@ -25,7 +29,6 @@ Spec grammar accepted by :func:`parse_group_spec`:
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from math import gcd
@@ -39,7 +42,6 @@ from .rng import SplitMix64, derive
 
 TABLE_CAP = 4096
 DEFAULT_ORDER_CAP = 200_000
-_ASSOC_FULL_CAP = 512
 _ASSOC_SAMPLE_CAP = 50_000_000
 
 
@@ -331,13 +333,12 @@ class TableGroup(FiniteGroup):
         self._table = np.asarray(table, dtype=np.int32)
         self._labels = list(labels) if labels is not None else None
         self.cyclic_moduli = cyclic_moduli
-        inv = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            hits = np.nonzero(self._table[i] == 0)[0]
-            if len(hits) != 1:
-                raise NotAGroup(f"element {i} has {len(hits)} right inverses")
-            inv[i] = hits[0]
-        self.inverse_table = inv
+        is_identity = self._table == 0
+        hits = np.count_nonzero(is_identity, axis=1)
+        bad = np.flatnonzero(hits != 1)
+        if len(bad):
+            raise NotAGroup(f"element {bad[0]} has {hits[bad[0]]} right inverses")
+        self.inverse_table = is_identity.argmax(axis=1).astype(np.int32)
         self.is_abelian = bool(np.array_equal(self._table, self._table.T))
 
     def element_label(self, i: int) -> str:
@@ -687,17 +688,19 @@ def _check_cap(order: int, cap: int) -> None:
 
 def _build_table_group(path: str, order_cap: int) -> FiniteGroup:
     try:
-        with open(path, newline="") as fh:
-            rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    except OSError as exc:
+        with open(path) as fh:
+            lines = [line for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedSpec(f"cannot read table file {path!r}: {exc}") from None
+    n = len(lines)
+    _check_cap(n, order_cap)
+    # row widths first, so the numpy reader only ever meets a square table
+    if any(line.count(",") != n - 1 for line in lines):
+        raise NotAGroup(f"table must be square, got {n} rows")
+    try:
+        table = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None, quotechar='"')
     except ValueError as exc:
         raise MalformedSpec(f"non-integer entry in table file {path!r}: {exc}") from None
-    n = len(rows)
-    _check_cap(n, order_cap)
-    if any(len(r) != n for r in rows):
-        raise NotAGroup(f"table must be square, got {n} rows")
-    table = np.array(rows, dtype=np.int64)
     if table.min() < 0 or table.max() >= n:
         raise NotAGroup("table entries out of range")
 
@@ -709,7 +712,7 @@ def _build_table_group(path: str, order_cap: int) -> FiniteGroup:
         pos = np.argsort(perm)
         table = pos[table[np.ix_(perm, perm)]]
     group = TableGroup(table.astype(np.int32), f"table:{path}")
-    _require_associative(group, SplitMix64(derive(0xA550C, n)))
+    _require_associative(group)
     return group
 
 
@@ -731,29 +734,46 @@ def _find_identity(table: np.ndarray) -> int:
     raise NotAGroup("no two-sided identity")
 
 
-def _require_associative(group: FiniteGroup, rng: SplitMix64) -> None:
-    """(i*j)*k == i*(j*k): every triple for orders <= 512, else a sample of
-    10*n^2 triples (capped) drawn from ``rng``."""
+def _require_associative(group: FiniteGroup) -> None:
+    """Exact associativity of a loop by Light's test on a generating set.
+
+    The loop must be a Latin square with identity 0.  The elements a with
+    (x*a)*y == x*(a*y) for all x, y are closed under the product, so the
+    table is associative once every generator passes, at |S|*n^2 triples.
+    The generators are picked greedily: the least index outside the closure
+    C of the earlier ones under left multiplication.  In a group C is the
+    subgroup they generate, so each new generator must at least double |C|
+    and |C| must divide n; a loop breaking that is not associative.
+    """
     n = group.order
-    if n <= _ASSOC_FULL_CAP:
-        t = group.table.astype(np.int64)
-        for i in range(n):
-            if not np.array_equal(t[t[i]], t[i][t]):
-                raise NotAGroup(f"associativity fails in row {i}")
-        return
-    sample = min(10 * n * n, _ASSOC_SAMPLE_CAP)
-    chunk = 1 << 19
-    done = 0
-    while done < sample:
-        m = min(chunk, sample - done)
-        i = rng.randrange_array(n, m)
-        j = rng.randrange_array(n, m)
-        k = rng.randrange_array(n, m)
-        lhs = group.mul_arrays(group.mul_arrays(i, j), k)
-        rhs = group.mul_arrays(i, group.mul_arrays(j, k))
-        if not np.array_equal(lhs, rhs):
-            raise NotAGroup("associativity fails on sampled triples")
-        done += m
+    idx = np.arange(n, dtype=np.int64)
+    member = np.zeros(n, dtype=bool)
+    member[0] = True
+    size = 1
+    gens: List[int] = []
+    while size < n:
+        gens.append(int(np.argmin(member)))
+        member[gens[-1]] = True
+        left = np.array(gens, dtype=np.int64)[:, None]
+        frontier = np.flatnonzero(member)
+        while len(frontier):
+            found = np.unique(group.mul_arrays(left, frontier[None, :]))
+            frontier = found[~member[found]]
+            member[frontier] = True
+        grown = int(np.count_nonzero(member))
+        if grown < 2 * size or n % grown:
+            raise NotAGroup(
+                f"associativity fails: generators {gens} close on {grown} of {n} elements"
+            )
+        size = grown
+    chunk = max(1, (1 << 20) // n)
+    for a in gens:
+        xa = group.mul_arrays(idx, a)
+        ay = group.mul_arrays(a, idx)
+        for lo in range(0, n, chunk):
+            rows = idx[lo:lo + chunk, None]
+            if not np.array_equal(group.mul_arrays(xa[rows], idx), group.mul_arrays(rows, ay)):
+                raise NotAGroup(f"associativity fails at generator {a}")
 
 
 def _validate_identity_and_inverses(group: FiniteGroup) -> None:
@@ -771,24 +791,40 @@ def _validate_identity_and_inverses(group: FiniteGroup) -> None:
 def verify_group_axioms(group: FiniteGroup, *, seed: int = 0) -> None:
     """Assert Latin-square rows/columns and associativity.
 
-    Orders <= 512 get the full triple check; larger groups get a seeded
-    sample of 10*n^2 triples (capped), plus full row/column checks when a
-    Cayley table exists and sampled rows otherwise.
+    Up to TABLE_CAP (4096) the checks are exact: full row/column checks on
+    the Cayley table, the identity at 0 and Light's test.  Larger groups get
+    sampled rows and columns and a seeded sample of 10*n^2 triples (capped).
     """
     n = group.order
-    idx = np.arange(n, dtype=np.int64)
     table = group.table
     if table is not None:
         _require_latin_square(table.astype(np.int64))
-    else:
-        rng = SplitMix64(derive(seed, 1))
-        for _ in range(min(n, 16)):
-            i = rng.randrange(n)
-            if len(np.unique(group.mul_arrays(np.full(n, i, dtype=np.int64), idx))) != n:
-                raise NotAGroup(f"row {i} is not a permutation")
-            if len(np.unique(group.mul_arrays(idx, np.full(n, i, dtype=np.int64)))) != n:
-                raise NotAGroup(f"column {i} is not a permutation")
-    _require_associative(group, SplitMix64(derive(seed, 2)))
+        # Light's test is exact on a loop, so 0 must be the identity
+        _validate_identity_and_inverses(group)
+        _require_associative(group)
+        return
+    idx = np.arange(n, dtype=np.int64)
+    rng = SplitMix64(derive(seed, 1))
+    for _ in range(min(n, 16)):
+        i = rng.randrange(n)
+        if len(np.unique(group.mul_arrays(np.full(n, i, dtype=np.int64), idx))) != n:
+            raise NotAGroup(f"row {i} is not a permutation")
+        if len(np.unique(group.mul_arrays(idx, np.full(n, i, dtype=np.int64)))) != n:
+            raise NotAGroup(f"column {i} is not a permutation")
+    rng = SplitMix64(derive(seed, 2))
+    sample = min(10 * n * n, _ASSOC_SAMPLE_CAP)
+    chunk = 1 << 19
+    done = 0
+    while done < sample:
+        m = min(chunk, sample - done)
+        i = rng.randrange_array(n, m)
+        j = rng.randrange_array(n, m)
+        k = rng.randrange_array(n, m)
+        lhs = group.mul_arrays(group.mul_arrays(i, j), k)
+        rhs = group.mul_arrays(i, group.mul_arrays(j, k))
+        if not np.array_equal(lhs, rhs):
+            raise NotAGroup("associativity fails on sampled triples")
+        done += m
 
 
 # ---------------------------------------------------------------------------

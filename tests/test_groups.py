@@ -8,11 +8,14 @@ import pytest
 from grplab.counting import count_ap3
 from grplab.errors import MalformedSpec, NotAGroup, NotPrimePower, OrderCapExceeded
 from grplab.gf import _int_to_poly, _poly_mul_mod, _poly_to_int
+from grplab import groups
 from grplab.groups import (
     TABLE_CAP,
     Cyclic,
     DirectProduct,
     PSL2,
+    TableGroup,
+    _require_associative,
     build_group,
     conjugacy_classes,
     element_order,
@@ -112,8 +115,24 @@ def test_group_axioms(spec):
 
 
 def test_group_axioms_sampled_above_full_cap():
-    # PSL2(11) has order 660 > 512, so this exercises the sampled triple path
+    # PSL2(11), order 660 <= TABLE_CAP, takes the exact path (Light's test)
     verify_group_axioms(build_group("PSL2(11)"))
+
+
+def test_group_axioms_sample_triples_above_table_cap(monkeypatch):
+    # with TABLE_CAP below its order, a fresh PSL2(5) has no table, so
+    # verify_group_axioms checks sampled rows, columns and triples
+    monkeypatch.setattr(groups, "TABLE_CAP", 10)
+    g = build_group("PSL2(5)")
+    verify_group_axioms(g, seed=3)
+    assert g._table is None
+    # x o y = x * sigma(y) keeps rows and columns permutations but is not
+    # associative, which only the triple sample can see
+    sigma = np.roll(np.arange(g.order), 1)
+    kernel = g._mul_kernel
+    monkeypatch.setattr(g, "_mul_kernel", lambda a, b: kernel(a, sigma[b]))
+    with pytest.raises(NotAGroup, match="sampled triples"):
+        verify_group_axioms(g, seed=3)
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -235,6 +254,55 @@ def test_table_group_rejects_bad_tables(tmp_path):
         build_group(f"table:{p3}")
 
 
+# the CSV reader's contract: exit 1 for a malformed entry, exit 2 for a table
+# that is not square (row widths are checked first, so trailing commas make a
+# table non-square); blank or all-whitespace lines, padding, quotes and CRLF
+# are accepted
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("0,1\n1,x\n", 1),
+        ("0,1\n1,0.0\n", 1),
+        ("0,1\n1,\xff\n", 1),
+        ("0,1\n1\n", 2),
+        ("0,1,2\n1,2,0\n", 2),
+        ("0,1,\n1,0,\n", 2),
+        ("0,1\n\n1,0\n", 0),
+        ("0,1\n  \n1,0\n", 0),
+        ("0,1\n1,0\n\n", 0),
+        (" 0 , 1\n1 ,0 \n", 0),
+        ('"0","1"\n1,0\n', 0),
+        ("0,1\r\n1,0\r\n", 0),
+    ],
+    ids=["non-integer", "float", "not-utf8", "ragged", "non-square", "trailing-comma",
+         "blank-line", "whitespace-line", "trailing-blank", "padded", "quoted", "crlf"],
+)
+def test_table_csv_error_contract(tmp_path, capsys, text, code):
+    from grplab.cli import main
+
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("latin-1"))
+    assert main(["group", "--group", f"table:{path}"]) == code
+    out = capsys.readouterr()
+    if code == 0:
+        assert '"order":2' in out.out.replace(" ", "")
+    else:
+        assert out.err.startswith("grplab: ")
+
+
+def test_table_csv_error_types(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("0,1\n1,x\n")
+    with pytest.raises(MalformedSpec, match="non-integer entry"):
+        build_group(f"table:{path}")
+    path.write_text("0,1\n1\n")
+    with pytest.raises(NotAGroup, match="table must be square"):
+        build_group(f"table:{path}")
+    path.write_bytes(b"0,1\n1,\xff\n")
+    with pytest.raises(MalformedSpec, match="cannot read table file"):
+        build_group(f"table:{path}")
+
+
 def test_table_group_round_trip(tmp_path):
     src = build_group("Z/2 x Z/2")
     path = tmp_path / "klein.csv"
@@ -242,6 +310,133 @@ def test_table_group_round_trip(tmp_path):
     g = build_group(f"table:{path}")
     assert g.order == 4
     assert all(g.mul(i, i) == 0 for i in range(4))
+
+
+def _normalized_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = [list(range(n))]
+    cols = [{j} for j in range(n)]
+
+    def extend(r):
+        if r == n:
+            yield np.array(rows)
+            return
+        row = [r]
+        def fill(j):
+            if j == n:
+                rows.append(list(row))
+                yield from extend(r + 1)
+                rows.pop()
+                return
+            for v in range(n):
+                if v not in row and v not in cols[j]:
+                    row.append(v)
+                    cols[j].add(v)
+                    yield from fill(j + 1)
+                    cols[j].discard(v)
+                    row.pop()
+        cols[0].add(r)
+        yield from fill(1)
+        cols[0].discard(r)
+
+    yield from extend(1)
+
+
+def _light_accepts(table):
+    try:
+        _require_associative(TableGroup(np.asarray(table, dtype=np.int32), "loop"))
+    except NotAGroup as exc:
+        assert "associativity" in str(exc)
+        return False
+    return True
+
+
+def test_light_test_agrees_with_the_triple_scan_on_small_loops():
+    loops = list(_normalized_latin_squares(4)) + list(_normalized_latin_squares(5))
+    assert len(loops) == 4 + 56
+    order6 = list(_normalized_latin_squares(6))
+    assert len(order6) == 9408
+    pick = np.random.default_rng(6).choice(len(order6), size=1500, replace=False)
+    loops += [order6[i] for i in pick]
+    verdicts = []
+    for t in loops:
+        brute = np.array_equal(t[t], t[:, t])  # (i*j)*k against i*(j*k)
+        assert _light_accepts(t) == brute
+        verdicts.append(brute)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _dihedral_table(m):
+    """D_m of order 2m, r^i s^e at index 2i + e: index 1 is the reflection s
+    and index 2 the rotation r, the two generators Light's test picks."""
+    i, e = np.divmod(np.arange(2 * m), 2)
+    rot = (i[:, None] + np.where(e[:, None] == 1, -i[None, :], i[None, :])) % m
+    return 2 * rot + (e[:, None] ^ e[None, :])
+
+
+def _swap_intercalate(table):
+    """Swap the intercalate on rows x, x*s and columns y, s*y (x = r^5,
+    y = r^7).  The involution s still has (x*s)*y == x*(s*y) for all x, y,
+    and it is the first generator, so the second generator has to catch this."""
+    t = table.copy()
+    m = len(t) // 2
+    rows = [10, 11]
+    cols = [14, 2 * (m - 7) + 1]
+    assert t[10, 14] == t[11, cols[1]] and t[10, cols[1]] == t[11, 14]
+    t[np.ix_(rows, cols)] = t[np.ix_(rows, cols[::-1])]
+    return t
+
+
+def test_table_group_inverses():
+    t = _dihedral_table(6)
+    g = TableGroup(t.astype(np.int32), "d6")
+    assert [int(t[i, g.inv(i)]) for i in range(12)] == [0] * 12
+    with pytest.raises(NotAGroup, match="element 1 has 2 right inverses"):
+        TableGroup(np.array([[0, 1, 2], [0, 2, 0], [2, 0, 1]], dtype=np.int32), "bad")
+
+
+def test_light_test_accepts_a_dihedral_csv_of_order_1024(tmp_path):
+    path = tmp_path / "d1024.csv"
+    np.savetxt(path, _dihedral_table(512), fmt="%d", delimiter=",")
+    g = build_group(f"table:{path}")
+    assert g.order == 1024 and not g.is_abelian
+    assert g.mul(1, 1) == 0 and g.mul(1, 2) == g.mul(g.inv(2), 1)  # s*r = r^-1*s
+
+
+def test_light_test_rejects_one_swapped_intercalate(tmp_path, capsys):
+    from grplab.cli import main
+
+    t = _swap_intercalate(_dihedral_table(512))
+    assert np.array_equal(t[0], np.arange(1024)) and np.array_equal(t[:, 0], np.arange(1024))
+    path = tmp_path / "swapped.csv"
+    np.savetxt(path, t, fmt="%d", delimiter=",")
+    with pytest.raises(NotAGroup, match="associativity fails at generator"):
+        build_group(f"table:{path}")
+    assert main(["group", "--group", f"table:{path}"]) == 2
+    assert "associativity" in capsys.readouterr().err
+
+
+def test_light_test_swapped_intercalate_small_oracle():
+    # the same swap in D_16 (order 32), against the triple scan
+    t = _swap_intercalate(_dihedral_table(16))
+    assert not np.array_equal(t[t], t[:, t])
+    assert not _light_accepts(t)
+    assert _light_accepts(_dihedral_table(16))
+
+
+def test_group_axioms_need_the_identity_at_0_for_the_exact_test():
+    # x o y = x - y mod 3 is a Latin square without an identity
+    g = TableGroup(np.array([[(x - y) % 3 for y in range(3)] for x in range(3)], dtype=np.int32), "q")
+    with pytest.raises(NotAGroup, match="identity"):
+        verify_group_axioms(g)
+
+
+def test_light_test_rejects_a_loop_whose_closure_does_not_double():
+    # in NONASSOC_LOOP, 1*1 = 0: generator 1 closes on 2 elements, which
+    # does not divide 5, so no subgroup of a group could be generated
+    g = TableGroup(np.array(NONASSOC_LOOP, dtype=np.int32), "loop")
+    with pytest.raises(NotAGroup, match=r"associativity fails: generators \[1\] close on 2 of 5"):
+        _require_associative(g)
 
 
 def test_determinism_same_spec_same_indexing():
