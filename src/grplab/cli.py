@@ -16,6 +16,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from . import errors
 from .counting import (
+    CountReport,
     all_nonempty_subsets,
     count_ap3,
     count_mixing_tuples,
@@ -227,6 +228,19 @@ def _cmd_stats(args: argparse.Namespace, started: float) -> None:
     _emit(payload, args, started)
 
 
+def _cayley_engine(kind: str, engine: str) -> str:
+    """The engine of an ap3, power or mixing count: auto means cayley, fft is refused."""
+    if engine == "fft":
+        raise errors.EngineUnsupported(f"{kind} supports engines brute and auto")
+    return "cayley" if engine == "auto" else engine
+
+
+def _count_mixing(n: int, sets: Sequence, engine: str) -> CountReport:
+    """The mixing count of `count --equation mixing:n` and `mixing`: one set per subset, binary order."""
+    subsets = all_nonempty_subsets(n)
+    return count_mixing_tuples(n, dict(zip(subsets, sets)), _cayley_engine("mixing", engine))
+
+
 def _cmd_count(args: argparse.Namespace, started: float) -> None:
     group = build_group(args.group)
     sets = [make_set(group, s) for s in args.sets]
@@ -238,10 +252,7 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
     elif equation == "ap3":
         if len(sets) != 1:
             raise errors.ConfigInvalid("ap3 needs exactly one set")
-        engine = "cayley" if args.engine == "auto" else args.engine
-        if engine == "fft":
-            raise errors.EngineUnsupported("ap3 supports engines brute and auto")
-        rep = count_ap3(sets[0], engine)
+        rep = count_ap3(sets[0], _cayley_engine("ap3", args.engine))
     elif equation.startswith("power:"):
         if len(sets) != 1:
             raise errors.ConfigInvalid("power needs exactly one set")
@@ -249,24 +260,17 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
             n1, n2, n3 = (int(x) for x in equation[len("power:"):].split(","))
         except ValueError:
             raise errors.MalformedSpec(f"bad power equation {equation!r}") from None
-        engine = "cayley" if args.engine == "auto" else args.engine
-        if engine == "fft":
-            raise errors.EngineUnsupported("power supports engines brute and auto")
-        rep = count_power_equation(sets[0], n1, n2, n3, engine)
+        rep = count_power_equation(sets[0], n1, n2, n3, _cayley_engine("power", args.engine))
     elif equation.startswith("mixing:"):
         try:
             n = int(equation[len("mixing:"):])
         except ValueError:
             raise errors.MalformedSpec(f"bad mixing equation {equation!r}") from None
-        subsets = all_nonempty_subsets(n)
-        if len(sets) == 1:
-            sets = sets * len(subsets)
-        if len(sets) != len(subsets):
-            raise errors.ConfigInvalid(f"mixing:{n} needs {len(subsets)} sets (or one for all)")
-        engine = "cayley" if args.engine == "auto" else args.engine
-        if engine == "fft":
-            raise errors.EngineUnsupported("mixing supports engines brute and auto")
-        rep = count_mixing_tuples(n, dict(zip(subsets, sets)), engine)
+        k = len(all_nonempty_subsets(n))
+        sets = sets * k if len(sets) == 1 else sets
+        if len(sets) != k:
+            raise errors.ConfigInvalid(f"mixing:{n} needs {k} sets (or one for all)")
+        rep = _count_mixing(n, sets, args.engine)
     else:
         raise errors.MalformedSpec(f"unknown equation {equation!r}")
     payload = {"group": args.group, "sets": list(args.sets), **rep.to_dict()}
@@ -275,18 +279,13 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
 
 def _cmd_mixing(args: argparse.Namespace, started: float) -> None:
     group = build_group(args.group)
-    subsets = all_nonempty_subsets(args.n)
-    if args.set_all:
-        sets = [make_set(group, args.set_all)] * len(subsets)
-        set_specs = [args.set_all] * len(subsets)
-    else:
-        if len(args.sets) != len(subsets):
-            raise errors.ConfigInvalid(
-                f"mixing n={args.n} needs {len(subsets)} sets in binary-subset order"
-            )
-        sets = [make_set(group, s) for s in args.sets]
-        set_specs = list(args.sets)
-    rep = count_mixing_tuples(args.n, dict(zip(subsets, sets)), args.engine)
+    k = len(all_nonempty_subsets(args.n))
+    if not args.set_all and len(args.sets) != k:
+        raise errors.ConfigInvalid(f"mixing n={args.n} needs {k} sets in binary-subset order")
+    specs = [args.set_all] if args.set_all else args.sets
+    made = {s: make_set(group, s) for s in dict.fromkeys(specs)}
+    set_specs = specs * k if args.set_all else list(specs)
+    rep = _count_mixing(args.n, [made[s] for s in set_specs], args.engine)
     payload = {"group": args.group, "sets": set_specs, **rep.to_dict()}
     _emit(payload, args, started)
 

@@ -200,7 +200,6 @@ def _ap3_fast(g: FiniteGroup, a: GroupSubset) -> Tuple[int, int]:
         return 0, 0
     inv = g.inverse_table.astype(np.int64)
     count = 0
-    degenerate = 0
     rows = max(1, _CHUNK // len(ai))
     for lo in range(0, len(ai), rows):
         xs = ai[lo : lo + rows]
@@ -208,8 +207,8 @@ def _ap3_fast(g: FiniteGroup, a: GroupSubset) -> Tuple[int, int]:
         third = g.mul_arrays(np.broadcast_to(ai[None, :], ys.shape), ys)
         hits = a.mask[third]
         count += int(hits.sum())
-        degenerate += int(np.count_nonzero(hits & (ys == 0)))
-    return count, degenerate
+    # y is the identity exactly when m = x, and then x, xy, xy^2 all lie in A
+    return count, a.card
 
 
 def _ap3_brute(g: FiniteGroup, a: GroupSubset) -> Tuple[int, int]:

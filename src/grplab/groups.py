@@ -15,8 +15,9 @@ Construction is deterministic: the same specification always yields the same
 indexing.
 
 A ``table:`` CSV is validated exactly at every order: it must be a Latin
-square with a two-sided identity, and it must pass Light's associativity test
-on a greedy generating set (at most log2 n generators, n^2 triples each).
+square with a two-sided identity and pass Light's associativity test on a
+greedy generating set (at most log2 n generators, n^2 triples each).  One
+closure under right multiplication builds that set, [G,G] and subgroup: sets.
 
 Spec grammar accepted by :func:`parse_group_spec`:
 
@@ -734,40 +735,59 @@ def _find_identity(table: np.ndarray) -> int:
     raise NotAGroup("no two-sided identity")
 
 
+def _subgroup_closure(group: FiniteGroup, gens: Sequence[int], member: Optional[np.ndarray] = None) -> np.ndarray:
+    """Close the mask ``member`` (default: the identity) in place under right
+    multiplication by ``gens``, at most 2^20 products per ``mul_arrays`` call,
+    and return it.  In a group the closure of a subgroup H is the subgroup
+    that H and ``gens`` generate."""
+    if member is None:
+        member = np.arange(group.order) == 0
+    right = np.asarray(gens, dtype=np.int64).reshape(1, -1)
+    step = max(1, (1 << 20) // max(1, right.size))
+    frontier = np.flatnonzero(member)
+    while len(frontier) and right.size:
+        found = []
+        for lo in range(0, len(frontier), step):
+            prods = np.unique(group.mul_arrays(frontier[lo : lo + step, None], right))
+            new = prods[~member[prods]]
+            member[new] = True
+            found.append(new)
+        frontier = np.concatenate(found)
+    return member
+
+
+def _generating_set(group: FiniteGroup) -> List[int]:
+    """Greedy generators, each the least index outside the closure C of the
+    earlier ones.  In a group C is the subgroup they generate, so each new
+    generator at least doubles |C| and |C| divides n: at most log2 n of them.
+    A Latin square with identity 0 that breaks this is not associative.
+    """
+    n = group.order
+    member = _subgroup_closure(group, ())
+    size = 1
+    gens: List[int] = []
+    while size < n:
+        gens.append(int(np.argmin(member)))
+        _subgroup_closure(group, gens, member)
+        grown = int(np.count_nonzero(member))
+        if grown < 2 * size or n % grown:
+            raise NotAGroup(f"associativity fails: generators {gens} close on {grown} of {n} elements")
+        size = grown
+    return gens
+
+
 def _require_associative(group: FiniteGroup) -> None:
     """Exact associativity of a loop by Light's test on a generating set.
 
     The loop must be a Latin square with identity 0.  The elements a with
     (x*a)*y == x*(a*y) for all x, y are closed under the product, so the
-    table is associative once every generator passes, at |S|*n^2 triples.
-    The generators are picked greedily: the least index outside the closure
-    C of the earlier ones under left multiplication.  In a group C is the
-    subgroup they generate, so each new generator must at least double |C|
-    and |C| must divide n; a loop breaking that is not associative.
+    table is associative once every generator of :func:`_generating_set`
+    passes (each element is a product of them), at |S|*n^2 triples.
     """
     n = group.order
     idx = np.arange(n, dtype=np.int64)
-    member = np.zeros(n, dtype=bool)
-    member[0] = True
-    size = 1
-    gens: List[int] = []
-    while size < n:
-        gens.append(int(np.argmin(member)))
-        member[gens[-1]] = True
-        left = np.array(gens, dtype=np.int64)[:, None]
-        frontier = np.flatnonzero(member)
-        while len(frontier):
-            found = np.unique(group.mul_arrays(left, frontier[None, :]))
-            frontier = found[~member[found]]
-            member[frontier] = True
-        grown = int(np.count_nonzero(member))
-        if grown < 2 * size or n % grown:
-            raise NotAGroup(
-                f"associativity fails: generators {gens} close on {grown} of {n} elements"
-            )
-        size = grown
     chunk = max(1, (1 << 20) // n)
-    for a in gens:
+    for a in _generating_set(group):
         xa = group.mul_arrays(idx, a)
         ay = group.mul_arrays(a, idx)
         for lo in range(0, n, chunk):

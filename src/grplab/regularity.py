@@ -38,10 +38,6 @@ class RegularityVerdict:
     samples: Optional[int] = None
     witness: Optional[Tuple[Tuple[int, ...], ...]] = None
 
-    @property
-    def is_violated(self) -> bool:
-        return self.status == VIOLATED
-
     def to_dict(self) -> dict:
         out: dict = {"status": self.status}
         if self.samples is not None:

@@ -24,7 +24,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import EmptySet, GroupMismatch, KindUnsupportedForGroup, MalformedSpec
-from .groups import FiniteGroup, same_group
+from .groups import FiniteGroup, _subgroup_closure, same_group
 from .rng import SplitMix64
 
 _PRODUCT_CHUNK = 1 << 20
@@ -330,18 +330,7 @@ def make_set(group: FiniteGroup, spec: Union[SetSpec, str]) -> GroupSubset:
         for g in spec.generators:
             if not 0 <= g < n:
                 raise MalformedSpec(f"generator index {g} out of range")
-        members = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in spec.generators:
-                    y = group.mul(x, g)
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return GroupSubset.from_indices(group, sorted(members))
+        return GroupSubset(group, _subgroup_closure(group, spec.generators))
     if isinstance(spec, ExplicitSet):
         return GroupSubset.from_indices(group, spec.indices)
     raise MalformedSpec(f"unknown set spec {spec!r}")

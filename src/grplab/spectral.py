@@ -5,8 +5,9 @@ class-multiplication-coefficient matrices from the Cayley structure,
 simultaneously diagonalize them through a seeded random linear combination,
 and read each irreducible's degree from its central character.  The result
 is validated against three exact integer invariants (degree count = class
-count, sum of squares = |G|, multiplicity of degree 1 = abelianization
-order) and the computation retries with fresh seeds before failing loudly.
+count, sum of squares = |G|, multiplicity of degree 1 = |G/[G,G]|, with
+[G,G] the normal closure of the commutators of a greedy generating set)
+and the computation retries with fresh seeds before failing loudly.
 
 For tiny groups an independent second path decomposes the regular
 representation directly from eigenvalue multiplicities of a generic group
@@ -21,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationFailed
-from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
+from .groups import ConjugacyClasses, FiniteGroup, _generating_set, _subgroup_closure, conjugacy_classes
 from .rng import SplitMix64, derive
 
 CLASS_COUNT_CAP = 300
@@ -49,32 +50,25 @@ class DegreeProfile:
 
 
 def abelianization_order(group: FiniteGroup) -> int:
-    """|G / [G,G]|, with [G,G] the subgroup generated by all commutators."""
+    """|G / [G,G]|, with [G,G] the normal closure of the commutators [s, t] of
+    the greedy generating set S: while an S-conjugate of a generator of their
+    subgroup N lies outside N, the least one joins the generators, so |N| at
+    least doubles.  A normal N holding every [s, t] is [G,G]."""
     n = group.order
-    idx = np.arange(n, dtype=np.int64)
-    inv = group.inverse_table.astype(np.int64)
-    gens: set = set()
-    chunk = max(1, (1 << 20) // n)
-    for lo in range(0, n, chunk):
-        g = idx[lo : lo + chunk][:, None]
-        h = idx[None, :]
-        comm = group.mul_arrays(
-            group.mul_arrays(inv[g], inv[h]), group.mul_arrays(g, h)
-        )
-        gens.update(np.unique(comm).tolist())
-    members = np.zeros(n, dtype=bool)
-    members[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    gen_arr = np.array(sorted(gens), dtype=np.int64)
-    step = max(1, (1 << 20) // len(gen_arr))
-    while len(frontier):
-        found = []
-        for lo in range(0, len(frontier), step):
-            prods = np.unique(group.mul_arrays(frontier[lo : lo + step, None], gen_arr[None, :]))
-            new = prods[~members[prods]]
-            members[new] = True
-            found.append(new)
-        frontier = np.concatenate(found)
+    s = np.array(_generating_set(group), dtype=np.int64)
+    inv = group.inverse_table.astype(np.int64)[s]
+    comm = group.mul_arrays(
+        group.mul_arrays(inv[:, None], inv[None, :]), group.mul_arrays(s[:, None], s[None, :])
+    )
+    gens = [int(c) for c in np.unique(comm) if c]
+    members = _subgroup_closure(group, gens)
+    while gens:
+        conj = group.mul_arrays(group.mul_arrays(inv[:, None], np.array(gens)[None, :]), s[:, None])
+        outside = conj[~members[conj]]
+        if not len(outside):
+            break
+        gens.append(int(outside.min()))
+        _subgroup_closure(group, gens, members)
     commutator_order = int(members.sum())
     if n % commutator_order:
         raise ValidationFailed("commutator subgroup order does not divide |G|")

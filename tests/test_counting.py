@@ -148,6 +148,16 @@ def test_ap3_full_group_and_identity_singleton(any_fleet_group):
     assert (rep.count, rep.degenerate_count) == (1, 1)
 
 
+def test_ap3_degenerate_count_is_the_set_size(any_fleet_group):
+    # the pairs with y = identity are exactly (x, 1) for x in A
+    g = any_fleet_group
+    for seed in (1, 2):
+        a = _random_subset(g, 0.4, seed)
+        for engine in ("cayley", "brute"):
+            assert count_ap3(a, engine).degenerate_count == a.card
+    assert count_ap3(GroupSubset.from_indices(g, []), "cayley").degenerate_count == 0
+
+
 @pytest.mark.parametrize("spec", ["Z/8", "perm:(1 2 3);(1 2)", "Z/3 x Z/3"])
 def test_ap3_fast_matches_brute(spec):
     g = build_group(spec)

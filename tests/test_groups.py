@@ -609,3 +609,24 @@ def test_permutation_kernel_matches_python_composition(spec):
         f, h = perms[i], perms[j]
         assert k == index[tuple(f[h[pt]] for pt in range(g.degree))]
         assert g.mul(i, j) == k
+
+
+@pytest.mark.parametrize(
+    "spec",
+    FLEET_SPECS + ["PSL2(13)", "perm:(1 2 3 4 5 6 7);(1 2)", "Z/3 x Z/9 x Z/27", "Z/2 x Z/2 x Z/2 x Z/2 x Z/2"],
+)
+def test_generating_set_is_small_and_generates(spec):
+    g = fleet_group(spec) if spec in FLEET_SPECS else build_group(spec)
+    gens = groups._generating_set(g)
+    assert 2 ** len(gens) <= g.order
+    assert gens == sorted(gens) and 0 not in gens
+    assert groups._subgroup_closure(g, gens).all()
+
+
+def test_subgroup_closure_extends_a_given_subgroup_in_place():
+    g = build_group("Z/12")
+    member = groups._subgroup_closure(g, [4])
+    assert np.flatnonzero(member).tolist() == [0, 4, 8]
+    assert groups._subgroup_closure(g, [6], member) is member
+    assert np.flatnonzero(member).tolist() == [0, 2, 4, 6, 8, 10]
+    assert np.flatnonzero(groups._subgroup_closure(g, [])).tolist() == [0]

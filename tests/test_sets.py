@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from grplab.errors import EmptySet, GroupMismatch, KindUnsupportedForGroup, MalformedSpec
 from grplab.groups import build_group
+from grplab.rng import SplitMix64
 from grplab.sets import (
     GroupSubset,
     doubling_constant,
@@ -265,3 +266,31 @@ def test_density_is_exact():
     z6 = build_group("Z/6")
     a = GroupSubset.from_indices(z6, [1, 2])
     assert a.density == Fraction(1, 3)
+
+
+def _bfs_subgroup(group, gens):
+    # scalar oracle: breadth-first right multiplication from the identity
+    members, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen in gens:
+                y = group.mul(x, gen)
+                if y not in members:
+                    members.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(members)
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z/12", "Z/2 x Z/2 x Z/2", "perm:(1 2 3 4);(1 3)", "perm:(1 2 3 4);(1 2)", "PSL2(5)"]
+)
+def test_make_set_subgroup_matches_scalar_bfs(spec):
+    g = fleet_group(spec)
+    stream = SplitMix64(g.order)
+    gen_lists = [(), (0,), (0, 0), (1,), (g.order - 1, 1)]
+    gen_lists += [tuple(stream.randrange(g.order) for _ in range(k)) for k in (1, 2, 3) for _ in range(3)]
+    for gens in gen_lists:
+        spec_text = "subgroup:" + ",".join(str(x) for x in gens)
+        assert make_set(g, spec_text).to_index_list() == _bfs_subgroup(g, gens), spec_text

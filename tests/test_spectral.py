@@ -118,3 +118,33 @@ def test_class_cap_stops_enumeration_after_cap_plus_one_classes():
     assert np.count_nonzero(partial.class_of >= 0) == sum(partial.sizes()) < g.order
     with pytest.raises(BudgetExceeded, match="at least 301 conjugacy classes exceed cap 300"):
         character_degrees(g)
+
+
+# S7 and S8 besides the fleet's permutation groups; the greedy generating set
+# of S8 has 7 elements, so [G,G] comes from 49 commutators
+_SYMPY_PERM_SPECS = [s for s in FLEET_SPECS if s.startswith("perm:")] + [
+    "perm:(1 2 3 4 5 6 7);(1 2)",
+    "perm:(1 2 3 4 5 6 7 8);(1 2)",
+]
+
+
+@pytest.mark.parametrize("spec", _SYMPY_PERM_SPECS)
+def test_abelianization_order_matches_sympy_derived_subgroup(spec):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    spec_obj = parse_group_spec(spec)
+    degree = max(p for gen in spec_obj.generators for cycle in gen for p in cycle)
+    perms = [
+        combinatorics.Permutation([[p - 1 for p in cycle] for cycle in gen], size=degree)
+        for gen in spec_obj.generators
+    ]
+    sym = combinatorics.PermutationGroup(perms)
+    want = sym.order() // sym.derived_subgroup().order()
+    assert abelianization_order(fleet_group(spec) if spec in FLEET_SPECS else build_group(spec)) == want
+
+
+def test_psl2_abelianization_orders():
+    # PSL2(2) = S3 and PSL2(3) = A4; PSL2(q) is perfect for q >= 4.  A4 and
+    # PSL2(5) need a conjugate added to the commutators of the generators.
+    qs = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 23, 29)
+    got = [abelianization_order(build_group(f"PSL2({q})")) for q in qs]
+    assert got == [2, 3] + [1] * (len(qs) - 2)
