@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import errors
 from .counting import (
@@ -235,10 +235,16 @@ def _cayley_engine(kind: str, engine: str) -> str:
     return "cayley" if engine == "auto" else engine
 
 
+def _mixing_subsets(n: int) -> List[Tuple[int, ...]]:
+    """The subsets of `mixing:n`, binary order; n > 4 is refused before its 2^n - 1 subsets are listed."""
+    if n > 4:
+        raise errors.BudgetExceeded(f"mixing tuples supported for n in 2..4, got {n}")
+    return all_nonempty_subsets(n)
+
+
 def _count_mixing(n: int, sets: Sequence, engine: str) -> CountReport:
     """The mixing count of `count --equation mixing:n` and `mixing`: one set per subset, binary order."""
-    subsets = all_nonempty_subsets(n)
-    return count_mixing_tuples(n, dict(zip(subsets, sets)), _cayley_engine("mixing", engine))
+    return count_mixing_tuples(n, dict(zip(_mixing_subsets(n), sets)), _cayley_engine("mixing", engine))
 
 
 def _cmd_count(args: argparse.Namespace, started: float) -> None:
@@ -266,7 +272,7 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
             n = int(equation[len("mixing:"):])
         except ValueError:
             raise errors.MalformedSpec(f"bad mixing equation {equation!r}") from None
-        k = len(all_nonempty_subsets(n))
+        k = len(_mixing_subsets(n))
         sets = sets * k if len(sets) == 1 else sets
         if len(sets) != k:
             raise errors.ConfigInvalid(f"mixing:{n} needs {k} sets (or one for all)")
@@ -279,7 +285,7 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
 
 def _cmd_mixing(args: argparse.Namespace, started: float) -> None:
     group = build_group(args.group)
-    k = len(all_nonempty_subsets(args.n))
+    k = len(_mixing_subsets(args.n))
     if not args.set_all and len(args.sets) != k:
         raise errors.ConfigInvalid(f"mixing n={args.n} needs {k} sets in binary-subset order")
     specs = [args.set_all] if args.set_all else args.sets

@@ -25,14 +25,13 @@ from .errors import (
     GroupMismatch,
     PointwiseIdentityFailed,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _pair_blocks
 from .sets import GroupSubset, _require_same_group
 
 ENGINE_BRUTE = "BruteForce"
 ENGINE_CAYLEY = "CayleyConvolution"
 ENGINE_FFT = "AbelianFFT"
 
-_CHUNK = 1 << 20
 MIXING_BUDGET = 10**9
 _FFT_RESIDUAL_LIMIT = 0.25
 
@@ -123,14 +122,15 @@ def _xyz_brute(g: FiniteGroup, a: GroupSubset, b: GroupSubset, c: GroupSubset) -
 
 
 def _xyz_cayley(g: FiniteGroup, a: GroupSubset, b: GroupSubset, c: GroupSubset) -> int:
-    ai, bi = a.indices, b.indices
-    if len(ai) == 0 or len(bi) == 0:
-        return 0
+    return _pair_count(g, a.indices, b.indices, c.mask)
+
+
+def _pair_count(g: FiniteGroup, left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> int:
+    """Sum of weights[x*y] over x in ``left`` and y in ``right``."""
     count = 0
-    rows = max(1, _CHUNK // max(1, len(bi)))
-    for lo in range(0, len(ai), rows):
-        chunk = ai[lo : lo + rows]
-        count += int(c.mask[g.mul_arrays(chunk[:, None], bi[None, :]).ravel()].sum())
+    for block in _pair_blocks(g.mul_arrays, left, right):
+        count += int(weights[block].sum())
+        del block
     return count
 
 
@@ -196,17 +196,10 @@ def count_ap3(a: GroupSubset, engine: str = "auto") -> CountReport:
 def _ap3_fast(g: FiniteGroup, a: GroupSubset) -> Tuple[int, int]:
     # reparametrize by (x, m=xy): y = x^-1 m, and x y^2 = m y
     ai = a.indices
-    if len(ai) == 0:
-        return 0, 0
-    inv = g.inverse_table.astype(np.int64)
     count = 0
-    rows = max(1, _CHUNK // len(ai))
-    for lo in range(0, len(ai), rows):
-        xs = ai[lo : lo + rows]
-        ys = g.mul_arrays(inv[xs][:, None], ai[None, :])
-        third = g.mul_arrays(np.broadcast_to(ai[None, :], ys.shape), ys)
-        hits = a.mask[third]
-        count += int(hits.sum())
+    for ys in _pair_blocks(g.mul_arrays, g.inverse_table[ai].astype(np.int64), ai):
+        count += int(a.mask[g.mul_arrays(np.broadcast_to(ai[None, :], ys.shape), ys)].sum())
+        del ys
     # y is the identity exactly when m = x, and then x, xy, xy^2 all lie in A
     return count, a.card
 
@@ -262,12 +255,7 @@ def count_power_equation(
                 count += targets.get(mul(x, y), 0)
         used = ENGINE_BRUTE
     elif engine in ("auto", "cayley", ENGINE_CAYLEY):
-        weights = np.bincount(p3, minlength=g.order)
-        count = 0
-        rows = max(1, _CHUNK // len(ai))
-        for lo in range(0, len(p1), rows):
-            prods = g.mul_arrays(p1[lo : lo + rows][:, None], p2[None, :])
-            count += int(weights[prods.ravel()].sum())
+        count = _pair_count(g, p1, p2, np.bincount(p3, minlength=g.order))
         used = ENGINE_CAYLEY
     else:
         raise EngineUnsupported(f"count_power_equation supports brute/cayley, not {engine!r}")
@@ -354,12 +342,7 @@ def count_fiber_equation(
             f"identity holds on {diag}/{a.card} elements, below the required fraction"
         )
 
-    weights = np.bincount(v3, minlength=g.order)
-    count = 0
-    rows = max(1, _CHUNK // len(v2))
-    for lo in range(0, len(v1), rows):
-        prods = g.mul_arrays(v1[lo : lo + rows][:, None], v2[None, :])
-        count += int(weights[prods.ravel()].sum())
+    count = _pair_count(g, v1, v2, np.bincount(v3, minlength=g.order))
     extras = {"fiber_bounds": [f1.fiber_bound, f2.fiber_bound, f3.fiber_bound]}
     return CountReport("fiber", count, Fraction(a.card * a.card), diag, ENGINE_CAYLEY, extras)
 

@@ -4,15 +4,21 @@ Index 0 is always the identity.  Every group exposes scalar ``mul``/``inv``
 and one vectorized product, ``mul_arrays``, used by every caller.  For
 orders n <= TABLE_CAP the full Cayley table is a private cache behind it:
 products go to the subclass kernel (field arithmetic, permutation
-composition, modular addition) until the kernel has evaluated n^2 of them,
+composition, addition mod n) until the kernel has evaluated n^2 of them,
 then the table is built and every later product is a gather.  Building at
 that point costs at most twice the cheaper of "never build" and "build
 first".  Above TABLE_CAP every product goes to the kernel: PSL2(q) multiplies
 matrices through the flattened GF(q) tables and finds the product in a dense
 index of q^3 slots over SL2(q); a permutation group composes through the
 flattened image array and finds the product's key among the sorted keys.
-Construction is deterministic: the same specification always yields the same
-indexing.
+Z/n adds mod n; a direct product (``Z/a x Z/b`` included) indexes its
+elements in mixed radix, last factor fastest, and multiplies factor by
+factor through each factor's kernel.  Construction is deterministic: the
+same specification always yields the same indexing.
+
+Every "all x in one index array times all y in another" scan, here and in
+the counting and set layers, goes through :func:`_pair_blocks`, at most
+PRODUCT_BLOCK products per block.
 
 A ``table:`` CSV is validated exactly at every order: it must be a Latin
 square with a two-sided identity and pass Light's associativity test on a
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,7 +49,20 @@ from .rng import SplitMix64, derive
 
 TABLE_CAP = 4096
 DEFAULT_ORDER_CAP = 200_000
+PRODUCT_BLOCK = 1 << 20
 _ASSOC_SAMPLE_CAP = 50_000_000
+
+
+def _pair_blocks(mul, left: np.ndarray, right: np.ndarray):
+    """Yield ``mul(left[lo:hi, None], right[None, :])`` for consecutive row
+    ranges of ``left``, at most PRODUCT_BLOCK products per block (at least
+    one row); none when either side is empty.  Each block is computed only
+    when the previous one is taken, so a caller that drops its block holds
+    one at a time."""
+    if len(right):
+        rows = max(1, PRODUCT_BLOCK // len(right))
+        for lo in range(0, len(left), rows):
+            yield mul(left[lo:lo + rows, None], right[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +259,11 @@ class FiniteGroup:
             n = self.order
             rows = np.arange(n, dtype=np.int64)
             table = np.empty((n, n), dtype=np.int32)
-            chunk = max(1, (1 << 20) // n)
-            for lo in range(0, n, chunk):
-                hi = min(n, lo + chunk)
-                table[lo:hi] = self._mul_kernel(rows[lo:hi, None], rows[None, :])
+            lo = 0
+            for block in _pair_blocks(self._mul_kernel, rows, rows):
+                table[lo:lo + len(block)] = block
+                lo += len(block)
+                del block
             self._table = table
         return self._table
 
@@ -265,58 +285,20 @@ def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a is b or a == b
 
 
-class CyclicProductGroup(FiniteGroup):
-    """Z/n1 x ... x Z/nk in mixed-radix index encoding (last factor fastest)."""
+class CyclicGroup(FiniteGroup):
+    """Z/n: index i is the residue i, and the product is addition mod n."""
 
-    def __init__(self, moduli: Sequence[int], spec_text: Optional[str] = None) -> None:
-        moduli = tuple(int(m) for m in moduli)
-        if not moduli or any(m < 1 for m in moduli):
-            raise MalformedSpec(f"bad cyclic moduli {moduli}")
-        order = 1
-        for m in moduli:
-            order *= m
-        text = spec_text or " x ".join(f"Z/{m}" for m in moduli)
-        super().__init__(order, text)
-        self.moduli = moduli
-        self.cyclic_moduli = moduli
+    def __init__(self, n: int) -> None:
+        super().__init__(n, f"Z/{n}")
+        self.cyclic_moduli = (n,)
         self.is_abelian = True
-        strides = []
-        s = 1
-        for m in reversed(moduli):
-            strides.append(s)
-            s *= m
-        self._strides = tuple(reversed(strides))
-        idx = np.arange(order, dtype=np.int64)
-        self.inverse_table = self._encode([(-d) % m for d, m in zip(self._decode(idx), moduli)]).astype(np.int32)
-
-    def _decode(self, idx: np.ndarray) -> List[np.ndarray]:
-        out = []
-        rest = np.asarray(idx, dtype=np.int64)
-        for m, s in zip(self.moduli, self._strides):
-            out.append((rest // s) % m)
-        return out
-
-    def _encode(self, digits: Sequence[np.ndarray]) -> np.ndarray:
-        acc: np.ndarray = np.asarray(0, dtype=np.int64)
-        for d, s in zip(digits, self._strides):
-            acc = acc + np.asarray(d, dtype=np.int64) * s
-        return acc
+        self.inverse_table = ((-np.arange(n, dtype=np.int64)) % n).astype(np.int32)
 
     def mul(self, i: int, j: int) -> int:
-        out = 0
-        for m, s in zip(self.moduli, self._strides):
-            out += (((i // s) % m + (j // s) % m) % m) * s
-        return out
+        return (i + j) % self.order
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        da = self._decode(np.asarray(a))
-        db = self._decode(np.asarray(b))
-        return self._encode([(x + y) % m for x, y, m in zip(da, db, self.moduli)])
-
-    def element_label(self, i: int) -> str:
-        if len(self.moduli) == 1:
-            return str(i)
-        return "(" + ",".join(str(int(d)) for d in self._decode(np.asarray([i]))) + ")"
+        return (np.asarray(a, dtype=np.int64) + b) % self.order
 
 
 class TableGroup(FiniteGroup):
@@ -341,6 +323,9 @@ class TableGroup(FiniteGroup):
             raise NotAGroup(f"element {bad[0]} has {hits[bad[0]]} right inverses")
         self.inverse_table = is_identity.argmax(axis=1).astype(np.int32)
         self.is_abelian = bool(np.array_equal(self._table, self._table.T))
+
+    def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._table[a, b].astype(np.int64)
 
     def element_label(self, i: int) -> str:
         if self._labels is not None:
@@ -584,30 +569,20 @@ class PermutationGroup(_KeyedGroup):
 
 
 class GeneralDirectProductGroup(FiniteGroup):
-    """Direct product of arbitrary component groups (mixed-radix indices)."""
+    """Direct product of arbitrary component groups in mixed-radix index
+    encoding (last factor fastest); products go factor by factor through
+    each component's own kernel, never through a component's table."""
 
     def __init__(self, components: Sequence[FiniteGroup], spec_text: str) -> None:
-        order = 1
-        for g in components:
-            order *= g.order
-        super().__init__(order, spec_text)
+        super().__init__(prod(g.order for g in components), spec_text)
         self.components = list(components)
-        strides = []
-        s = 1
-        for g in reversed(self.components):
-            strides.append(s)
-            s *= g.order
-        self._strides = tuple(reversed(strides))
+        # a factor's stride is the order of the factors after it
+        self._strides = tuple(prod(g.order for g in self.components[k + 1:]) for k in range(len(self.components)))
         self.is_abelian = all(g.is_abelian for g in self.components)
-        moduli: List[int] = []
-        for g in self.components:
-            if g.cyclic_moduli is None:
-                moduli = []
-                break
-            moduli.extend(g.cyclic_moduli)
-        self.cyclic_moduli = tuple(moduli) if moduli else None
+        if all(g.cyclic_moduli is not None for g in self.components):
+            self.cyclic_moduli = tuple(m for g in self.components for m in g.cyclic_moduli)
 
-        idx = np.arange(order, dtype=np.int64)
+        idx = np.arange(self.order, dtype=np.int64)
         parts = [
             g.inverse_table[(idx // s) % g.order].astype(np.int64)
             for g, s in zip(self.components, self._strides)
@@ -619,7 +594,7 @@ class GeneralDirectProductGroup(FiniteGroup):
         b = np.asarray(b, dtype=np.int64)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         for g, s in zip(self.components, self._strides):
-            out += g.mul_arrays((a // s) % g.order, (b // s) % g.order) * s
+            out += g._mul_kernel((a // s) % g.order, (b // s) % g.order) * s
         return out
 
     def mul(self, i: int, j: int) -> int:
@@ -651,22 +626,15 @@ def build_group(spec: Union[GroupSpec, str], *, order_cap: int = DEFAULT_ORDER_C
 def _build(spec: GroupSpec, order_cap: int) -> FiniteGroup:
     if isinstance(spec, Cyclic):
         _check_cap(spec.n, order_cap)
-        return CyclicProductGroup([spec.n])
+        return CyclicGroup(spec.n)
     if isinstance(spec, DirectProduct):
         if not spec.factors:
             raise MalformedSpec("direct product needs at least one factor")
         if all(isinstance(f, Cyclic) for f in spec.factors):
-            moduli = [f.n for f in spec.factors]  # type: ignore[union-attr]
-            order = 1
-            for m in moduli:
-                order *= m
-            _check_cap(order, order_cap)
-            return CyclicProductGroup(moduli)
+            # the whole order is known before any factor is built
+            _check_cap(prod(f.n for f in spec.factors), order_cap)  # type: ignore[union-attr]
         comps = [_build(f, order_cap) for f in spec.factors]
-        order = 1
-        for g in comps:
-            order *= g.order
-        _check_cap(order, order_cap)
+        _check_cap(prod(g.order for g in comps), order_cap)
         return GeneralDirectProductGroup(comps, str(spec))
     if isinstance(spec, PSL2):
         p, k = factor_prime_power(spec.q)  # raises NotPrimePower
@@ -737,18 +705,18 @@ def _find_identity(table: np.ndarray) -> int:
 
 def _subgroup_closure(group: FiniteGroup, gens: Sequence[int], member: Optional[np.ndarray] = None) -> np.ndarray:
     """Close the mask ``member`` (default: the identity) in place under right
-    multiplication by ``gens``, at most 2^20 products per ``mul_arrays`` call,
-    and return it.  In a group the closure of a subgroup H is the subgroup
-    that H and ``gens`` generate."""
+    multiplication by ``gens``, one pair block at a time, and return it.  In a
+    group the closure of a subgroup H is the subgroup that H and ``gens``
+    generate."""
     if member is None:
         member = np.arange(group.order) == 0
-    right = np.asarray(gens, dtype=np.int64).reshape(1, -1)
-    step = max(1, (1 << 20) // max(1, right.size))
+    right = np.asarray(gens, dtype=np.int64)
     frontier = np.flatnonzero(member)
-    while len(frontier) and right.size:
+    while len(frontier) and len(right):
         found = []
-        for lo in range(0, len(frontier), step):
-            prods = np.unique(group.mul_arrays(frontier[lo : lo + step, None], right))
+        for block in _pair_blocks(group.mul_arrays, frontier, right):
+            prods = np.unique(block)
+            del block
             new = prods[~member[prods]]
             member[new] = True
             found.append(new)
@@ -784,16 +752,15 @@ def _require_associative(group: FiniteGroup) -> None:
     table is associative once every generator of :func:`_generating_set`
     passes (each element is a product of them), at |S|*n^2 triples.
     """
-    n = group.order
-    idx = np.arange(n, dtype=np.int64)
-    chunk = max(1, (1 << 20) // n)
+    idx = np.arange(group.order, dtype=np.int64)
+    mul = group.mul_arrays
     for a in _generating_set(group):
-        xa = group.mul_arrays(idx, a)
-        ay = group.mul_arrays(a, idx)
-        for lo in range(0, n, chunk):
-            rows = idx[lo:lo + chunk, None]
-            if not np.array_equal(group.mul_arrays(xa[rows], idx), group.mul_arrays(rows, ay)):
+        xa = mul(idx, a)
+        ay = mul(a, idx)
+        for lhs, rhs in zip(_pair_blocks(mul, xa, idx), _pair_blocks(mul, idx, ay)):
+            if not np.array_equal(lhs, rhs):
                 raise NotAGroup(f"associativity fails at generator {a}")
+            del lhs, rhs
 
 
 def _validate_identity_and_inverses(group: FiniteGroup) -> None:

@@ -88,15 +88,14 @@ def check_product_rich(
     *,
     trials: int = 2000,
     seed: int = 0,
-    exact_cap: int = PRODUCT_RICH_EXACT_CAP,
 ) -> RegularityVerdict:
     """Check that every subset of a of relative density >= eps meets its own
     productset.  Exact mode enumerates all qualifying sizes; any violation
     witness is re-verified against the raw definition before returning."""
     eps = _as_fraction(eps)
     if mode == "exact":
-        if a.card > exact_cap:
-            raise ExactCapExceeded(f"|A|={a.card} exceeds exact cap {exact_cap}")
+        if a.card > PRODUCT_RICH_EXACT_CAP:
+            raise ExactCapExceeded(f"|A|={a.card} exceeds exact cap {PRODUCT_RICH_EXACT_CAP}")
         return _product_rich_exact(a, eps)
     if mode == "sampled":
         return _product_rich_sampled(a, eps, trials, seed)
@@ -210,7 +209,6 @@ def check_regular_position(
     *,
     trials: int = 500,
     seed: int = 0,
-    exact_cap: int = REGULAR_POSITION_EXACT_CAP,
 ) -> RegularityVerdict:
     """Check the triple-subset compatibility condition at density eps.
 
@@ -222,8 +220,8 @@ def check_regular_position(
     eps = _as_fraction(eps)
     if mode == "exact":
         for s in (a, b, c):
-            if s.card > exact_cap:
-                raise ExactCapExceeded(f"|set|={s.card} exceeds exact cap {exact_cap}")
+            if s.card > REGULAR_POSITION_EXACT_CAP:
+                raise ExactCapExceeded(f"|set|={s.card} exceeds exact cap {REGULAR_POSITION_EXACT_CAP}")
         return _regular_position_exact(group, a, b, c, eps)
     if mode == "sampled":
         return _regular_position_sampled(group, a, b, c, eps, trials, seed)

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 TOOL_VERSION = "0.1.0"
 
@@ -85,16 +85,12 @@ def _flatten(record: Dict[str, Any], prefix: str = "") -> Dict[str, Any]:
     return flat
 
 
-def rows_to_csv(rows: Sequence[Dict[str, Any]], columns: Optional[Sequence[str]] = None) -> str:
-    """Render rows as CSV; column order is the provided list or the sorted
-    union of keys, so output is stable for a fixed schema."""
-    if columns is None:
-        seen = set()
-        for row in rows:
-            seen.update(row.keys())
-        columns = sorted(seen)
+def rows_to_csv(rows: Sequence[Dict[str, Any]]) -> str:
+    """Render rows as CSV; columns are the sorted union of keys, so output
+    is stable for a fixed schema."""
+    columns = sorted({key for row in rows for key in row})
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns), extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: row.get(k, "") for k in columns})

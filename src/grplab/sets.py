@@ -24,10 +24,8 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import EmptySet, GroupMismatch, KindUnsupportedForGroup, MalformedSpec
-from .groups import FiniteGroup, _subgroup_closure, same_group
+from .groups import FiniteGroup, _pair_blocks, _subgroup_closure, same_group
 from .rng import SplitMix64
-
-_PRODUCT_CHUNK = 1 << 20
 
 
 class GroupSubset:
@@ -122,8 +120,6 @@ def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     g = _require_same_group(a, b)
     out = np.zeros(g.order, dtype=bool)
     ai, bi = a.indices, b.indices
-    if len(ai) == 0 or len(bi) == 0:
-        return GroupSubset(g, out)
     if g.cyclic_moduli is not None and len(ai) * len(bi) > 64 * g.order:
         # dense sets in a large abelian group: take the support of the exact
         # integer convolution instead of enumerating all pairs
@@ -131,10 +127,9 @@ def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
 
         conv = cyclic_convolution(g, a.mask.astype(np.int64), b.mask.astype(np.int64))
         return GroupSubset(g, conv > 0)
-    rows = max(1, _PRODUCT_CHUNK // len(bi))
-    for lo in range(0, len(ai), rows):
-        chunk = ai[lo : lo + rows]
-        out[g.mul_arrays(chunk[:, None], bi[None, :]).ravel()] = True
+    for block in _pair_blocks(g.mul_arrays, ai, bi):
+        out[block] = True
+        del block
     return GroupSubset(g, out)
 
 
@@ -200,15 +195,10 @@ def growth_profile(a: GroupSubset, m_max: int) -> List[Fraction]:
 
 def is_product_free(a: GroupSubset) -> bool:
     """True iff no x, y in a have x*y in a."""
-    g = a.group
-    ai = a.indices
-    if len(ai) == 0:
-        return True
-    rows = max(1, _PRODUCT_CHUNK // len(ai))
-    for lo in range(0, len(ai), rows):
-        chunk = ai[lo : lo + rows]
-        if a.mask[g.mul_arrays(chunk[:, None], ai[None, :]).ravel()].any():
+    for block in _pair_blocks(a.group.mul_arrays, a.indices, a.indices):
+        if a.mask[block].any():
             return False
+        del block
     return True
 
 

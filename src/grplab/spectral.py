@@ -28,6 +28,7 @@ from .rng import SplitMix64, derive
 CLASS_COUNT_CAP = 300
 _EIG_TOL = 1e-8
 _RETRY_SEEDS = 3
+_REGULAR_MAX_ORDER = 24
 
 
 @dataclass(frozen=True)
@@ -190,9 +191,7 @@ def quasirandomness_degree(group: FiniteGroup, *, seed: int = 0) -> int:
 # independent oracle: decompose the regular representation directly
 
 
-def regular_representation_degrees(
-    group: FiniteGroup, *, seed: int = 0, max_order: int = 24
-) -> Tuple[int, ...]:
+def regular_representation_degrees(group: FiniteGroup, *, seed: int = 0) -> Tuple[int, ...]:
     """Degrees read off the regular representation of a tiny group.
 
     A generic element of the group algebra acts on the regular representation
@@ -201,8 +200,8 @@ def regular_representation_degrees(
     and dividing each multiplicity class by its size recovers the degrees.
     """
     n = group.order
-    if n > max_order:
-        raise BudgetExceeded(f"regular representation path capped at order {max_order}")
+    if n > _REGULAR_MAX_ORDER:
+        raise BudgetExceeded(f"regular representation path capped at order {_REGULAR_MAX_ORDER}")
     idx = np.arange(n, dtype=np.int64)
     for attempt in range(_RETRY_SEEDS):
         rng = SplitMix64(derive(seed, 0x2E6, attempt))

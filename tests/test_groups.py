@@ -98,6 +98,30 @@ def test_order_cap():
         build_group("perm:(1 2 3 4 5);(1 2)", order_cap=50)  # S5 has order 120
 
 
+def test_product_cap_names_the_whole_order_before_any_factor_is_built():
+    with pytest.raises(OrderCapExceeded, match=r"^group order 600000 exceeds cap 200000$"):
+        build_group("Z/300000 x Z/2")
+
+
+def test_element_labels_of_cyclic_groups_and_their_products():
+    assert build_group("Z/2 x Z/3").element_label(4) == "(1,1)"
+    z7 = build_group("Z/7")
+    assert [z7.element_label(i) for i in range(7)] == [str(i) for i in range(7)]
+
+
+@pytest.mark.parametrize("moduli", [(3, 9, 27), (2, 1000)])
+def test_cyclic_product_adds_digit_by_digit(moduli):
+    g = build_group(" x ".join(f"Z/{m}" for m in moduli))
+    rng = np.random.default_rng(len(moduli))
+    a, b = rng.integers(0, g.order, size=(2, 20000))
+    digits = [(x + y) % m for x, y, m in zip(np.unravel_index(a, moduli), np.unravel_index(b, moduli), moduli)]
+    want = np.ravel_multi_index(digits, moduli)
+    assert np.array_equal(g.mul_arrays(a, b), want)
+    assert [g.mul(int(x), int(y)) for x, y in zip(a[:50], b[:50])] == want[:50].tolist()
+    assert np.array_equal(g.mul_arrays(np.arange(g.order), g.inverse_table), np.zeros(g.order))
+    assert g.cyclic_moduli == moduli
+
+
 @pytest.mark.parametrize("spec", FLEET_SPECS)
 def test_identity_and_inverses(spec):
     g = fleet_group(spec)

@@ -337,6 +337,25 @@ def test_cli_maps_memory_error_to_budget_exit(capsys, monkeypatch):
     assert err.strip() == "grplab: budget exceeded: out of memory"
 
 
+@pytest.mark.parametrize("argv", [
+    ["mixing", "--group", "Z/4", "--n", "18", "--set-all", "explicit:0"],
+    ["count", "--group", "Z/4", "--sets", "explicit:0", "--equation", "mixing:18"],
+    ["count", "--group", "Z/4", "--sets", "explicit:0", "explicit:1", "--equation", "mixing:5"],
+])
+def test_cli_refuses_mixing_above_four_before_listing_subsets(argv, capsys, monkeypatch):
+    import grplab.cli as cli
+
+    def listed(n):
+        raise AssertionError(f"listed the 2^{n} - 1 subsets")
+
+    monkeypatch.setattr(cli, "all_nonempty_subsets", listed)
+    code, out, err = _run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    n = argv[argv.index("--n") + 1] if "--n" in argv else argv[-1].split(":")[1]
+    assert err == f"grplab: budget exceeded: mixing tuples supported for n in 2..4, got {n}\n"
+
+
 def test_cli_config_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text('recipe = "schur"\nseed = 99\nformat = "csv"\n[params]\nk = 2\n')

@@ -1,0 +1,100 @@
+"""Every blocked "all x times all y" scan against a brute-force oracle, with
+blocks small enough that each scan runs in several blocks."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from grplab import groups
+from grplab.counting import FiberFunction, count_ap3, count_fiber_equation, count_power_equation, count_xy_eq_z
+from grplab.errors import NotAGroup
+from grplab.groups import TableGroup, _pair_blocks, _require_associative, build_group
+from grplab.sets import GroupSubset, is_product_free, make_set, product_set
+
+from conftest import FLEET_SPECS
+
+# 5 x 5 pairs come in blocks of 2, 2 and 1 rows
+SMALL_BLOCK = 14
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(groups, "PRODUCT_BLOCK", SMALL_BLOCK)
+
+
+def test_pair_blocks_end_with_a_partial_block(small_blocks):
+    left, right = np.arange(5), np.arange(10, 15)
+    blocks = list(_pair_blocks(np.add, left, right))
+    assert [b.shape for b in blocks] == [(2, 5), (2, 5), (1, 5)]
+    assert np.array_equal(np.concatenate(blocks), left[:, None] + right[None, :])
+    # one row per block when a single row exceeds the block size
+    assert [b.shape for b in _pair_blocks(np.add, left, np.arange(20))] == [(1, 20)] * 5
+    assert list(_pair_blocks(np.add, left, right[:0])) == []
+    assert list(_pair_blocks(np.add, left[:0], right)) == []
+
+
+def _subset(g, indices):
+    return GroupSubset.from_indices(g, [i for i in indices if i < g.order])
+
+
+@pytest.mark.parametrize("spec", FLEET_SPECS)
+def test_every_pair_scan_matches_its_oracle_in_small_blocks(spec, small_blocks):
+    g = build_group(spec)  # a fresh group: the table is built in small blocks
+    n = g.order
+    idx = np.arange(n)
+    table = g.table
+    assert np.array_equal(table, g._mul_kernel(idx[:, None], idx[None, :]))
+    _require_associative(g)
+
+    def mul(x, y):
+        return int(table[x, y])
+
+    a = _subset(g, [1, 2, 3, 5, 7])
+    b = _subset(g, [0, 2, 4, 6, 9])
+    c = _subset(g, [1, 3, 4, 8, 11])
+    A, B, C = (set(s.to_index_list()) for s in (a, b, c))
+
+    xyz = sum(mul(x, y) in C for x in A for y in B)
+    assert count_xy_eq_z(a, b, c, "cayley").count == xyz
+
+    ap3 = sum(mul(x, y) in A and mul(mul(x, y), y) in A for x in A for y in range(n))
+    assert count_ap3(a).count == ap3
+
+    powers = [[g.pow(x, e) for x in sorted(A)] for e in (2, 3, 5)]
+    power = sum(mul(x, y) == z for x in powers[0] for y in powers[1] for z in powers[2])
+    assert count_power_equation(a, 2, 3, 5).count == power
+
+    v1 = a.to_index_list()
+    v2 = [int(g.inverse_table[x]) for x in reversed(v1)]
+    v3 = [mul(x, y) for x, y in zip(v1, v2)]
+    fibers = [FiberFunction.from_values(a, v) for v in (v1, v2, v3)]
+    fiber = sum(mul(x, y) == z for x in v1 for y in v2 for z in v3)
+    assert count_fiber_equation(*fibers).count == fiber
+
+    assert set(product_set(a, b).to_index_list()) == {mul(x, y) for x in A for y in B}
+    for s in (a, b, c, _subset(g, [n - 1])):
+        S = set(s.to_index_list())
+        assert is_product_free(s) == (not any(mul(x, y) in S for x in S for y in S))
+
+    gens = [x for x in (1, n - 1) if x < n]
+    closure = {0}
+    while True:
+        grown = closure | {mul(x, y) for x in closure for y in gens}
+        if grown == closure:
+            break
+        closure = grown
+    spec_text = "subgroup:" + ",".join(str(x) for x in gens)
+    assert set(make_set(g, spec_text).to_index_list()) == closure
+
+
+def test_light_test_rejects_a_loop_in_small_blocks(small_blocks):
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(NotAGroup, match="associativity"):
+        _require_associative(TableGroup(np.asarray(loop, dtype=np.int32), "loop"))
