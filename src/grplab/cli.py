@@ -228,10 +228,8 @@ def _cmd_stats(args: argparse.Namespace, started: float) -> None:
     _emit(payload, args, started)
 
 
-def _cayley_engine(kind: str, engine: str) -> str:
-    """The engine of an ap3, power or mixing count: auto means cayley, fft is refused."""
-    if engine == "fft":
-        raise errors.EngineUnsupported(f"{kind} supports engines brute and auto")
+def _cayley_auto(engine: str) -> str:
+    """The engine of an ap3 or power count: auto means cayley on every group."""
     return "cayley" if engine == "auto" else engine
 
 
@@ -244,7 +242,7 @@ def _mixing_subsets(n: int) -> List[Tuple[int, ...]]:
 
 def _count_mixing(n: int, sets: Sequence, engine: str) -> CountReport:
     """The mixing count of `count --equation mixing:n` and `mixing`: one set per subset, binary order."""
-    return count_mixing_tuples(n, dict(zip(_mixing_subsets(n), sets)), _cayley_engine("mixing", engine))
+    return count_mixing_tuples(n, dict(zip(_mixing_subsets(n), sets)), engine)
 
 
 def _cmd_count(args: argparse.Namespace, started: float) -> None:
@@ -258,7 +256,7 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
     elif equation == "ap3":
         if len(sets) != 1:
             raise errors.ConfigInvalid("ap3 needs exactly one set")
-        rep = count_ap3(sets[0], _cayley_engine("ap3", args.engine))
+        rep = count_ap3(sets[0], _cayley_auto(args.engine))
     elif equation.startswith("power:"):
         if len(sets) != 1:
             raise errors.ConfigInvalid("power needs exactly one set")
@@ -266,7 +264,7 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
             n1, n2, n3 = (int(x) for x in equation[len("power:"):].split(","))
         except ValueError:
             raise errors.MalformedSpec(f"bad power equation {equation!r}") from None
-        rep = count_power_equation(sets[0], n1, n2, n3, _cayley_engine("power", args.engine))
+        rep = count_power_equation(sets[0], n1, n2, n3, _cayley_auto(args.engine))
     elif equation.startswith("mixing:"):
         try:
             n = int(equation[len("mixing:"):])

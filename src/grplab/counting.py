@@ -1,12 +1,16 @@
 """Exact solution counting for group equations and mixing-tuple sets.
 
-Three engines are kept deliberately separate so they can cross-check each
-other: ``BruteForce`` is a plain Python loop over tuples, ``CayleyConvolution``
-gathers products through the group's vectorized multiplication, and
-``AbelianFFT`` convolves indicator arrays over cyclic-product groups.  All
-counts are exact integers; the FFT path rounds and is accepted only when
-both an a-priori error bound and the observed rounding residual stay well
-below 1/2, otherwise it falls back to exact integer convolution.
+The xyz, power, fiber and Schur counts, and ap3 on abelian groups, are one
+weighted pair count: the sum of weights[x*y] over x in one index array and
+y in another.  ``_pair_count`` computes it by one of three engines that
+cross-check each other: ``BruteForce`` is a plain Python loop over the
+pairs, ``CayleyConvolution`` gathers the products through the group's
+vectorized multiplication, and ``AbelianFFT`` convolves the two index
+histograms over a cyclic-product group.  ``_resolve_engine`` is the one
+place that turns an engine string into one of these.  All counts are exact
+integers; the FFT path rounds and is accepted only when both an a-priori
+error bound and the observed rounding residual stay well below 1/2,
+otherwise it falls back to exact integer convolution.
 """
 
 from __future__ import annotations
@@ -85,48 +89,44 @@ def count_xy_eq_z(
     """
     g = _require_same_group(a, b, c)
     engine = _resolve_engine(g, engine)
-    if engine == ENGINE_BRUTE:
-        count = _xyz_brute(g, a, b, c)
-    elif engine == ENGINE_CAYLEY:
-        count = _xyz_cayley(g, a, b, c)
-    else:
-        count = _xyz_fft(g, a, b, c)
+    count = _pair_count(g, a.indices, b.indices, c.mask, engine)
     degenerate = int(a.contains(0) and b.contains(0) and c.contains(0))
     normalizer = Fraction(a.card * b.card * c.card, g.order)
     return CountReport("xyz", count, normalizer, degenerate, engine)
 
 
-def _resolve_engine(g: FiniteGroup, engine: str) -> str:
+def _resolve_engine(g: Optional[FiniteGroup], engine: str) -> str:
+    """The engine that ``engine`` names.  ``auto`` is the FFT on a cyclic
+    product ``g`` above order 1024 and Cayley otherwise.  A count with no FFT
+    branch (mixing) passes no group: it runs ``auto`` by Cayley and refuses
+    ``fft``."""
     if engine == "auto":
-        return ENGINE_FFT if g.cyclic_moduli is not None and g.order > 1024 else ENGINE_CAYLEY
+        engine = "fft" if g is not None and g.cyclic_moduli is not None and g.order > 1024 else "cayley"
     if engine in ("brute", ENGINE_BRUTE):
         return ENGINE_BRUTE
     if engine in ("cayley", ENGINE_CAYLEY):
         return ENGINE_CAYLEY
     if engine in ("fft", ENGINE_FFT):
+        if g is None:
+            raise EngineUnsupported("mixing supports engines brute and auto")
         if g.cyclic_moduli is None:
             raise EngineUnsupported(f"AbelianFFT needs a cyclic product group, not {g.spec_text}")
         return ENGINE_FFT
     raise EngineUnsupported(f"unknown engine {engine!r}")
 
 
-def _xyz_brute(g: FiniteGroup, a: GroupSubset, b: GroupSubset, c: GroupSubset) -> int:
-    mul = g.mul
-    cset = set(c.to_index_list())
-    count = 0
-    for x in a.to_index_list():
-        for y in b.to_index_list():
-            if mul(x, y) in cset:
-                count += 1
-    return count
-
-
-def _xyz_cayley(g: FiniteGroup, a: GroupSubset, b: GroupSubset, c: GroupSubset) -> int:
-    return _pair_count(g, a.indices, b.indices, c.mask)
-
-
-def _pair_count(g: FiniteGroup, left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> int:
-    """Sum of weights[x*y] over x in ``left`` and y in ``right``."""
+def _pair_count(
+    g: FiniteGroup, left: np.ndarray, right: np.ndarray, weights: np.ndarray, engine: str
+) -> int:
+    """Sum of weights[x*y] over x in ``left`` and y in ``right`` (index
+    arrays, repeats allowed), by the resolved ``engine``."""
+    if engine == ENGINE_BRUTE:
+        mul = g.mul
+        return sum(int(weights[mul(x, y)]) for x in left.tolist() for y in right.tolist())
+    if engine == ENGINE_FFT:
+        n = g.order
+        conv = cyclic_convolution(g, np.bincount(left, minlength=n), np.bincount(right, minlength=n))
+        return int(np.dot(conv, weights))
     count = 0
     for block in _pair_blocks(g.mul_arrays, left, right):
         count += int(weights[block].sum())
@@ -135,11 +135,13 @@ def _pair_count(g: FiniteGroup, left: np.ndarray, right: np.ndarray, weights: np
 
 
 def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Exact integer group convolution (1_A * 1_B) over a cyclic product group.
+    """Exact integer group convolution fa * fb over a cyclic product group,
+    for nonnegative integer vectors fa and fb.
 
     Fast path: multidimensional FFT, rounded, accepted only when the a-priori
     float error bound and the observed residual are both < 1/2.  Fallback:
-    exact integer accumulation of rolled arrays over the smaller support.
+    exact integer accumulation of weighted rolled arrays over the smaller
+    support.
     """
     moduli = g.cyclic_moduli
     assert moduli is not None
@@ -147,7 +149,8 @@ def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.nda
     A = fa.reshape(shape).astype(np.float64)
     B = fb.reshape(shape).astype(np.float64)
     n = g.order
-    max_out = float(min(fa.sum(), fb.sum()))
+    # no output entry exceeds sum(fa) * max(fb) or sum(fb) * max(fa)
+    max_out = float(min(fa.sum() * fb.max(), fb.sum() * fa.max()))
     # conservative a-priori bound on FFT rounding error
     bound = 1e-15 * max(1.0, max_out) * n * max(1.0, math.log2(max(2, n)))
     if bound < 0.4:
@@ -156,20 +159,16 @@ def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.nda
         residual = float(np.abs(conv - rounded).max()) if conv.size else 0.0
         if residual < _FFT_RESIDUAL_LIMIT:
             return rounded.astype(np.int64).reshape(-1)
-    # exact fallback: accumulate B shifted by each member of A's support
-    small, other = (fa, fb) if fa.sum() <= fb.sum() else (fb, fa)
+    # exact fallback: accumulate the other side shifted by each support point
+    # of the side with the smaller support, times that point's weight
+    small, other = (fa, fb) if np.count_nonzero(fa) <= np.count_nonzero(fb) else (fb, fa)
     out = np.zeros(shape, dtype=np.int64)
     oth = other.reshape(shape).astype(np.int64)
     support = np.nonzero(small.reshape(-1))[0]
     for idx in support:
         shifts = np.unravel_index(int(idx), shape)
-        out += np.roll(oth, shifts, axis=tuple(range(len(shape))))
+        out += int(small[idx]) * np.roll(oth, shifts, axis=tuple(range(len(shape))))
     return out.reshape(-1)
-
-
-def _xyz_fft(g: FiniteGroup, a: GroupSubset, b: GroupSubset, c: GroupSubset) -> int:
-    conv = cyclic_convolution(g, a.mask.astype(np.int64), b.mask.astype(np.int64))
-    return int(conv[c.indices].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +181,17 @@ def count_ap3(a: GroupSubset, engine: str = "auto") -> CountReport:
     Pairs with y = identity are the degenerate ones.
     """
     g = a.group
-    if engine in ("auto", "cayley", ENGINE_CAYLEY):
-        count, degenerate = _ap3_fast(g, a)
-        used = ENGINE_CAYLEY
-    elif engine in ("brute", ENGINE_BRUTE):
+    engine = _resolve_engine(g, engine)
+    if engine == ENGINE_BRUTE:
         count, degenerate = _ap3_brute(g, a)
-        used = ENGINE_BRUTE
+    elif g.is_abelian:
+        # the progression is (x, m, z) in A^3 with x + z = 2m
+        ai = a.indices
+        count = _pair_count(g, ai, ai, np.bincount(g.pow_arrays(ai, 2), minlength=g.order), engine)
+        degenerate = a.card
     else:
-        raise EngineUnsupported(f"count_ap3 supports brute/cayley, not {engine!r}")
-    return CountReport("ap3", count, Fraction(a.card * a.card), degenerate, used)
+        count, degenerate = _ap3_fast(g, a)
+    return CountReport("ap3", count, Fraction(a.card * a.card), degenerate, engine)
 
 
 def _ap3_fast(g: FiniteGroup, a: GroupSubset) -> Tuple[int, int]:
@@ -235,32 +236,14 @@ def count_power_equation(
     if min(n1, n2, n3) < 1:
         raise ValueError("exponents must be >= 1")
     g = a.group
+    engine = _resolve_engine(g, engine)
     ai = a.indices
     torsion_free = _torsion_free(g, ai, (n1, n2, n3))
     extras = {"torsion_free": torsion_free, "exponents": [n1, n2, n3]}
-    if len(ai) == 0:
-        return CountReport("power", 0, Fraction(0), 0, ENGINE_CAYLEY, extras)
-
-    p1 = g.pow_arrays(ai, n1)
-    p2 = g.pow_arrays(ai, n2)
-    p3 = g.pow_arrays(ai, n3)
-    if engine in ("brute", ENGINE_BRUTE):
-        mul = g.mul
-        targets: Dict[int, int] = {}
-        for v in p3.tolist():
-            targets[v] = targets.get(v, 0) + 1
-        count = 0
-        for x in p1.tolist():
-            for y in p2.tolist():
-                count += targets.get(mul(x, y), 0)
-        used = ENGINE_BRUTE
-    elif engine in ("auto", "cayley", ENGINE_CAYLEY):
-        count = _pair_count(g, p1, p2, np.bincount(p3, minlength=g.order))
-        used = ENGINE_CAYLEY
-    else:
-        raise EngineUnsupported(f"count_power_equation supports brute/cayley, not {engine!r}")
+    p1, p2, p3 = (g.pow_arrays(ai, e) for e in (n1, n2, n3))
+    count = _pair_count(g, p1, p2, np.bincount(p3, minlength=g.order), engine)
     diag = int(np.count_nonzero(g.mul_arrays(p1, p2) == p3))
-    return CountReport("power", int(count), Fraction(a.card * a.card), diag, used, extras)
+    return CountReport("power", count, Fraction(a.card * a.card), diag, engine, extras)
 
 
 def _torsion_free(g: FiniteGroup, indices: np.ndarray, exponents: Tuple[int, ...]) -> bool:
@@ -329,9 +312,6 @@ def count_fiber_equation(
     if not (a == f2.domain and a == f3.domain):
         raise DomainMismatch("fiber functions must share one domain set")
     g = a.group
-    if a.card == 0:
-        return CountReport("fiber", 0, Fraction(0), 0, ENGINE_CAYLEY)
-
     v1 = np.asarray(f1.mapping, dtype=np.int64)
     v2 = np.asarray(f2.mapping, dtype=np.int64)
     v3 = np.asarray(f3.mapping, dtype=np.int64)
@@ -342,7 +322,7 @@ def count_fiber_equation(
             f"identity holds on {diag}/{a.card} elements, below the required fraction"
         )
 
-    count = _pair_count(g, v1, v2, np.bincount(v3, minlength=g.order))
+    count = _pair_count(g, v1, v2, np.bincount(v3, minlength=g.order), ENGINE_CAYLEY)
     extras = {"fiber_bounds": [f1.fiber_bound, f2.fiber_bound, f3.fiber_bound]}
     return CountReport("fiber", count, Fraction(a.card * a.card), diag, ENGINE_CAYLEY, extras)
 
@@ -375,6 +355,7 @@ def count_mixing_tuples(
     order.  Normalizer: prod_F |A_F| / |G|^(2^n - 1 - n).  The degenerate
     count is 1 when the all-identity tuple qualifies, else 0.
     """
+    engine = _resolve_engine(None, engine)
     if not 2 <= n <= 4:
         raise BudgetExceeded(f"mixing tuples supported for n in 2..4, got {n}")
     fams = {subset_key(k): v for k, v in sets.items()}
@@ -386,14 +367,10 @@ def count_mixing_tuples(
     if g.order**n > budget:
         raise BudgetExceeded(f"|G|^{n} = {g.order ** n} exceeds budget {budget}")
 
-    if engine in ("brute", ENGINE_BRUTE):
+    if engine == ENGINE_BRUTE:
         count = _mixing_brute(g, n, fams)
-        used = ENGINE_BRUTE
-    elif engine in ("auto", "cayley", ENGINE_CAYLEY):
-        count = _mixing_prefix(g, n, fams)
-        used = ENGINE_CAYLEY
     else:
-        raise EngineUnsupported(f"count_mixing_tuples supports brute/cayley, not {engine!r}")
+        count = _mixing_prefix(g, n, fams)
 
     degenerate = int(all(fams[f].contains(0) for f in want))
     prod_sizes = 1
@@ -401,7 +378,7 @@ def count_mixing_tuples(
         prod_sizes *= fams[f].card
     normalizer = Fraction(prod_sizes, g.order ** (2**n - 1 - n))
     extras = {"n": n}
-    return CountReport(f"mixing:{n}", count, normalizer, degenerate, used, extras)
+    return CountReport(f"mixing:{n}", count, normalizer, degenerate, engine, extras)
 
 
 def _mixing_brute(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubset]) -> int:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .counting import CountReport, _translated_mask, _xyz_cayley, count_xy_eq_z
+from .counting import ENGINE_CAYLEY, CountReport, _pair_count, _translated_mask, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec
 from .groups import FiniteGroup
 from .rng import SplitMix64, derive
@@ -102,8 +102,8 @@ def schur_counts(coloring: Coloring, engine: str = "auto") -> SchurReport:
 
 
 def _schur_count_of_mask(group: FiniteGroup, mask: np.ndarray) -> int:
-    s = GroupSubset(group, mask)
-    return _xyz_cayley(group, s, s, s)
+    idx = np.flatnonzero(mask)
+    return _pair_count(group, idx, idx, mask, ENGINE_CAYLEY)
 
 
 @dataclass(frozen=True)

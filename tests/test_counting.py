@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FLEET_SPECS, fleet_group
+from grplab import counting
 from grplab.counting import (
     FiberFunction,
     _torsion_free,
@@ -128,6 +129,39 @@ def test_cyclic_convolution_exact_fallback_agrees():
         for y in b.to_index_list():
             want[g.mul(x, y)] += 1
     assert np.array_equal(fft, want)
+
+
+def _convolution_oracle(g, fa, fb):
+    want = np.zeros(g.order, dtype=np.int64)
+    for x in np.nonzero(fa)[0].tolist():
+        for y in np.nonzero(fb)[0].tolist():
+            want[g.mul(x, y)] += int(fa[x]) * int(fb[y])
+    return want
+
+
+def test_cyclic_convolution_fallback_is_weighted(monkeypatch):
+    # a residual limit below 0 sends every call to the exact fallback
+    monkeypatch.setattr(counting, "_FFT_RESIDUAL_LIMIT", -1.0)
+    z6 = build_group("Z/6")
+    fa = np.array([2, 0, 0, 0, 0, 0], dtype=np.int64)
+    fb = np.array([0, 1, 1, 1, 0, 0], dtype=np.int64)
+    assert cyclic_convolution(z6, fa, fb).tolist() == [0, 2, 2, 2, 0, 0]
+    assert cyclic_convolution(z6, fb, fa).tolist() == [0, 2, 2, 2, 0, 0]
+    g = build_group("Z/6 x Z/7")
+    stream = SplitMix64(8)
+    for _ in range(3):
+        fa = np.array(stream.randrange_array(4, g.order), dtype=np.int64)
+        fb = np.array(stream.randrange_array(3, g.order), dtype=np.int64) * (np.arange(g.order) % 5 == 0)
+        assert np.array_equal(cyclic_convolution(g, fa, fb), _convolution_oracle(g, fa, fb))
+
+
+def test_cyclic_convolution_bound_counts_the_weights():
+    # entries near 2^61 are beyond float precision: the FFT result would be
+    # rounded to whole numbers that are wrong, so the bound must refuse it
+    z5 = build_group("Z/5")
+    fa = np.array([3 << 40, 1, 0, 0, 0], dtype=np.int64)
+    fb = np.array([(1 << 20) + 1, 0, 5, 0, 0], dtype=np.int64)
+    assert np.array_equal(cyclic_convolution(z5, fa, fb), _convolution_oracle(z5, fa, fb))
 
 
 # --- three-term progressions -------------------------------------------------
@@ -262,6 +296,55 @@ def test_ap3_equals_role_switched_power_equation():
         assert ap.count - ap.degenerate_count == pw.count - pw.degenerate_count
 
 
+@pytest.mark.parametrize(
+    "spec, density, exponents",
+    [
+        ("Z/2 x Z/1000", 0.05, [(1, 1, 2), (2, 3, 5), (2, 2, 2)]),  # has involutions
+        ("Z/3 x Z/9 x Z/27", 0.1, [(1, 1, 2), (2, 3, 5), (3, 3, 3)]),
+        (" x ".join(["Z/2"] * 12), 0.01, [(2, 2, 2)]),  # every square is the identity
+        ("Z/20001", 0.002, [(1, 1, 2), (2, 3, 5)]),
+    ],
+)
+def test_ap3_and_power_engines_agree(spec, density, exponents):
+    g = build_group(spec)
+    assert g.cyclic_moduli is not None
+    for seed in (1, 2):
+        a = make_set(g, f"random:{density},{seed}")
+        reports = [count_ap3(a, engine) for engine in ("brute", "cayley", "fft")]
+        assert [r.engine for r in reports] == ["BruteForce", "CayleyConvolution", "AbelianFFT"]
+        assert len({(r.count, r.degenerate_count) for r in reports}) == 1
+        for n1, n2, n3 in exponents:
+            reports = [count_power_equation(a, n1, n2, n3, e) for e in ("brute", "cayley", "fft")]
+            assert len({(r.count, r.degenerate_count, r.extras["torsion_free"]) for r in reports}) == 1
+
+
+def test_auto_engine_is_fft_on_cyclic_products_above_1024():
+    a = make_set(build_group("Z/2 x Z/1000"), "random:0.05,3")
+    assert count_ap3(a).engine == count_power_equation(a, 1, 1, 2).engine == "AbelianFFT"
+    b = make_set(build_group("Z/1024"), "random:0.05,3")
+    assert count_ap3(b).engine == count_power_equation(b, 1, 1, 2).engine == "CayleyConvolution"
+    assert count_ap3(make_set(build_group("PSL2(5)"), "random:0.5,3")).engine == "CayleyConvolution"
+
+
+def test_ap3_and_power_fft_refused_off_cyclic_products(s3):
+    full = GroupSubset.full(s3)
+    with pytest.raises(EngineUnsupported, match="AbelianFFT needs a cyclic product group"):
+        count_ap3(full, "fft")
+    with pytest.raises(EngineUnsupported, match="AbelianFFT needs a cyclic product group"):
+        count_power_equation(full, 1, 1, 2, "fft")
+
+
+def test_empty_set_reports_the_engine_that_ran():
+    g = build_group("Z/2000")
+    empty = GroupSubset.from_indices(g, [])
+    for engine, name in (("brute", "BruteForce"), ("cayley", "CayleyConvolution"), ("fft", "AbelianFFT")):
+        for rep in (count_power_equation(empty, 1, 1, 2, engine), count_ap3(empty, engine)):
+            assert (rep.count, rep.degenerate_count, rep.engine) == (0, 0, name)
+    f = FiberFunction.from_values(empty, [])
+    rep = count_fiber_equation(f, f, f)
+    assert (rep.count, rep.degenerate_count, rep.normalizer) == (0, 0, 0)
+
+
 # --- fiber equations -------------------------------------------------------
 
 
@@ -392,6 +475,13 @@ def test_mixing_n4_sanity():
     rep = count_mixing_tuples(4, sets)
     assert rep.count == 3**4
     assert count_mixing_tuples(4, sets, "brute").count == 3**4
+
+
+def test_mixing_has_no_fft_engine():
+    z4 = build_group("Z/4")
+    h = GroupSubset.from_indices(z4, [0, 2])
+    with pytest.raises(EngineUnsupported, match="mixing supports engines brute and auto"):
+        count_mixing_tuples(2, {f: h for f in all_nonempty_subsets(2)}, "fft")
 
 
 def test_mixing_budget_guard():

@@ -16,6 +16,7 @@ from grplab.groups import (
     PSL2,
     TableGroup,
     _require_associative,
+    _require_latin_square,
     build_group,
     conjugacy_classes,
     element_order,
@@ -276,6 +277,28 @@ def test_table_group_rejects_bad_tables(tmp_path):
     _write_csv(p3, NONASSOC_LOOP)
     with pytest.raises(NotAGroup, match="associativity"):
         build_group(f"table:{p3}")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 0], [1, 1]], "some row is not a permutation"),
+        ([[0, 1], [0, 1]], "some column is not a permutation"),
+        ([[(i + j) % 5 if (i, j) != (3, 1) else 3 for j in range(5)] for i in range(5)],
+         "some row is not a permutation"),
+        ([[(i + j) % 5 for j in range(5)] if i != 2 else [1, 2, 3, 4, 0] for i in range(5)],
+         "some column is not a permutation"),
+    ],
+    ids=["row-2", "column-2", "row-5", "column-5"],
+)
+def test_table_latin_square_messages(tmp_path, rows, message):
+    path = tmp_path / "t.csv"
+    _write_csv(path, rows)
+    with pytest.raises(NotAGroup, match=f"^{message}$"):
+        build_group(f"table:{path}")
+    with pytest.raises(NotAGroup, match=f"^{message}$"):
+        _require_latin_square(np.asarray(rows))
+    _require_latin_square(np.add.outer(np.arange(5), np.arange(5)) % 5)
 
 
 # the CSV reader's contract: exit 1 for a malformed entry, exit 2 for a table

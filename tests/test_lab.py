@@ -236,6 +236,39 @@ def test_cli_count_ap3_and_power(capsys):
     assert code == 0 and json.loads(out)["count"] == 5
 
 
+def test_cli_count_ap3_and_power_fft(capsys):
+    spec = ["--group", "Z/2000", "--sets", "random:0.1,5"]
+    for equation in ("ap3", "power:2,3,5"):
+        code, auto, _ = _run_cli(["count", *spec, "--equation", equation], capsys)
+        assert code == 0 and json.loads(auto)["engine"] == "CayleyConvolution"
+        code, fft, _ = _run_cli(["count", *spec, "--equation", equation, "--engine", "fft"], capsys)
+        assert code == 0
+        assert json.loads(fft) == {**json.loads(auto), "engine": "AbelianFFT"}
+        code, out, err = _run_cli(
+            ["count", "--group", "PSL2(5)", "--sets", "random:0.5,5", "--equation", equation,
+             "--engine", "fft"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "grplab: AbelianFFT needs a cyclic product group, not PSL2(5)\n"
+
+
+def test_cli_mixing_refuses_fft(capsys):
+    code, out, err = _run_cli(
+        ["count", "--group", "Z/6", "--sets", "explicit:0,2", "--equation", "mixing:2", "--engine", "fft"],
+        capsys,
+    )
+    assert (code, out, err) == (1, "", "grplab: mixing supports engines brute and auto\n")
+
+
+def test_cli_power_on_empty_set_reports_its_engine(capsys):
+    argv = ["count", "--group", "Z/2000", "--sets", "explicit:", "--equation", "power:1,1,2"]
+    for engine, name in (("brute", "BruteForce"), ("auto", "CayleyConvolution"), ("fft", "AbelianFFT")):
+        code, out, _ = _run_cli(argv + ["--engine", engine], capsys)
+        assert code == 0
+        assert (json.loads(out)["count"], json.loads(out)["engine"]) == (0, name)
+
+
 def test_cli_mixing_set_all(capsys):
     code, out, _ = _run_cli(
         ["mixing", "--group", "Z/4", "--n", "3", "--set-all", "explicit:0,2"], capsys
