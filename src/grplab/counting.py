@@ -44,7 +44,8 @@ _FFT_RESIDUAL_LIMIT = 0.25
 class CountReport:
     """Exact count of solutions plus the reference normalizer.
 
-    ``ratio`` is count/normalizer as a float; ``degenerate_count`` follows
+    ``ratio`` is count/normalizer as a float, or None (JSON null) when the
+    normalizer is 0, as for an empty set; ``degenerate_count`` follows
     each operation's convention for trivial solutions (documented on the
     operation).  ``extras`` carries operation-specific diagnostics.
     """
@@ -57,9 +58,9 @@ class CountReport:
     extras: dict = field(default_factory=dict)
 
     @property
-    def ratio(self) -> float:
+    def ratio(self) -> Optional[float]:
         if self.normalizer == 0:
-            return float("nan")
+            return None
         return self.count / float(self.normalizer)
 
     def to_dict(self) -> dict:

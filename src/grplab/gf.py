@@ -2,9 +2,12 @@
 
 Field elements are indexed 0..q-1; index ``e`` encodes the polynomial
 ``sum_i c_i x^i`` with base-p digits ``c_i`` of ``e`` (c_0 least
-significant).  For k >= 2 multiplication goes through log/antilog tables
-over the lexicographically least monic irreducible modulus, so the same
-field size always yields the same arithmetic.
+significant).  The product table is built in one pass: every pair of
+digit polynomials is multiplied at once, and the products are reduced
+modulo the lexicographically least monic irreducible of degree k, the
+least monic polynomial that is no product of two elements.  So the same
+field size always yields the same arithmetic.  The scalar polynomial
+helpers below are the independent oracle of the tests.
 """
 
 from __future__ import annotations
@@ -60,19 +63,6 @@ def _poly_mul_mod(a: Tuple[int, ...], b: Tuple[int, ...], modulus: Tuple[int, ..
     return _poly_trim(tuple(prod))
 
 
-def _poly_divides(d: Tuple[int, ...], f: Tuple[int, ...], p: int) -> bool:
-    """Whether monic d divides f over F_p."""
-    rem = list(f)
-    deg_d = len(d) - 1
-    while len(_poly_trim(tuple(rem))) - 1 >= deg_d:
-        rem = list(_poly_trim(tuple(rem)))
-        shift = len(rem) - 1 - deg_d
-        coef = rem[-1]
-        for j in range(len(d)):
-            rem[shift + j] = (rem[shift + j] - coef * d[j]) % p
-    return not any(_poly_trim(tuple(rem)))
-
-
 def _int_to_poly(e: int, p: int) -> Tuple[int, ...]:
     digits = []
     while e:
@@ -88,30 +78,6 @@ def _poly_to_int(c: Tuple[int, ...], p: int) -> int:
     return v
 
 
-def _least_irreducible(p: int, k: int) -> Tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree k over F_p.
-
-    Candidates x^k + t are scanned by increasing integer encoding of the
-    tail t, i.e. lexicographic on coefficients read from degree k-1 down.
-    """
-    for tail in range(p**k):
-        f = _int_to_poly(tail, p) + (0,) * max(0, k - len(_int_to_poly(tail, p)))
-        f = tuple(f[:k]) + (1,)
-        irreducible = True
-        for deg in range(1, k // 2 + 1):
-            for dtail in range(p**deg):
-                d = _int_to_poly(dtail, p)
-                d = tuple(d) + (0,) * (deg - len(d)) + (1,)
-                if _poly_divides(d, f, p):
-                    irreducible = False
-                    break
-            if not irreducible:
-                break
-        if irreducible:
-            return f
-    raise NotPrimePower(f"no irreducible polynomial found for GF({p}^{k})")
-
-
 class PrimePowerField:
     """Dense-table arithmetic for GF(q) with q = p**k, q small."""
 
@@ -120,67 +86,36 @@ class PrimePowerField:
         self.q = q
         self.p = p
         self.k = k
-        self.modulus: Optional[Tuple[int, ...]] = None
 
-        idx = np.arange(q, dtype=np.int64)
-        digits = []
-        rest = idx.copy()
-        for _ in range(k):
-            digits.append(rest % p)
-            rest //= p
+        weights = p ** np.arange(k, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
         # componentwise addition/negation of base-p digit vectors
-        add = np.zeros((q, q), dtype=np.int32)
-        for i in range(k):
-            add += ((digits[i][:, None] + digits[i][None, :]) % p).astype(np.int32) * p**i
-        self.add_table = add
-        neg = np.zeros(q, dtype=np.int32)
-        for i in range(k):
-            neg += ((-digits[i]) % p).astype(np.int32) * p**i
-        self.neg_table = neg
+        self.add_table = ((digits[:, None] + digits[None, :]) % p @ weights).astype(np.int32)
+        self.neg_table = (-digits % p @ weights).astype(np.int32)
 
-        if k == 1:
-            mul = (idx[:, None] * idx[None, :] % p).astype(np.int32)
-        else:
-            self.modulus = _least_irreducible(p, k)
-            log, antilog = self._build_log_tables()
-            self._log = log
-            self._antilog = antilog
-            mul = np.zeros((q, q), dtype=np.int32)
-            nz = idx[1:]
-            e = (log[nz][:, None] + log[nz][None, :]) % (q - 1)
-            mul[1:, 1:] = antilog[e]
-        self.mul_table = mul
-
-        inv = np.zeros(q, dtype=np.int32)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
-        self.inv_table = inv
+        # coefficients of every product of two digit polynomials, degrees
+        # 0..2k-2 (the last column stays 0, so k = 1 needs no special case)
+        full = np.zeros((q, q, 2 * k), dtype=np.int64)
+        for i in range(k):
+            full[:, :, i:i + k] += digits[:, None, i, None] * digits
+        full %= p
+        # the modulus x^k + tail is the least irreducible, tails read by
+        # increasing index (lexicographic on coefficients from degree k-1
+        # down); a monic f of degree k is reducible exactly when it is the
+        # product of two elements, i.e. when F_p[x]/(f) has zero divisors
+        monic = (full[:, :, k] == 1) & ~full[:, :, k + 1:].any(axis=2)
+        reducible = np.zeros(q, dtype=bool)
+        reducible[full[monic][:, :k] @ weights] = True
+        tail = digits[np.argmin(reducible)]
+        self.modulus: Optional[Tuple[int, ...]] = tuple(tail.tolist()) + (1,) if k > 1 else None
+        for top in range(2 * k - 2, k - 1, -1):
+            # x^top = -tail * x^(top-k) modulo the modulus
+            full[:, :, top - k:top] = (full[:, :, top - k:top] - full[:, :, top, None] * tail) % p
+        self.mul_table = (full[:, :, :k] @ weights).astype(np.int32)
+        # row 0 has no 1 and argmax gives 0 there, as 0 has no inverse
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int32)
         self.one = 1
         self.zero = 0
-
-    def _build_log_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        p, k, q = self.p, self.k, self.q
-        assert self.modulus is not None
-        for g in range(2, q):
-            gp = _int_to_poly(g, p)
-            acc = (1,)
-            seen = 1
-            while True:
-                acc = _poly_mul_mod(acc, gp, self.modulus, p)
-                if _poly_to_int(acc, p) == 1:
-                    break
-                seen += 1
-            if seen == q - 1:
-                antilog = np.zeros(q - 1, dtype=np.int32)
-                log = np.zeros(q, dtype=np.int32)
-                acc = (1,)
-                for e in range(q - 1):
-                    v = _poly_to_int(acc, p)
-                    antilog[e] = v
-                    log[v] = e
-                    acc = _poly_mul_mod(acc, gp, self.modulus, p)
-                return log, antilog
-        raise NotPrimePower(f"no multiplicative generator found for GF({q})")
 
     def add(self, a, b):
         return self.add_table[a, b]

@@ -13,8 +13,11 @@ index of q^3 slots over SL2(q); a permutation group composes through the
 flattened image array and finds the product's key among the sorted keys.
 Z/n adds mod n; a direct product (``Z/a x Z/b`` included) indexes its
 elements in mixed radix, last factor fastest, and multiplies factor by
-factor through each factor's kernel.  Construction is deterministic: the
-same specification always yields the same indexing.
+factor through each factor's kernel.  Construction works on whole arrays:
+PSL2(q) lists SL2(q) in closed form, one matrix per slot of its index, and
+a permutation group closes its generators one breadth-first layer of keys
+at a time.  It is deterministic: the same specification always yields the
+same indexing.
 
 Every "all x in one index array times all y in another" scan, here and in
 the counting and set layers, goes through :func:`_pair_blocks`, at most
@@ -39,12 +42,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import MalformedSpec, NotAGroup, OrderCapExceeded
-from .gf import PrimePowerField, factor_prime_power
+from .gf import PrimePowerField
 from .rng import SplitMix64, derive
 
 TABLE_CAP = 4096
@@ -333,90 +336,53 @@ class TableGroup(FiniteGroup):
         return str(i)
 
 
-class _KeyedGroup(FiniteGroup):
-    """Group whose elements carry sortable int64 keys; index 0 = identity,
-    remaining indices sorted by key.  Subclasses implement key arithmetic."""
-
-    def _init_keys(self, keys: np.ndarray, identity_key: int) -> None:
-        keys = np.asarray(keys, dtype=np.int64)
-        rest = np.sort(keys[keys != identity_key])
-        self.keys = np.concatenate(([identity_key], rest))
-        order = np.argsort(self.keys, kind="stable")
-        # a trailing sentinel above every key: searchsorted never runs off the
-        # end, and a key past the last one meets the sentinel and is rejected
-        self._sorted_keys = np.append(self.keys[order], np.iinfo(np.int64).max)
-        self._sorted_to_index = np.append(order, 0).astype(np.int64)
-
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self._sorted_keys, keys)
-        if np.count_nonzero(self._sorted_keys[pos] != keys):
-            raise NotAGroup("product fell outside the element set")
-        return self._sorted_to_index[pos]
-
-
-class PSL2Group(_KeyedGroup):
+class PSL2Group(FiniteGroup):
     """PSL2(q): unimodular 2x2 matrices over GF(q) modulo +-identity.
 
     Matrices are canonicalized to the lexicographically smaller of M and -M
-    on the flattened entry tuple (a, b, c, d); the elements are indexed by
-    that key.  Products are looked up in a dense index over every matrix of
-    SL2(q), both signs included: (a, b, c) determine d when a != 0, and
-    (b, d) determine c when a = 0, so each matrix has its own slot among
-    q^3 and one remaining entry to compare.
+    on the flattened entry tuple (a, b, c, d); index 0 is the identity and
+    the other elements follow in key order.  Products are looked up in a
+    dense index over every matrix of SL2(q), both signs included: (a, b, c)
+    determine d when a != 0, and (b, d) determine c when a = 0, so each
+    matrix has its own slot among q^3 and one remaining entry to compare.
     """
 
     def __init__(self, q: int) -> None:
         field = PrimePowerField(q)
-        p = field.p
         order = q * (q * q - 1) // gcd(2, q - 1)
         super().__init__(order, f"PSL2({q})")
         self.q = q
         self.field = field
         self.is_abelian = order <= 2
 
-        f_mul = field.mul_table
-        f_neg = field.neg_table
-        one = 1
+        f_mul, f_add, f_neg, f_inv = field.mul_table, field.add_table, field.neg_table, field.inv_table
+        # SL2(q) in closed form, one matrix per slot of the dense index (see
+        # _slot): slot (a*q + b)*q + c with a != 0 holds d = a^-1 (1 + bc),
+        # and slot b*q + d with b != 0 holds a = 0, c = -b^-1.  The q slots
+        # with a = b = 0 hold none; their remaining entry -1 matches no product.
+        slot = np.arange(q, q**3, dtype=np.int64)
+        a, b, x = slot // (q * q), slot // q % q, slot % q
+        top = a != 0
+        c = np.where(top, x, f_neg[f_inv[b]])
+        d = np.where(top, f_mul[f_inv[a], f_add[1, f_mul[b, x]]], x)
 
-        # enumerate SL2(q) by scanning (a, b, c, d) with det == 1, chunked on a
-        mats = []
-        bcd = np.arange(q**3, dtype=np.int64)
-        b_all, c_all, d_all = (bcd // (q * q)) % q, (bcd // q) % q, bcd % q
-        for a in range(q):
-            det = field.add_table[f_mul[a, d_all], f_neg[f_mul[b_all, c_all]]]
-            keep = det == one
-            if np.any(keep):
-                mats.append(
-                    np.stack(
-                        [np.full(int(keep.sum()), a, dtype=np.int64), b_all[keep], c_all[keep], d_all[keep]],
-                        axis=1,
-                    )
-                )
-        sl2 = np.concatenate(mats, axis=0)
-        if len(sl2) != q * (q * q - 1):
-            raise NotAGroup(f"SL2({q}) enumeration found {len(sl2)} matrices")
-
-        sa, sb, sc, sd = sl2.T
-        keys = self._encode(sa, sb, sc, sd)
-        if p != 2:
-            keys = np.minimum(keys, self._encode(f_neg[sa], f_neg[sb], f_neg[sc], f_neg[sd]))
-        classes = np.unique(keys)
+        keys = self._encode(a, b, c, d)
+        if field.p != 2:
+            keys = np.minimum(keys, self._encode(f_neg[a], f_neg[b], f_neg[c], f_neg[d]))
+        identity_key = self._encode(1, 0, 0, 1)
+        keys[keys == identity_key] = -1  # the identity sorts first
+        classes, index = np.unique(keys, return_inverse=True)
         if len(classes) != order:
             raise NotAGroup(f"PSL2({q}) canonicalization found {len(classes)} classes")
-
-        identity_key = int(self._encode(np.array(one), np.array(0), np.array(0), np.array(one)))
-        self._init_keys(classes, identity_key)
-
-        # an empty slot keeps remaining entry -1, which no product matches
-        slot, rest = self._slot(sa, sb, sc, sd)
+        classes[0] = identity_key
         self._slot_index = np.zeros(q**3, dtype=np.int32)
         self._slot_rest = np.full(q**3, -1, dtype=np.int16)
-        self._slot_index[slot] = self._lookup(keys)
-        self._slot_rest[slot] = rest
+        self._slot_index[q:] = index
+        self._slot_rest[q:] = np.where(top, d, c)
 
         self._fmul = f_mul.ravel()
-        self._fadd = field.add_table.ravel()
-        a, b, c, d = (v.astype(np.int32) for v in self._decode(self.keys))
+        self._fadd = f_add.ravel()
+        a, b, c, d = ((classes // q**e % q).astype(np.int32) for e in (3, 2, 1, 0))
         self._mats = (a, b, c, d)
         # the left factor of a product indexes a table row, so keep it times q
         self._mats_q = tuple(v * q for v in self._mats)
@@ -426,16 +392,6 @@ class PSL2Group(_KeyedGroup):
     def _encode(self, a, b, c, d) -> np.ndarray:
         q = self.q
         return ((np.asarray(a, dtype=np.int64) * q + b) * q + c) * q + d
-
-    def _decode(self, keys: np.ndarray):
-        q = self.q
-        d = keys % q
-        rest = keys // q
-        c = rest % q
-        rest //= q
-        b = rest % q
-        a = rest // q
-        return a, b, c, d
 
     def _slot(self, a, b, c, d):
         """Dense-index slot and remaining entry of the matrix [[a,b],[c,d]]:
@@ -468,56 +424,49 @@ class PSL2Group(_KeyedGroup):
         return f"[[{a},{b}],[{c},{d}]]"
 
 
-class PermutationGroup(_KeyedGroup):
+class PermutationGroup(FiniteGroup):
     """Closure of permutation generators under composition.
 
-    Composition convention: (f*g)(x) = f(g(x)).  Elements are found by
-    breadth-first multiplication from the identity, then indexed by key.
+    Composition convention: (f*g)(x) = f(g(x)).  A permutation's key reads
+    its images as base-degree digits, first point most significant.  The
+    closure grows one breadth-first layer of keys at a time, and the elements
+    are indexed in key order, so the identity, the least key, is index 0.
     """
 
     def __init__(self, generators: Sequence[Tuple[Tuple[int, ...], ...]], spec_text: str, order_cap: int) -> None:
         if not generators:
             raise MalformedSpec("permutation group needs at least one generator")
         degree = max(max(max(c) for c in cycles) for cycles in generators)
-        gen_perms = [self._perm_from_cycles(cycles, degree) for cycles in generators]
-
-        ident = tuple(range(degree))
-        seen: Dict[Tuple[int, ...], int] = {ident: 0}
-        elems: List[Tuple[int, ...]] = [ident]
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for perm in frontier:
-                for g in gen_perms:
-                    prod = tuple(perm[g[x]] for x in range(degree))
-                    if prod not in seen:
-                        if len(elems) >= order_cap:
-                            raise OrderCapExceeded(
-                                f"permutation closure exceeded cap {order_cap}"
-                            )
-                        seen[prod] = len(elems)
-                        elems.append(prod)
-                        nxt.append(prod)
-            frontier = nxt
-
-        order = len(elems)
-        super().__init__(order, spec_text)
-        self.degree = degree
-        if degree**degree >= 2**62:
+        # 15 is the largest d with d**d < 2**62, so every key fits in int64
+        if degree > 15:
             raise OrderCapExceeded(f"permutation degree {degree} too large to index")
-        # key = images read as base-degree digits, first point most significant
+        self.degree = degree
         self._key_weights = degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
+        gens = np.array([self._perm_from_cycles(cycles, degree) for cycles in generators], dtype=np.int64)
 
-        perm_array = np.array(elems, dtype=np.int64)
-        keys = self._keys_of(perm_array)
-        self._init_keys(keys, int(self._keys_of(np.array([ident], dtype=np.int64))[0]))
-        # rebuild images in index order (identity first, then key-sorted)
-        by_key = {int(k): e for k, e in zip(keys, elems)}
-        self.images = np.array([by_key[int(k)] for k in self.keys], dtype=np.int64)
+        layer = self._keys_of(np.arange(degree, dtype=np.int64)[None, :])
+        seen = set(layer.tolist())
+        while len(layer):
+            images = self._images_of(layer)
+            found: List[int] = []
+            for g in gens:
+                new = [k for k in np.unique(self._keys_of(images[:, g])).tolist() if k not in seen]
+                seen.update(new)
+                found += new
+                if len(seen) > order_cap:
+                    raise OrderCapExceeded(f"permutation closure exceeded cap {order_cap}")
+            layer = np.array(found, dtype=np.int64)
 
+        super().__init__(len(seen), spec_text)
+        keys = np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
+        # a trailing sentinel above every key: searchsorted never runs off the
+        # end, and a key past the last one meets the sentinel and is rejected
+        self._sorted_keys = np.append(keys, np.iinfo(np.int64).max)
+        self.images = self._images_of(keys)
         inv_images = np.argsort(self.images, axis=1)
         self.inverse_table = self._lookup(self._keys_of(inv_images)).astype(np.int32)
-        self.is_abelian = self._check_abelian(gen_perms)
+        products = gens[:, gens]  # products[i, j] is gens[i] * gens[j]
+        self.is_abelian = bool(np.array_equal(products, products.swapaxes(0, 1)))
 
     @staticmethod
     def _perm_from_cycles(cycles: Tuple[Tuple[int, ...], ...], degree: int) -> Tuple[int, ...]:
@@ -530,13 +479,15 @@ class PermutationGroup(_KeyedGroup):
     def _keys_of(self, perms: np.ndarray) -> np.ndarray:
         return perms @ self._key_weights
 
-    @staticmethod
-    def _check_abelian(gens: List[Tuple[int, ...]]) -> bool:
-        for g in gens:
-            for h in gens:
-                if tuple(g[h[x]] for x in range(len(g))) != tuple(h[g[x]] for x in range(len(g))):
-                    return False
-        return True
+    def _images_of(self, keys: np.ndarray) -> np.ndarray:
+        return keys[:, None] // self._key_weights % self.degree
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Element index of each key, its position among the sorted keys."""
+        pos = np.searchsorted(self._sorted_keys, keys)
+        if np.count_nonzero(self._sorted_keys[pos] != keys):
+            raise NotAGroup("product fell outside the element set")
+        return pos
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.broadcast_arrays(a, b)
@@ -637,10 +588,12 @@ def _build(spec: GroupSpec, order_cap: int) -> FiniteGroup:
         _check_cap(prod(g.order for g in comps), order_cap)
         return GeneralDirectProductGroup(comps, str(spec))
     if isinstance(spec, PSL2):
-        p, k = factor_prime_power(spec.q)  # raises NotPrimePower
-        order = spec.q * (spec.q**2 - 1) // gcd(2, spec.q - 1)
-        _check_cap(order, order_cap)
-        return PSL2Group(spec.q)
+        # the cap comes before factoring q, whose trial division is slow;
+        # q < 2 is no field size, which the field itself reports
+        q = spec.q
+        if q >= 2:
+            _check_cap(q * (q * q - 1) // gcd(2, q - 1), order_cap)
+        return PSL2Group(q)  # raises NotPrimePower
     if isinstance(spec, Permutation):
         return PermutationGroup(spec.generators, str(spec), order_cap)
     if isinstance(spec, TableSource):

@@ -35,7 +35,7 @@ def _jsonable(value: Any) -> Any:
 
 
 def canonical_json(payload: Any) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 @dataclass

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from grplab.gf import _int_to_poly, _poly_mul_mod, _poly_to_int
 from grplab.groups import build_group
 
 # spec strings for the standard test fleet, smallest first
@@ -46,6 +47,28 @@ def s4():
 @pytest.fixture()
 def psl2_5():
     return fleet_group("PSL2(5)")
+
+
+def _gf_scalar_ops(field):
+    """GF(q) add and mul on element indices from base-p digits and
+    polynomial products modulo the field's modulus, not its tables."""
+    p, k = field.p, field.k
+
+    def digits(e):
+        return _int_to_poly(e, p) + (0,) * k
+
+    def add(x, y):
+        return _poly_to_int(tuple((u + v) % p for u, v in zip(digits(x)[:k], digits(y)[:k])), p)
+
+    def mul(x, y):
+        if k == 1:
+            return x * y % p
+        return _poly_to_int(_poly_mul_mod(_int_to_poly(x, p), _int_to_poly(y, p), field.modulus, p), p)
+
+    def neg(x):
+        return _poly_to_int(tuple(-u % p for u in digits(x)[:k]), p)
+
+    return add, mul, neg
 
 
 def pytest_terminal_summary(terminalreporter):

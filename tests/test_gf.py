@@ -46,7 +46,8 @@ def test_field_axioms(q):
 def test_multiplicative_group_is_cyclic(q):
     f = PrimePowerField(q)
     # every nonzero element has multiplicative order dividing q-1, and some
-    # element attains it (the antilog table was built from a generator)
+    # element attains it: the multiplicative group of a field is cyclic
+    orders = []
     for a in range(1, q):
         order = 1
         acc = a
@@ -54,6 +55,8 @@ def test_multiplicative_group_is_cyclic(q):
             acc = int(f.mul(acc, a))
             order += 1
         assert (q - 1) % order == 0
+        orders.append(order)
+    assert max(orders) == q - 1
     assert f.modulus is not None
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from grplab.counting import count_ap3
 from grplab.errors import MalformedSpec, NotAGroup, NotPrimePower, OrderCapExceeded
-from grplab.gf import _int_to_poly, _poly_mul_mod, _poly_to_int
 from grplab import groups
 from grplab.groups import (
     TABLE_CAP,
@@ -25,7 +24,7 @@ from grplab.groups import (
 )
 from grplab.sets import make_set
 
-from conftest import FLEET_SPECS, fleet_group
+from conftest import FLEET_SPECS, _gf_scalar_ops, fleet_group
 
 
 # a Latin square with two-sided identity 0 that is not associative
@@ -162,7 +161,7 @@ def test_group_axioms_sample_triples_above_table_cap(monkeypatch):
 
 @pytest.mark.parametrize("q", [4, 9])
 def test_psl2_prime_power_axioms(q):
-    # q = p^k exercises the log-table field arithmetic end to end
+    # q = p^k exercises the polynomial-product field tables end to end
     g = build_group(f"PSL2({q})")
     verify_group_axioms(g)
     cc = conjugacy_classes(g)
@@ -580,28 +579,6 @@ def test_sparse_ap3_count_builds_no_table():
 
 
 # independent oracles for the two kernels used above TABLE_CAP
-
-
-def _gf_scalar_ops(field):
-    """GF(q) add and mul on element indices from base-p digits and
-    polynomial products modulo the field's modulus, not its tables."""
-    p, k = field.p, field.k
-
-    def digits(e):
-        return _int_to_poly(e, p) + (0,) * k
-
-    def add(x, y):
-        return _poly_to_int(tuple((u + v) % p for u, v in zip(digits(x)[:k], digits(y)[:k])), p)
-
-    def mul(x, y):
-        if k == 1:
-            return x * y % p
-        return _poly_to_int(_poly_mul_mod(_int_to_poly(x, p), _int_to_poly(y, p), field.modulus, p), p)
-
-    def neg(x):
-        return _poly_to_int(tuple(-u % p for u in digits(x)[:k]), p)
-
-    return add, mul, neg
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 73])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 from grplab.cli import main
 from grplab.errors import ConfigInvalid, GridTooLarge
 from grplab.lab import ExperimentConfig, parse_config_text, run_recipe, sweep
-from grplab.reports import rows_to_csv
+from grplab.reports import canonical_json, rows_to_csv
 
 CONFIG_TEXT = """
 # growth of an interval under symmetrized powers
@@ -267,6 +269,23 @@ def test_cli_power_on_empty_set_reports_its_engine(capsys):
         code, out, _ = _run_cli(argv + ["--engine", engine], capsys)
         assert code == 0
         assert (json.loads(out)["count"], json.loads(out)["engine"]) == (0, name)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_zero_normalizer_prints_a_null_ratio(capsys):
+    argv = ["count", "--group", "Z/30", "--sets", "explicit:", "explicit:", "explicit:", "--equation", "xyz"]
+    code, out, _ = _run_cli(argv, capsys)
+    assert code == 0
+    data = json.loads(out, parse_constant=_no_constant)
+    assert (data["count"], data["normalizer_num"], data["ratio"]) == (0, 0, None)
+    code, out, _ = _run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert next(csv.DictReader(io.StringIO(out)))["ratio"] == ""
+    with pytest.raises(ValueError):
+        canonical_json({"ratio": float("nan")})
 
 
 def test_cli_mixing_set_all(capsys):

@@ -1,0 +1,68 @@
+"""Fail-fast refusals, end to end.
+
+Each row runs the CLI in a fresh interpreter, so the time bound covers
+interpreter start and import.  An input past a documented limit must exit
+with its code and a stderr line starting with its prefix within the bound,
+before any work that grows with the refused size.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from grplab.groups import Cyclic, DirectProduct, build_group, parse_group_spec
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+BUDGET = "grplab: budget exceeded: "
+
+# argv ({table} is a CSV of S3 x Z/200), exit code, stderr prefix, seconds
+REFUSALS = [
+    (["group", "--group", "perm:(1 2000000)"], 3, BUDGET + "permutation degree 2000000 too large to index", 5),
+    (["group", "--group", "perm:(1 20000000)"], 3, BUDGET + "permutation degree 20000000 too large to index", 5),
+    (["group", "--group", "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)"], 3, BUDGET + "permutation degree 16", 5),
+    # S15, of order 15!, stops one generator past the cap
+    (
+        ["group", "--group", "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);(1 2)"],
+        3,
+        BUDGET + "permutation closure exceeded cap 200000",
+        5,
+    ),
+    (["group", "--group", "PSL2(100000000000031)"], 3, BUDGET + "group order 5000000000004650", 5),
+    (["group", "--group", "PSL2(2305843009213693951)"], 3, BUDGET + "group order 6129982163463555", 5),
+    # not a prime power, but the order alone is past the cap
+    (["group", "--group", "PSL2(1000000)"], 3, BUDGET + "group order 999999999999000000 exceeds cap", 5),
+    (["group", "--group", "Z/300000"], 3, BUDGET + "group order 300000 exceeds cap 200000", 5),
+    (["quasirandom", "--group", "table:{table}"], 3, BUDGET + "at least 301 conjugacy classes exceed cap 300", 10),
+    (["mixing", "--group", "Z/4", "--n", "20", "--set-all", "explicit:0"], 3, BUDGET, 5),
+]
+
+
+@pytest.fixture(scope="module")
+def s3_z200_table(tmp_path_factory):
+    # nonabelian with 3 * 200 = 600 conjugacy classes
+    g = build_group(DirectProduct((parse_group_spec("perm:(1 2 3);(1 2)"), Cyclic(200))))
+    path = tmp_path_factory.mktemp("refusals") / "s3_z200.csv"
+    np.savetxt(path, g.table, fmt="%d", delimiter=",")
+    return path
+
+
+@pytest.mark.parametrize("argv, code, prefix, seconds", REFUSALS, ids=[" ".join(row[0]) for row in REFUSALS])
+def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = [arg.format(table=s3_z200_table) for arg in argv]
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "grplab.cli", *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    elapsed = time.monotonic() - start
+    assert (done.returncode, done.stdout) == (code, ""), done.stderr
+    assert done.stderr.startswith(prefix), done.stderr
+    assert elapsed < seconds
