@@ -200,7 +200,7 @@ def _ap3_fast(g: FiniteGroup, a: GroupSubset) -> Tuple[int, int]:
     ai = a.indices
     count = 0
     for ys in _pair_blocks(g.mul_arrays, g.inverse_table[ai].astype(np.int64), ai):
-        count += int(a.mask[g.mul_arrays(np.broadcast_to(ai[None, :], ys.shape), ys)].sum())
+        count += int(a.mask[g.mul_arrays(ai[None, :], ys)].sum())
         del ys
     # y is the identity exactly when m = x, and then x, xy, xy^2 all lie in A
     return count, a.card

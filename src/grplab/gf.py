@@ -2,12 +2,12 @@
 
 Field elements are indexed 0..q-1; index ``e`` encodes the polynomial
 ``sum_i c_i x^i`` with base-p digits ``c_i`` of ``e`` (c_0 least
-significant).  The product table is built in one pass: every pair of
-digit polynomials is multiplied at once, and the products are reduced
-modulo the lexicographically least monic irreducible of degree k, the
-least monic polynomial that is no product of two elements.  So the same
-field size always yields the same arithmetic.  The scalar polynomial
-helpers below are the independent oracle of the tests.
+significant).  The product table is built a block of rows at a time:
+each row's digit polynomial is multiplied by every element's at once, and
+the products are reduced modulo the lexicographically least monic
+irreducible of degree k, the least monic polynomial that is no product of
+two elements.  So the same field size always yields the same arithmetic,
+and the build holds little beyond the tables themselves (GF(1024): 32 MB).
 """
 
 from __future__ import annotations
@@ -39,45 +39,6 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
     return q, 1
 
 
-def _poly_trim(c: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _poly_mul_mod(a: Tuple[int, ...], b: Tuple[int, ...], modulus: Tuple[int, ...], p: int) -> Tuple[int, ...]:
-    """(a*b) mod modulus over F_p; modulus is monic of degree k."""
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(len(prod) - 1, k - 1, -1):
-        coef = prod[d]
-        if coef:
-            prod[d] = 0
-            for j in range(k):
-                prod[d - k + j] = (prod[d - k + j] - coef * modulus[j]) % p
-    return _poly_trim(tuple(prod))
-
-
-def _int_to_poly(e: int, p: int) -> Tuple[int, ...]:
-    digits = []
-    while e:
-        e, r = divmod(e, p)
-        digits.append(r)
-    return tuple(digits)
-
-
-def _poly_to_int(c: Tuple[int, ...], p: int) -> int:
-    v = 0
-    for d in reversed(c):
-        v = v * p + d
-    return v
-
-
 class PrimePowerField:
     """Dense-table arithmetic for GF(q) with q = p**k, q small."""
 
@@ -88,30 +49,45 @@ class PrimePowerField:
         self.k = k
 
         weights = p ** np.arange(k, dtype=np.int64)
-        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
-        # componentwise addition/negation of base-p digit vectors
-        self.add_table = ((digits[:, None] + digits[None, :]) % p @ weights).astype(np.int32)
-        self.neg_table = (-digits % p @ weights).astype(np.int32)
+        digits = np.arange(q, dtype=np.int64) // weights[:, None] % p  # digits[i] is digit i of each element
+        self.neg_table = (weights @ (-digits % p)).astype(np.int32)
+        # the tables are built in blocks of rows, at most 2^20 coefficients each
+        rows = max(1, (1 << 20) // (2 * k * q))
+        blocks = [slice(lo, lo + rows) for lo in range(0, q, rows)]
 
-        # coefficients of every product of two digit polynomials, degrees
-        # 0..2k-2 (the last column stays 0, so k = 1 needs no special case)
-        full = np.zeros((q, q, 2 * k), dtype=np.int64)
-        for i in range(k):
-            full[:, :, i:i + k] += digits[:, None, i, None] * digits
-        full %= p
+        def products(block: slice) -> np.ndarray:
+            """Coefficients mod p of the products of the digit polynomials of
+            rows ``block`` with every element, degree first: degrees 0..2k-2
+            (the last one stays 0, so k = 1 needs no special case)."""
+            left = digits[:, block, None]
+            full = np.zeros((2 * k, left.shape[1], q), dtype=np.int64)
+            for i in range(k):
+                full[i:i + k] += left[i] * digits[:, None, :]
+            return full % p
+
         # the modulus x^k + tail is the least irreducible, tails read by
         # increasing index (lexicographic on coefficients from degree k-1
         # down); a monic f of degree k is reducible exactly when it is the
         # product of two elements, i.e. when F_p[x]/(f) has zero divisors
-        monic = (full[:, :, k] == 1) & ~full[:, :, k + 1:].any(axis=2)
         reducible = np.zeros(q, dtype=bool)
-        reducible[full[monic][:, :k] @ weights] = True
-        tail = digits[np.argmin(reducible)]
+        for block in blocks:
+            full = products(block)
+            monic = (full[k] == 1) & ~full[k + 1:].any(axis=0)
+            reducible[weights @ full[:k, monic]] = True
+        tail = digits[:, np.argmin(reducible)]
         self.modulus: Optional[Tuple[int, ...]] = tuple(tail.tolist()) + (1,) if k > 1 else None
-        for top in range(2 * k - 2, k - 1, -1):
-            # x^top = -tail * x^(top-k) modulo the modulus
-            full[:, :, top - k:top] = (full[:, :, top - k:top] - full[:, :, top, None] * tail) % p
-        self.mul_table = (full[:, :, :k] @ weights).astype(np.int32)
+
+        self.add_table = np.empty((q, q), dtype=np.int32)
+        self.mul_table = np.empty((q, q), dtype=np.int32)
+        for block in blocks:
+            # componentwise addition of base-p digit vectors
+            self.add_table[block] = np.tensordot(weights, (digits[:, block, None] + digits[:, None, :]) % p, 1)
+            full = products(block)
+            for top in range(2 * k - 2, k - 1, -1):
+                # x^top = -tail * x^(top-k) modulo the modulus; the lower
+                # coefficients are reduced mod p once, at the end
+                full[top - k:top] -= full[top] % p * tail[:, None, None]
+            self.mul_table[block] = np.tensordot(weights, full[:k] % p, 1)
         # row 0 has no 1 and argmax gives 0 there, as 0 has no inverse
         self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int32)
         self.one = 1

@@ -7,11 +7,13 @@ products go to the subclass kernel (field arithmetic, permutation
 composition, addition mod n) until the kernel has evaluated n^2 of them,
 then the table is built and every later product is a gather.  Building at
 that point costs at most twice the cheaper of "never build" and "build
-first".  Above TABLE_CAP every product goes to the kernel: PSL2(q) multiplies
-matrices through the flattened GF(q) tables and finds the product in a dense
-index of q^3 slots over SL2(q); a permutation group composes through the
-flattened image array and finds the product's key among the sorted keys.
-Z/n adds mod n; a direct product (``Z/a x Z/b`` included) indexes its
+first".  Above TABLE_CAP every product goes to the kernel: PSL2(q) reads
+each entry of a matrix product, a dot product of a row and a column, from
+one table of all q^4 of them and finds the product in a dense index of q^3
+slots over SL2(q); a permutation group sums the product's key one point at
+a time from the flattened image array and finds it among the sorted keys.
+Both gather per-element codes at each operand's own shape, so only the
+final adds and gathers run at the broadcast shape.  Z/n adds mod n; a direct product (``Z/a x Z/b`` included) indexes its
 elements in mixed radix, last factor fastest, and multiplies factor by
 factor through each factor's kernel.  Construction works on whole arrays:
 PSL2(q) lists SL2(q) in closed form, one matrix per slot of its index, and
@@ -345,6 +347,12 @@ class PSL2Group(FiniteGroup):
     dense index over every matrix of SL2(q), both signs included: (a, b, c)
     determine d when a != 0, and (b, d) determine c when a = 0, so each
     matrix has its own slot among q^3 and one remaining entry to compare.
+
+    Each entry of a product, such as a1*a2 + b1*c2, is one gather from a
+    table of every dot product u*s + v*t over GF(q), at the sum of a row
+    code of the left factor and a column code of the right one.  The table
+    takes q^4 bytes (0.7 MB at q = 29, 28 MB at q = 73) and one broadcast
+    gather of the field tables to build.
     """
 
     def __init__(self, q: int) -> None:
@@ -380,12 +388,19 @@ class PSL2Group(FiniteGroup):
         self._slot_index[q:] = index
         self._slot_rest[q:] = np.where(top, d, c)
 
-        self._fmul = f_mul.ravel()
-        self._fadd = f_add.ravel()
         a, b, c, d = ((classes // q**e % q).astype(np.int32) for e in (3, 2, 1, 0))
         self._mats = (a, b, c, d)
-        # the left factor of a product indexes a table row, so keep it times q
-        self._mats_q = tuple(v * q for v in self._mats)
+        # every entry of a product is a dot product u*s + v*t of a row (u, v)
+        # of the left factor with a column (s, t) of the right one; this
+        # table holds it at (u*q + v)*q^2 + s*q + t, one byte per entry for
+        # q <= 256 (q^4 bytes: 28 MB at q = 73)
+        u, v, s, t = np.ix_(*[np.arange(q)] * 4)
+        self._dot = f_add.astype(np.min_scalar_type(q - 1))[f_mul[u, s], f_mul[v, t]].ravel()
+        # row codes (u*q + v)*q^2 of the rows (a, b) and (c, d) of each
+        # element, and column codes s*q + t of its columns (a, c) and (b, d)
+        a, b, c, d = (m.astype(np.int64) for m in self._mats)
+        self._rows = ((a * q + b) * q * q, (c * q + d) * q * q)
+        self._cols = (a * q + c, b * q + d)
         # inverse of unimodular [[a,b],[c,d]] is [[d,-b],[-c,a]]
         self.inverse_table = self._canonical_lookup(d, f_neg[b], f_neg[c], a).astype(np.int32)
 
@@ -408,16 +423,11 @@ class PSL2Group(FiniteGroup):
         return self._slot_index[slot].astype(np.int64)
 
     def _mul_kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x, y = np.broadcast_arrays(x, y)
-        q = self.q
-        a1, b1, c1, d1 = (v[x] for v in self._mats_q)
-        a2, b2, c2, d2 = (v[y] for v in self._mats)
-        fm, fadd = self._fmul, self._fadd
-        ra = fadd[fm[a1 + a2] * q + fm[b1 + c2]]
-        rb = fadd[fm[a1 + b2] * q + fm[b1 + d2]]
-        rc = fadd[fm[c1 + a2] * q + fm[d1 + c2]]
-        rd = fadd[fm[c1 + b2] * q + fm[d1 + d2]]
-        return self._canonical_lookup(ra, rb, rc, rd)
+        # codes gathered at each factor's own shape; one broadcast add and one
+        # table gather per entry, widened because _slot subtracts entries
+        rows = [v[x] for v in self._rows]
+        cols = [v[y] for v in self._cols]
+        return self._canonical_lookup(*(self._dot[r + c].astype(np.int32) for r in rows for c in cols))
 
     def element_label(self, i: int) -> str:
         a, b, c, d = (int(v[i]) for v in self._mats)
@@ -462,7 +472,9 @@ class PermutationGroup(FiniteGroup):
         # a trailing sentinel above every key: searchsorted never runs off the
         # end, and a key past the last one meets the sentinel and is rejected
         self._sorted_keys = np.append(keys, np.iinfo(np.int64).max)
-        self.images = self._images_of(keys)
+        # one byte per image (degree <= 15); column x holds every element's image of x
+        self.images = self._images_of(keys).astype(np.int8)
+        self._columns = np.ascontiguousarray(self.images.T)
         inv_images = np.argsort(self.images, axis=1)
         self.inverse_table = self._lookup(self._keys_of(inv_images)).astype(np.int32)
         products = gens[:, gens]  # products[i, j] is gens[i] * gens[j]
@@ -490,10 +502,15 @@ class PermutationGroup(FiniteGroup):
         return pos
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(a, b)
-        # (f*g)(x) = f(g(x)) is entry f*degree + g(x) of the flat image array
-        composed = self.images.ravel()[(a.ravel() * self.degree)[:, None] + self.images[b.ravel()]]
-        return self._lookup(self._keys_of(composed)).reshape(a.shape)
+        # (f*g)(x) = f(g(x)) is entry f*degree + g(x) of the flat image array;
+        # the key sums one point at a time, so no (products, degree) array
+        flat = self.images.ravel()
+        row = np.asarray(a, dtype=np.int64) * self.degree
+        key = np.zeros(np.broadcast(row, b).shape, dtype=np.int64)
+        for column in self._columns:
+            key *= self.degree
+            key += flat[row + column[b]]
+        return self._lookup(key)
 
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:

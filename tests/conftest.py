@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+from typing import Tuple
+
 import pytest
 
-from grplab.gf import _int_to_poly, _poly_mul_mod, _poly_to_int
 from grplab.groups import build_group
 
 # spec strings for the standard test fleet, smallest first
@@ -47,6 +48,49 @@ def s4():
 @pytest.fixture()
 def psl2_5():
     return fleet_group("PSL2(5)")
+
+
+# scalar polynomial arithmetic over F_p, coefficients lowest degree first:
+# the independent oracle of the field tables
+
+
+def _poly_trim(c: Tuple[int, ...]) -> Tuple[int, ...]:
+    n = len(c)
+    while n > 0 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _poly_mul_mod(a: Tuple[int, ...], b: Tuple[int, ...], modulus: Tuple[int, ...], p: int) -> Tuple[int, ...]:
+    """(a*b) mod modulus over F_p; modulus is monic of degree k."""
+    k = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1 if a and b else 0)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(len(prod) - 1, k - 1, -1):
+        coef = prod[d]
+        if coef:
+            prod[d] = 0
+            for j in range(k):
+                prod[d - k + j] = (prod[d - k + j] - coef * modulus[j]) % p
+    return _poly_trim(tuple(prod))
+
+
+def _int_to_poly(e: int, p: int) -> Tuple[int, ...]:
+    digits = []
+    while e:
+        e, r = divmod(e, p)
+        digits.append(r)
+    return tuple(digits)
+
+
+def _poly_to_int(c: Tuple[int, ...], p: int) -> int:
+    v = 0
+    for d in reversed(c):
+        v = v * p + d
+    return v
 
 
 def _gf_scalar_ops(field):

@@ -11,15 +11,16 @@ and the divisibility search for the least irreducible modulus.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from grplab.gf import PrimePowerField, _int_to_poly, _poly_trim
+from grplab.gf import PrimePowerField
 from grplab.groups import build_group, parse_group_spec
 from grplab.rng import SplitMix64
 
-from conftest import _gf_scalar_ops
+from conftest import _gf_scalar_ops, _int_to_poly, _poly_trim
 
 # q -> (order, digest of the indexing)
 PSL2_DIGESTS = {
@@ -148,6 +149,27 @@ def test_permutation_indexing_is_pinned(spec):
 def test_field_tables_are_pinned(q):
     f = PrimePowerField(q)
     assert (f.modulus, _field_digest(f)) == GF_DIGESTS[q]
+
+
+# GF(1024) digest of the mul table, the add table and the modulus, recorded
+# from the build that held every unreduced product at once (325 MB)
+GF1024_DIGEST = "3912611093aa987c2639df1ef2795d8a7b26af3ad191492aed34f0ece31a8972"
+
+
+def test_large_field_is_pinned_and_built_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        f = PrimePowerField(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h = hashlib.sha256()
+    for table in (f.mul_table, f.add_table):
+        h.update(np.asarray(table, dtype=np.int32).tobytes())
+    h.update(repr(f.modulus).encode())
+    assert f.modulus == (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)
+    assert h.hexdigest() == GF1024_DIGEST
+    assert peak < 64 * 2**20
 
 
 # oracles: the element-by-element constructions

@@ -603,6 +603,60 @@ def test_psl2_kernel_matches_scalar_matrix_products(q):
         )
         assert k == index[min(prod, tuple(neg(e) for e in prod))]
 
+    def oracle(i, j):
+        a1, b1, c1, d1 = mats[i]
+        a2, b2, c2, d2 = mats[j]
+        prod = (
+            add(mul(a1, a2), mul(b1, c2)),
+            add(mul(a1, b2), mul(b1, d2)),
+            add(mul(c1, a2), mul(d1, c2)),
+            add(mul(c1, b2), mul(d1, d2)),
+        )
+        return index[min(prod, tuple(neg(e) for e in prod))]
+
+    _check_kernel_shapes(g, oracle, rng)
+
+
+def _broadcast_operands(n, rng):
+    """Operand pairs of the shapes a kernel must broadcast: a column times a
+    row, a 0-d array with a vector on either side, a read-only broadcast
+    view, and int32 indices."""
+    col = rng.integers(0, n, size=(5, 1))
+    row = rng.integers(0, n, size=(1, 7))
+    vec = rng.integers(0, n, size=9)
+    zero_d = np.asarray(rng.integers(0, n))
+    view = np.broadcast_to(rng.integers(0, n, size=(1, 6)), (4, 6))
+    return [
+        (col, row),
+        (zero_d, vec),
+        (vec, zero_d),
+        (view, rng.integers(0, n, size=(4, 1))),
+        (rng.integers(0, n, size=(3, 6)), view[:3]),
+        (col.astype(np.int32), row.astype(np.int32)),
+        (vec.astype(np.int32), vec[::-1].copy()),
+    ]
+
+
+def _check_kernel_shapes(g, oracle, rng):
+    """The kernel on every operand pair of _broadcast_operands: the broadcast
+    shape, an int64 result and the scalar oracle at every position."""
+    for x, y in _broadcast_operands(g.order, rng):
+        got = g._mul_kernel(x, y)
+        bx, by = np.broadcast_arrays(x, y)
+        assert got.shape == bx.shape and got.dtype == np.int64
+        want = [oracle(i, j) for i, j in zip(bx.ravel().tolist(), by.ravel().tolist())]
+        assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("q", [4, 9, 29, 73])
+def test_psl2_dot_table_holds_every_dot_product_in_q4_bytes(q):
+    g = build_group(f"PSL2({q})")
+    add, mul, _ = _gf_scalar_ops(g.field)
+    assert g._dot.nbytes == q**4
+    rng = np.random.default_rng(q)
+    for u, v, s, t in rng.integers(0, q, size=(300, 4)).tolist():
+        assert g._dot[((u * q + v) * q + s) * q + t] == add(mul(u, s), mul(v, t))
+
 
 @pytest.mark.parametrize("q", [4, 7])
 def test_psl2_canonical_lookup_rejects_matrices_off_sl2(q):
@@ -633,6 +687,12 @@ def test_permutation_kernel_matches_python_composition(spec):
         f, h = perms[i], perms[j]
         assert k == index[tuple(f[h[pt]] for pt in range(g.degree))]
         assert g.mul(i, j) == k
+
+    def oracle(i, j):
+        f, h = perms[i], perms[j]
+        return index[tuple(f[h[pt]] for pt in range(g.degree))]
+
+    _check_kernel_shapes(g, oracle, rng)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ blocks small enough that each scan runs in several blocks."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,24 @@ def test_light_test_rejects_a_loop_in_small_blocks(small_blocks):
     ]
     with pytest.raises(NotAGroup, match="associativity"):
         _require_associative(TableGroup(np.asarray(loop, dtype=np.int32), "loop"))
+
+
+@pytest.mark.parametrize(
+    "spec", ["perm:(1 2 3 4 5 6 7);(1 2)", "PSL2(29)", "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)"]
+)
+def test_one_kernel_pair_block_stays_within_its_memory_budget(spec):
+    # a full block of PRODUCT_BLOCK products straight through the kernel:
+    # the product array (8 MB) plus the kernel's temporaries
+    g = build_group(spec)
+    side = 1 << 10
+    assert side * side == groups.PRODUCT_BLOCK
+    rng = np.random.default_rng(0)
+    left, right = rng.integers(0, g.order, side), rng.integers(0, g.order, side)
+    tracemalloc.start()
+    try:
+        block = next(_pair_blocks(g._mul_kernel, left, right))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (side, side)
+    assert peak < 40 * 2**20

@@ -21,9 +21,9 @@ from grplab.ramsey import (
     validate_witness,
 )
 from grplab.rng import SplitMix64, derive
-from grplab.sets import GroupSubset
+from grplab.sets import GroupSubset, make_set
 
-from conftest import fleet_group
+from conftest import FLEET_SPECS, fleet_group
 
 
 def test_coloring_round_trip():
@@ -139,6 +139,62 @@ def test_greedy_identity_singleton():
     result = hindman_greedy(GroupSubset.from_indices(z5, [0]), 3)
     assert isinstance(result, TupleWitness)
     assert result.elements == (0, 0, 0)
+
+
+def _greedy_by_candidate(a, n):
+    """The per-candidate greedy loop: every a in B_i scored by its own
+    translated mask over the whole group, strict improvement only, so ties
+    go to the least index."""
+    group = a.group
+    current = a.mask.copy()
+    chosen, sizes = [], [int(current.sum())]
+    for step in range(n):
+        members = np.nonzero(current)[0]
+        if len(members) == 0:
+            return FailureTrace(tuple(chosen), tuple(sizes), step)
+        best_elem, best_size, best_mask = -1, -1, None
+        for cand in members.tolist():
+            nxt = current & current[group.mul_arrays(cand, np.arange(group.order))]
+            size = int(nxt.sum())
+            if size > best_size:
+                best_elem, best_size, best_mask = cand, size, nxt
+        chosen.append(best_elem)
+        sizes.append(best_size)
+        if best_size == 0:
+            return FailureTrace(tuple(chosen), tuple(sizes), step + 1)
+        current = best_mask
+    return TupleWitness(tuple(chosen), None, increasing_products(group, chosen))
+
+
+# (group, set, n, outcome); the identity is taken out of every set, so that
+# it never wins step 1.  A subgroup minus the identity forces a tie: every
+# a in it keeps |H| - 2 of the y in it.
+GREEDY_CASES = [
+    ("perm:(1 2 3 4);(1 2)", "random:0.5,3", 4, FailureTrace),
+    ("perm:(1 2 3 4);(1 2)", "subgroup:1,2", 3, FailureTrace),
+    ("perm:(1 2 3 4);(1 2)", "subgroup:7,9", 3, TupleWitness),
+    ("perm:(1 2 3 4);(1 2)", "explicit:5", 2, FailureTrace),
+    ("PSL2(7)", "random:0.4,5", 4, FailureTrace),
+    ("PSL2(7)", "subgroup:5,9", 3, TupleWitness),
+    ("perm:(1 2 3 4 5 6 7);(1 2)", "random:0.1,7", 3, FailureTrace),
+    ("perm:(1 2 3 4 5 6 7);(1 2)", "subgroup:3,40", 3, TupleWitness),
+    ("Z/4 x Z/6", "random:0.5,1", 3, FailureTrace),
+    ("Z/4 x Z/6", "subgroup:4,6", 3, TupleWitness),
+]
+
+
+@pytest.mark.parametrize("spec, set_spec, n, outcome", GREEDY_CASES)
+def test_greedy_pair_scan_matches_the_per_candidate_loop(spec, set_spec, n, outcome):
+    g = fleet_group(spec) if spec in FLEET_SPECS else build_group(spec)
+    a = make_set(g, set_spec)
+    a = GroupSubset.from_indices(g, [i for i in a.to_index_list() if i != 0])
+    result = hindman_greedy(a, n)
+    assert result == _greedy_by_candidate(a, n)
+    assert isinstance(result, outcome)
+    if set_spec.startswith("subgroup:"):
+        # the tie of step 1 goes to the least member
+        first = result.elements[0] if outcome is TupleWitness else result.chosen[0]
+        assert first == min(a.to_index_list())
 
 
 def test_increasing_products_order_matters():
