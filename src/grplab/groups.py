@@ -2,12 +2,15 @@
 
 Index 0 is always the identity.  Every group exposes scalar ``mul``/``inv``
 and one vectorized product, ``mul_arrays``, used by every caller.  For
-orders n <= TABLE_CAP the full Cayley table is a private cache behind it:
-products go to the subclass kernel (field arithmetic, permutation
-composition, addition mod n) until the kernel has evaluated n^2 of them,
-then the table is built and every later product is a gather.  Building at
-that point costs at most twice the cheaper of "never build" and "build
-first".  Above TABLE_CAP every product goes to the kernel: PSL2(q) reads
+orders n <= TABLE_CAP the full Cayley table is a private cache behind
+``mul_arrays``: products go to the subclass kernel (field arithmetic,
+permutation composition, addition mod n) until the kernel has evaluated n^2
+of them, then the table is built and every later product is a gather.
+Building at that point costs at most twice the cheaper of "never build" and
+"build first".  Scalar ``mul`` neither counts toward n^2 nor builds the
+table: each class computes one product in plain Python, PSL2 and
+permutation groups over zero-copy memoryviews of their kernel's own arrays.
+Above TABLE_CAP every vector product goes to the kernel: PSL2(q) reads
 each entry of a matrix product, a dot product of a row and a column, from
 one table of all q^4 of them and finds the product in a dense index of q^3
 slots over SL2(q); a permutation group sums the product's key one point at
@@ -42,6 +45,7 @@ Spec grammar accepted by :func:`parse_group_spec`:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple, Union
@@ -187,8 +191,10 @@ def _parse_perm_spec(body: str) -> Permutation:
 
 
 class FiniteGroup:
-    """Base class; concrete groups fill in _mul_kernel, inverse_table and
-    metadata, and may override the scalar ``mul`` with cheaper arithmetic."""
+    """Base class; concrete groups fill in the scalar ``mul``, _mul_kernel,
+    inverse_table and metadata.  Only ``mul_arrays`` products count toward
+    the n^2 that builds the Cayley table; ``mul`` is one product in plain
+    Python and never builds it."""
 
     order: int
     spec_text: str
@@ -204,9 +210,8 @@ class FiniteGroup:
 
     # -- scalar ops -------------------------------------------------------
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        return int(self.mul_arrays(np.asarray(i), np.asarray(j)))
+        """The subclass's own product of two element indices, in plain Python."""
+        raise NotImplementedError
 
     def inv(self, i: int) -> int:
         return int(self.inverse_table[i])
@@ -230,8 +235,8 @@ class FiniteGroup:
         """Elementwise product of index arrays (numpy broadcasting rules).
 
         Gathers from the Cayley table once it is built.  Below TABLE_CAP the
-        table is built when the kernel products evaluated so far, this
-        call's included, reach n^2.
+        table is built when the kernel products evaluated so far by this
+        method, this call's included, reach n^2.
         """
         table = self._table
         if table is None and self.order <= TABLE_CAP:
@@ -329,6 +334,9 @@ class TableGroup(FiniteGroup):
         self.inverse_table = is_identity.argmax(axis=1).astype(np.int32)
         self.is_abelian = bool(np.array_equal(self._table, self._table.T))
 
+    def mul(self, i: int, j: int) -> int:
+        return int(self._table[i, j])
+
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._table[a, b].astype(np.int64)
 
@@ -352,7 +360,8 @@ class PSL2Group(FiniteGroup):
     table of every dot product u*s + v*t over GF(q), at the sum of a row
     code of the left factor and a column code of the right one.  The table
     takes q^4 bytes (0.7 MB at q = 29, 28 MB at q = 73) and one broadcast
-    gather of the field tables to build.
+    gather of the field tables to build.  The scalar ``mul`` reads the same
+    codes, dot table and slot index through memoryviews.
     """
 
     def __init__(self, q: int) -> None:
@@ -401,6 +410,11 @@ class PSL2Group(FiniteGroup):
         a, b, c, d = (m.astype(np.int64) for m in self._mats)
         self._rows = ((a * q + b) * q * q, (c * q + d) * q * q)
         self._cols = (a * q + c, b * q + d)
+        # zero-copy views of the same arrays for the scalar mul, whose items
+        # read as Python ints; one tuple, unpacked once per call
+        self._views = tuple(
+            memoryview(v) for v in (*self._rows, *self._cols, self._dot, self._slot_rest, self._slot_index)
+        )
         # inverse of unimodular [[a,b],[c,d]] is [[d,-b],[-c,a]]
         self.inverse_table = self._canonical_lookup(d, f_neg[b], f_neg[c], a).astype(np.int32)
 
@@ -429,6 +443,17 @@ class PSL2Group(FiniteGroup):
         cols = [v[y] for v in self._cols]
         return self._canonical_lookup(*(self._dot[r + c].astype(np.int32) for r in rows for c in cols))
 
+    def mul(self, i: int, j: int) -> int:
+        # the kernel's codes, dot table and slot rule, one product in Python
+        top, bottom, left, right, dot, rests, index = self._views
+        q = self.q
+        r, s, u, v = top[i], bottom[i], left[j], right[j]
+        a, b, c, d = dot[r + u], dot[r + v], dot[s + u], dot[s + v]
+        slot, rest = ((a * q + b) * q + c, d) if a else (b * q + d, c)
+        if rests[slot] != rest:
+            raise NotAGroup("product fell outside the element set")
+        return index[slot]
+
     def element_label(self, i: int) -> str:
         a, b, c, d = (int(v[i]) for v in self._mats)
         return f"[[{a},{b}],[{c},{d}]]"
@@ -441,6 +466,8 @@ class PermutationGroup(FiniteGroup):
     its images as base-degree digits, first point most significant.  The
     closure grows one breadth-first layer of keys at a time, and the elements
     are indexed in key order, so the identity, the least key, is index 0.
+    The scalar ``mul`` builds the same key in Python and bisects the sorted
+    keys, both through memoryviews.
     """
 
     def __init__(self, generators: Sequence[Tuple[Tuple[int, ...], ...]], spec_text: str, order_cap: int) -> None:
@@ -475,6 +502,8 @@ class PermutationGroup(FiniteGroup):
         # one byte per image (degree <= 15); column x holds every element's image of x
         self.images = self._images_of(keys).astype(np.int8)
         self._columns = np.ascontiguousarray(self.images.T)
+        # zero-copy views for the scalar mul, whose items read as Python ints
+        self._views = (memoryview(self.images.ravel()), memoryview(self._sorted_keys))
         inv_images = np.argsort(self.images, axis=1)
         self.inverse_table = self._lookup(self._keys_of(inv_images)).astype(np.int32)
         products = gens[:, gens]  # products[i, j] is gens[i] * gens[j]
@@ -513,9 +542,18 @@ class PermutationGroup(FiniteGroup):
         return self._lookup(key)
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        return int(self._lookup(self._keys_of(self.images[i][self.images[j]])))
+        # the kernel's key, one point at a time, and a bisection of the sorted
+        # keys, whose sentinel rejects a key past the last one
+        flat, keys = self._views
+        degree = self.degree
+        row, base = i * degree, j * degree
+        key = 0
+        for pt in range(base, base + degree):
+            key = key * degree + flat[row + flat[pt]]
+        pos = bisect_left(keys, key)
+        if keys[pos] != key:
+            raise NotAGroup("product fell outside the element set")
+        return pos
 
     def element_label(self, i: int) -> str:
         images = self.images[i]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
@@ -455,6 +454,9 @@ def sweep(cfg: ExperimentConfig) -> Tuple[List[ExperimentReport], List[Dict[str,
         return run_recipe(cell_cfg)
 
     if cfg.threads > 1 and len(cells) > 1:
+        # imported here: only threaded sweeps pay for concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             reports = list(pool.map(run_cell, range(len(cells))))
     else:

@@ -674,7 +674,10 @@ def test_psl2_canonical_lookup_rejects_matrices_off_sl2(q):
             lookup((one, 0, 0, one), mat)
 
 
-@pytest.mark.parametrize("spec", ["perm:(1 2 3 4 5 6 7);(1 2)", "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)"])
+@pytest.mark.parametrize(
+    "spec",
+    ["perm:(1 2 3 4 5 6 7);(1 2)", "perm:(1 2 3 4 5 6 7 8);(1 2)", "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)"],
+)
 def test_permutation_kernel_matches_python_composition(spec):
     g = build_group(spec)
     perms = [tuple(int(v) for v in row) for row in g.images]
@@ -687,12 +690,79 @@ def test_permutation_kernel_matches_python_composition(spec):
         f, h = perms[i], perms[j]
         assert k == index[tuple(f[h[pt]] for pt in range(g.degree))]
         assert g.mul(i, j) == k
+    assert [g.mul(i, j) for i, j in zip(x[:200], y[:200])] == got[:200].tolist()  # np.int64 arguments
 
     def oracle(i, j):
         f, h = perms[i], perms[j]
         return index[tuple(f[h[pt]] for pt in range(g.degree))]
 
     _check_kernel_shapes(g, oracle, rng)
+
+
+# scalar mul: one product in plain Python over the kernel's own arrays
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 29, 49, 73])
+def test_psl2_scalar_mul_matches_the_kernel(q):
+    # every pair up to PSL2(11), 20k seeded pairs above the table cap
+    g = build_group(f"PSL2({q})")
+    n = g.order
+    if n <= 660:
+        x, y = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    else:
+        x, y = np.random.default_rng(q).integers(0, n, size=(2, 20_000))
+    want = g._mul_kernel(x, y).tolist()
+    assert [g.mul(i, j) for i, j in zip(x.tolist(), y.tolist())] == want
+    # np.int64 arguments, as read off an index array, give the same ints
+    assert [g.mul(i, j) for i, j in zip(x[:500], y[:500])] == want[:500]
+    assert type(g.mul(x[0], y[0])) is int
+
+
+def test_psl2_scalar_mul_checks_the_remaining_entry():
+    g = build_group("PSL2(11)")
+    i, j = 5, 17
+    k = g.mul(i, j)
+    entries = [int(g._dot[r[i] + c[j]]) for r in g._rows for c in g._cols]
+    slot, _ = g._slot(*entries)
+    assert g._slot_index[slot] == k
+    g._slot_rest[slot] = -1
+    with pytest.raises(NotAGroup, match="outside the element set"):
+        g.mul(i, j)
+    with pytest.raises(NotAGroup):
+        g._mul_kernel(np.array([i]), np.array([j]))
+
+
+@pytest.mark.parametrize("position", ["middle", "last"])
+def test_permutation_scalar_mul_checks_the_sorted_keys(position):
+    g = build_group("perm:(1 2 3 4 5 6);(1 2)")
+    n = g.order
+    # a product equal to element k, whose key is then moved off by one; the
+    # last key, lowered, sends the search to the int64-max sentinel
+    i, j = (5, 17) if position == "middle" else (n - 1, 0)
+    k = g.mul(i, j)
+    g._sorted_keys[k] += 1 if position == "middle" else -1
+    with pytest.raises(NotAGroup, match="outside the element set"):
+        g.mul(i, j)
+
+
+@pytest.mark.parametrize("spec", ["PSL2(11)", "perm:(1 2 3 4 5 6);(1 2)"])
+def test_scalar_mul_takes_no_vector_path_and_builds_no_table(spec, monkeypatch):
+    g = build_group(spec)
+    n = g.order
+    x, y = np.random.default_rng(n).integers(0, n, size=(2, 5000))
+    want = g._mul_kernel(x, y).tolist()
+    orders = [element_order(g, e) for e in range(20)]
+
+    def refuse(*args):
+        raise AssertionError("a scalar product went through the vector path")
+
+    monkeypatch.setattr(g, "mul_arrays", refuse)
+    monkeypatch.setattr(g, "_mul_kernel", refuse)
+    g._kernel_products = n * n - 1  # one vector product short of the table
+    assert [g.mul(i, j) for i, j in zip(x.tolist(), y.tolist())] == want
+    assert [element_order(g, e) for e in range(20)] == orders
+    assert g._table is None
+    assert g._kernel_products == n * n - 1
 
 
 @pytest.mark.parametrize(

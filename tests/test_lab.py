@@ -3,8 +3,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -434,3 +436,20 @@ def test_cli_determinism_byte_identical(tmp_path):
     b = subprocess.run(cmd, capture_output=True, text=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # only a threaded sweep imports the thread pool; every grplab module
+    # still loads with the CLI
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys, grplab.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'grplab'))))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert not [m for m in loaded if m.startswith("concurrent")]
+    assert {"grplab.lab", "grplab.ramsey", "grplab.regularity", "grplab.spectral", "grplab.counting"} <= set(loaded)
