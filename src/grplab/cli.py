@@ -165,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_eps(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _load_coloring(group, spec: str) -> Coloring:
     if spec.startswith("random:"):
         body = spec[len("random:"):]
@@ -352,12 +348,12 @@ def _cmd_regular(args: argparse.Namespace, started: float) -> None:
     group = build_group(args.group)
     sets = [make_set(group, s) for s in args.sets]
     verdict = check_regular_position(
-        sets[0], sets[1], sets[2], _parse_eps(args.eps), mode=args.mode, trials=args.trials, seed=args.seed
+        sets[0], sets[1], sets[2], Fraction(args.eps), mode=args.mode, trials=args.trials, seed=args.seed
     )
     payload = {
         "group": args.group,
         "sets": list(args.sets),
-        "eps": _parse_eps(args.eps),
+        "eps": Fraction(args.eps),
         "mode": args.mode,
         **verdict.to_dict(),
     }
@@ -368,12 +364,12 @@ def _cmd_rich(args: argparse.Namespace, started: float) -> None:
     group = build_group(args.group)
     a = make_set(group, args.set_spec)
     verdict = check_product_rich(
-        a, _parse_eps(args.eps), mode=args.mode, trials=args.trials, seed=args.seed
+        a, Fraction(args.eps), mode=args.mode, trials=args.trials, seed=args.seed
     )
     payload = {
         "group": args.group,
         "set": args.set_spec,
-        "eps": _parse_eps(args.eps),
+        "eps": Fraction(args.eps),
         "mode": args.mode,
         **verdict.to_dict(),
     }

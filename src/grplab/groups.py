@@ -31,7 +31,8 @@ PRODUCT_BLOCK products per block.
 A ``table:`` CSV is validated exactly at every order: it must be a Latin
 square with a two-sided identity and pass Light's associativity test on a
 greedy generating set (at most log2 n generators, n^2 triples each).  One
-closure under right multiplication builds that set, [G,G] and subgroup: sets.
+closure under right multiplication builds that set, [G,G] and subgroup: sets,
+and conjugation by that set gives the conjugacy classes.
 
 Spec grammar accepted by :func:`parse_group_spec`:
 
@@ -713,23 +714,27 @@ def _find_identity(table: np.ndarray) -> int:
 
 
 def _subgroup_closure(group: FiniteGroup, gens: Sequence[int], member: Optional[np.ndarray] = None) -> np.ndarray:
-    """Close the mask ``member`` (default: the identity) in place under right
-    multiplication by ``gens``, one pair block at a time, and return it.  In a
-    group the closure of a subgroup H is the subgroup that H and ``gens``
-    generate."""
+    """Close the mask ``member`` (default: the identity), which must be closed
+    under ``gens[:-1]``, in place under right multiplication by ``gens``, one
+    pair block at a time, and return it.  The first round takes the last
+    generator only, so each element meets each generator once.  If ``member``
+    is the subgroup ``gens[:-1]`` generate, the result is the one ``gens`` do."""
+    right = first = np.asarray(gens, dtype=np.int64)
     if member is None:
         member = np.arange(group.order) == 0
-    right = np.asarray(gens, dtype=np.int64)
+    else:
+        first = right[-1:]
     frontier = np.flatnonzero(member)
     while len(frontier) and len(right):
         found = []
-        for block in _pair_blocks(group.mul_arrays, frontier, right):
+        for block in _pair_blocks(group.mul_arrays, frontier, first):
             prods = np.unique(block)
             del block
             new = prods[~member[prods]]
             member[new] = True
             found.append(new)
         frontier = np.concatenate(found)
+        first = right
     return member
 
 
@@ -848,28 +853,33 @@ class ConjugacyClasses:
         return [c[0] for c in self.partition]
 
 
-def conjugacy_classes(group: FiniteGroup, *, limit: Optional[int] = None) -> ConjugacyClasses:
-    """Exact conjugation orbits, computed by brute force over all g.
-
-    With ``limit``, enumeration stops once ``limit`` classes are found; the
-    partition then covers only part of the group and ``class_of`` is -1 on
-    the rest.
+def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
+    """Exact conjugacy classes: the components of the graph x -> s^-1 x s over
+    the greedy generating set S, at 2n|S| products (none if abelian: every
+    element is its own class).  Each label falls to its neighbours' least
+    label, then to its label's label, until nothing moves; labels never leave
+    their class, so each class ends labelled by its least member.
     """
     n = group.order
-    all_g = np.arange(n, dtype=np.int64)
-    inv_g = group.inverse_table.astype(np.int64)
-    class_of = np.full(n, -1, dtype=np.int64)
-    partition: List[Tuple[int, ...]] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        if limit is not None and len(partition) >= limit:
-            break
-        orbit = np.unique(group.mul_arrays(group.mul_arrays(all_g, x), inv_g))
-        cid = len(partition)
-        class_of[orbit] = cid
-        partition.append(tuple(int(v) for v in orbit))
-    return ConjugacyClasses(tuple(partition), class_of)
+    label = idx = np.arange(n, dtype=np.int64)
+    if not group.is_abelian:
+        gens = _generating_set(group)
+        edges = np.empty((2 * len(gens), n), dtype=np.int64)
+        for k, s in enumerate(gens):
+            fwd = group.mul_arrays(group.mul_arrays(group.inv(s), idx), s)
+            edges[2 * k] = fwd
+            edges[2 * k + 1][fwd] = idx  # the reverse edges, by one scatter
+        while True:
+            low = np.minimum(label, label[edges].min(axis=0))
+            low = low[low]
+            if np.array_equal(low, label):
+                break
+            label = low
+    _, class_of = np.unique(label, return_inverse=True)
+    members = np.argsort(class_of, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(class_of)).tolist()
+    partition = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+    return ConjugacyClasses(partition, class_of.astype(np.int64, copy=False))
 
 
 def element_order(group: FiniteGroup, i: int) -> int:

@@ -143,12 +143,6 @@ def _param(cfg: ExperimentConfig, key: str, default: Any = None, required: bool 
     return default
 
 
-def _eps(value: Any) -> Fraction:
-    if isinstance(value, str) and "/" in value:
-        return Fraction(value)
-    return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
-
-
 # ---------------------------------------------------------------------------
 # recipes
 
@@ -321,7 +315,7 @@ def _recipe_hindman(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 def _recipe_regular_position(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     if not cfg.groups or len(cfg.sets) != 3:
         raise ConfigInvalid("regular-position needs groups and exactly three sets")
-    eps = _eps(_param(cfg, "eps", required=True))
+    eps = Fraction(_param(cfg, "eps", required=True))
     mode = _param(cfg, "mode", "exact")
     trials = int(_param(cfg, "trials", 500))
     for gi, spec in enumerate(cfg.groups):
@@ -344,7 +338,7 @@ def _recipe_regular_position(cfg: ExperimentConfig, report: ExperimentReport) ->
 def _recipe_product_rich(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     if not cfg.groups or not cfg.sets:
         raise ConfigInvalid("product-rich needs groups and sets")
-    eps = _eps(_param(cfg, "eps", required=True))
+    eps = Fraction(_param(cfg, "eps", required=True))
     mode = _param(cfg, "mode", "exact")
     trials = int(_param(cfg, "trials", 2000))
     for gi, spec in enumerate(cfg.groups):

@@ -94,21 +94,13 @@ def character_degrees(group: FiniteGroup, *, seed: int = 0) -> DegreeProfile:
     """Exact irreducible character degrees via the class-algebra method.
 
     Refuses a group with more than CLASS_COUNT_CAP classes before building
-    any class matrix: at once for an abelian group, whose n elements are
-    its classes, and after CLASS_COUNT_CAP + 1 classes otherwise.
+    any class matrix.
     """
-    if group.is_abelian and group.order > CLASS_COUNT_CAP:
-        raise BudgetExceeded(f"{group.order} conjugacy classes exceed cap {CLASS_COUNT_CAP}")
-    classes = conjugacy_classes(group, limit=CLASS_COUNT_CAP + 1)
+    classes = conjugacy_classes(group)
     r = classes.count
     if r > CLASS_COUNT_CAP:
-        raise BudgetExceeded(f"at least {r} conjugacy classes exceed cap {CLASS_COUNT_CAP}")
+        raise BudgetExceeded(f"{r} conjugacy classes exceed cap {CLASS_COUNT_CAP}")
     ab_order = abelianization_order(group)
-    if r == 1:
-        profile = DegreeProfile((1,), 1, ab_order)
-        _validate_profile(profile, group.order)
-        return profile
-
     coeffs = _class_matrices(group, classes)
     sizes = np.array(classes.sizes(), dtype=np.float64)
     # multiplication-by-class-sum operators T_i in the class-sum basis

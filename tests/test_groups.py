@@ -240,6 +240,74 @@ def test_cyclic4_classes_all_singletons():
     assert cc.sizes() == [1, 1, 1, 1]
 
 
+def _orbit_loop_classes(g):
+    # conjugation orbit of each least unclassified x, 2n products per class
+    n = g.order
+    all_g = np.arange(n, dtype=np.int64)
+    inv_g = g.inverse_table.astype(np.int64)
+    class_of = np.full(n, -1, dtype=np.int64)
+    partition = []
+    for x in range(n):
+        if class_of[x] >= 0:
+            continue
+        orbit = np.unique(g.mul_arrays(g.mul_arrays(all_g, x), inv_g))
+        class_of[orbit] = len(partition)
+        partition.append(tuple(int(v) for v in orbit))
+    return tuple(partition), class_of
+
+
+S3 = parse_group_spec("perm:(1 2 3);(1 2)")
+_ORBIT_LOOP_CASES = [f"PSL2({q})" for q in (2, 3, 4, 5, 7, 8, 9, 11, 29, 49)] + [
+    "perm:(1 2 3 4 5 6 7);(1 2)",
+    "perm:(1 2 3 4 5 6 7 8);(1 2)",
+    "D255",  # the dihedral table of order 510
+    DirectProduct((S3, Cyclic(3))),
+    DirectProduct((S3, Cyclic(200))),
+]
+
+
+@pytest.mark.parametrize("case", _ORBIT_LOOP_CASES, ids=str)
+def test_conjugacy_classes_match_the_orbit_loop(case):
+    g = TableGroup(_dihedral_table(255), case) if case == "D255" else build_group(case)
+    cc = conjugacy_classes(g)
+    partition, class_of = _orbit_loop_classes(g)
+    assert cc.partition == partition
+    assert cc.class_of.dtype == class_of.dtype == np.int64
+    assert np.array_equal(cc.class_of, class_of)
+
+
+def test_abelian_classes_take_no_product(monkeypatch):
+    g = build_group("Z/50000")
+
+    def refuse(*args):
+        raise AssertionError("an abelian group's classes took a product")
+
+    monkeypatch.setattr(g, "mul_arrays", refuse)
+    monkeypatch.setattr(g, "_mul_kernel", refuse)
+    cc = conjugacy_classes(g)
+    assert cc.count == 50000
+    assert set(cc.sizes()) == {1}
+    assert np.array_equal(cc.class_of, np.arange(50000))
+
+
+def test_classes_take_at_most_3n_products_per_generator(monkeypatch):
+    # 2n per generator for the edges, n per generator to find the generators;
+    # the per-class orbit loop took 2n * 600 = 1440000
+    g = build_group(DirectProduct((S3, Cyclic(200))))
+    n, gens = g.order, len(groups._generating_set(g))
+    products = 0
+    mul_arrays = g.mul_arrays
+
+    def counted(a, b):
+        nonlocal products
+        products += np.broadcast(a, b).size
+        return mul_arrays(a, b)
+
+    monkeypatch.setattr(g, "mul_arrays", counted)
+    assert conjugacy_classes(g).count == 600
+    assert 0 < products <= 3 * n * gens
+
+
 def _write_csv(path, rows):
     path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
 

@@ -1,9 +1,10 @@
-"""Fail-fast refusals, end to end.
+"""Fail-fast refusals and in-limit inputs, end to end.
 
 Each row runs the CLI in a fresh interpreter, so the time bound covers
 interpreter start and import.  An input past a documented limit must exit
 with its code and a stderr line starting with its prefix within the bound,
-before any work that grows with the refused size.
+before any work that grows with the refused size.  An input inside the
+limits must exit 0 within its bound.
 """
 
 from __future__ import annotations
@@ -39,8 +40,15 @@ REFUSALS = [
     # not a prime power, but the order alone is past the cap
     (["group", "--group", "PSL2(1000000)"], 3, BUDGET + "group order 999999999999000000 exceeds cap", 5),
     (["group", "--group", "Z/300000"], 3, BUDGET + "group order 300000 exceeds cap 200000", 5),
-    (["quasirandom", "--group", "table:{table}"], 3, BUDGET + "at least 301 conjugacy classes exceed cap 300", 10),
+    (["quasirandom", "--group", "table:{table}"], 3, BUDGET + "600 conjugacy classes exceed cap 300", 10),
     (["mixing", "--group", "Z/4", "--n", "20", "--set-all", "explicit:0"], 3, BUDGET, 5),
+]
+
+
+# argv, seconds
+IN_LIMITS = [
+    (["group", "--group", "Z/200000", "--classes"], 10),
+    (["group", "--group", "PSL2(73)", "--classes"], 10),
 ]
 
 
@@ -53,16 +61,26 @@ def s3_z200_table(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("argv, code, prefix, seconds", REFUSALS, ids=[" ".join(row[0]) for row in REFUSALS])
-def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table):
+def _run_cli(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    argv = [arg.format(table=s3_z200_table) for arg in argv]
     start = time.monotonic()
     done = subprocess.run(
         [sys.executable, "-m", "grplab.cli", *argv], capture_output=True, text=True, env=env, timeout=30
     )
-    elapsed = time.monotonic() - start
+    return done, time.monotonic() - start
+
+
+@pytest.mark.parametrize("argv, code, prefix, seconds", REFUSALS, ids=[" ".join(row[0]) for row in REFUSALS])
+def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table):
+    done, elapsed = _run_cli([arg.format(table=s3_z200_table) for arg in argv])
     assert (done.returncode, done.stdout) == (code, ""), done.stderr
     assert done.stderr.startswith(prefix), done.stderr
+    assert elapsed < seconds
+
+
+@pytest.mark.parametrize("argv, seconds", IN_LIMITS, ids=[" ".join(row[0]) for row in IN_LIMITS])
+def test_input_inside_the_limits_finishes_in_time(argv, seconds):
+    done, elapsed = _run_cli(argv)
+    assert done.returncode == 0, done.stderr
     assert elapsed < seconds
