@@ -6,11 +6,12 @@ y in another.  ``_pair_count`` computes it by one of three engines that
 cross-check each other: ``BruteForce`` is a plain Python loop over the
 pairs, ``CayleyConvolution`` gathers the products through the group's
 vectorized multiplication, and ``AbelianFFT`` convolves the two index
-histograms over a cyclic-product group.  ``_resolve_engine`` is the one
-place that turns an engine string into one of these.  All counts are exact
-integers; the FFT path rounds and is accepted only when both an a-priori
-error bound and the observed rounding residual stay well below 1/2,
-otherwise it falls back to exact integer convolution.
+histograms over a cyclic-product group by a real-input FFT.
+``_resolve_engine`` is the one place that turns an engine string into one
+of these.  All counts are exact integers; the FFT path rounds and is
+accepted only when both an a-priori error bound and the observed rounding
+residual stay well below 1/2, otherwise it falls back to exact integer
+convolution.
 """
 
 from __future__ import annotations
@@ -139,23 +140,26 @@ def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.nda
     """Exact integer group convolution fa * fb over a cyclic product group,
     for nonnegative integer vectors fa and fb.
 
-    Fast path: multidimensional FFT, rounded, accepted only when the a-priori
-    float error bound and the observed residual are both < 1/2.  Fallback:
-    exact integer accumulation of weighted rolled arrays over the smaller
-    support.
+    Fast path: multidimensional real-input FFT (``rfftn``/``irfftn``, which
+    keep only the nonnegative frequencies of the last axis), rounded,
+    accepted only when the a-priori float error bound and the observed
+    residual are both < 1/2.  Fallback: exact integer accumulation of
+    weighted rolled arrays over the smaller support.
     """
     moduli = g.cyclic_moduli
     assert moduli is not None
     shape = tuple(moduli)
     A = fa.reshape(shape).astype(np.float64)
     B = fb.reshape(shape).astype(np.float64)
+    axes = tuple(range(len(shape)))
     n = g.order
     # no output entry exceeds sum(fa) * max(fb) or sum(fb) * max(fa)
     max_out = float(min(fa.sum() * fb.max(), fb.sum() * fa.max()))
     # conservative a-priori bound on FFT rounding error
     bound = 1e-15 * max(1.0, max_out) * n * max(1.0, math.log2(max(2, n)))
     if bound < 0.4:
-        conv = np.fft.ifftn(np.fft.fftn(A) * np.fft.fftn(B)).real
+        # ``s`` keeps an odd last axis whole; ``axes`` goes with it
+        conv = np.fft.irfftn(np.fft.rfftn(A) * np.fft.rfftn(B), s=shape, axes=axes)
         rounded = np.rint(conv)
         residual = float(np.abs(conv - rounded).max()) if conv.size else 0.0
         if residual < _FFT_RESIDUAL_LIMIT:
@@ -168,7 +172,7 @@ def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.nda
     support = np.nonzero(small.reshape(-1))[0]
     for idx in support:
         shifts = np.unravel_index(int(idx), shape)
-        out += int(small[idx]) * np.roll(oth, shifts, axis=tuple(range(len(shape))))
+        out += int(small[idx]) * np.roll(oth, shifts, axis=axes)
     return out.reshape(-1)
 
 

@@ -16,9 +16,13 @@ one table of all q^4 of them and finds the product in a dense index of q^3
 slots over SL2(q); a permutation group sums the product's key one point at
 a time from the flattened image array and finds it among the sorted keys.
 Both gather per-element codes at each operand's own shape, so only the
-final adds and gathers run at the broadcast shape.  Z/n adds mod n; a direct product (``Z/a x Z/b`` included) indexes its
-elements in mixed radix, last factor fastest, and multiplies factor by
-factor through each factor's kernel.  Construction works on whole arrays:
+final adds and gathers run at the broadcast shape.  A direct product
+(``Z/a x Z/b`` included) indexes its elements in mixed radix, last factor
+fastest.  Z/n and every product of cyclic groups, nested ones included, add
+digit by digit with carries dropped (:func:`_cyclic_mul`): x + y, less m*s
+for each digit of modulus m and stride s whose two summands reach m.  Other
+direct products multiply factor by factor through each factor's kernel.
+Construction works on whole arrays:
 PSL2(q) lists SL2(q) in closed form, one matrix per slot of its index, and
 a permutation group closes its generators one breadth-first layer of keys
 at a time.  It is deterministic: the same specification always yields the
@@ -73,6 +77,35 @@ def _pair_blocks(mul, left: np.ndarray, right: np.ndarray):
         rows = max(1, PRODUCT_BLOCK // len(right))
         for lo in range(0, len(left), rows):
             yield mul(left[lo:lo + rows, None], right[None, :])
+
+
+def _cyclic_digits(moduli: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """(m, s) for each digit of a mixed-radix index with moduli ``moduli``
+    (last fastest) and m > 1, s the product of the moduli after m."""
+    digits = []
+    s = 1
+    for m in reversed(moduli):
+        if m > 1:
+            digits.append((m, s))
+        s *= m
+    return tuple(digits)
+
+
+def _cyclic_mul(digits: Tuple[Tuple[int, int], ...], n: int, a, b) -> np.ndarray:
+    """Elementwise product in the cyclic product of order ``n`` whose digits
+    (m, s) come from :func:`_cyclic_digits`: x + y, less m*s for each digit
+    where d(x) + d(y) >= m.  The digits are taken at each operand's own
+    shape, so at the broadcast shape run only the add and, per digit, one
+    compare and the subtraction of m*s where it holds; no ``%`` runs there."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    out = a + b
+    for m, s in digits:
+        da, db = (a // s, b // s) if s > 1 else (a, b)
+        if m * s < n:  # the leading digit needs no reduction
+            da, db = da % m, db % m
+        out -= (da >= m - db) * (m * s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +335,7 @@ class CyclicGroup(FiniteGroup):
     def __init__(self, n: int) -> None:
         super().__init__(n, f"Z/{n}")
         self.cyclic_moduli = (n,)
+        self._digits = _cyclic_digits(self.cyclic_moduli)
         self.is_abelian = True
         self.inverse_table = ((-np.arange(n, dtype=np.int64)) % n).astype(np.int32)
 
@@ -309,7 +343,7 @@ class CyclicGroup(FiniteGroup):
         return (i + j) % self.order
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) + b) % self.order
+        return _cyclic_mul(self._digits, self.order, a, b)
 
 
 class TableGroup(FiniteGroup):
@@ -320,13 +354,11 @@ class TableGroup(FiniteGroup):
         table: np.ndarray,
         spec_text: str,
         labels: Optional[Sequence[str]] = None,
-        cyclic_moduli: Optional[Tuple[int, ...]] = None,
     ) -> None:
         n = len(table)
         super().__init__(n, spec_text)
         self._table = np.asarray(table, dtype=np.int32)
         self._labels = list(labels) if labels is not None else None
-        self.cyclic_moduli = cyclic_moduli
         is_identity = self._table == 0
         hits = np.count_nonzero(is_identity, axis=1)
         bad = np.flatnonzero(hits != 1)
@@ -577,8 +609,11 @@ class PermutationGroup(FiniteGroup):
 
 class GeneralDirectProductGroup(FiniteGroup):
     """Direct product of arbitrary component groups in mixed-radix index
-    encoding (last factor fastest); products go factor by factor through
-    each component's own kernel, never through a component's table."""
+    encoding (last factor fastest).  When every component is a cyclic
+    product, ``cyclic_moduli`` lists all their moduli and both products add
+    digit by digit over those moduli (:func:`_cyclic_mul`); otherwise they go
+    factor by factor through each component's own ``mul`` and kernel, never
+    through a component's table."""
 
     def __init__(self, components: Sequence[FiniteGroup], spec_text: str) -> None:
         super().__init__(prod(g.order for g in components), spec_text)
@@ -586,8 +621,12 @@ class GeneralDirectProductGroup(FiniteGroup):
         # a factor's stride is the order of the factors after it
         self._strides = tuple(prod(g.order for g in self.components[k + 1:]) for k in range(len(self.components)))
         self.is_abelian = all(g.is_abelian for g in self.components)
+        self._digits: Optional[Tuple[Tuple[int, int], ...]] = None
         if all(g.cyclic_moduli is not None for g in self.components):
+            # strides over the flattened moduli: a nested product's components
+            # span several digits, so these differ from ``_strides``
             self.cyclic_moduli = tuple(m for g in self.components for m in g.cyclic_moduli)
+            self._digits = _cyclic_digits(self.cyclic_moduli)
 
         idx = np.arange(self.order, dtype=np.int64)
         parts = [
@@ -597,6 +636,8 @@ class GeneralDirectProductGroup(FiniteGroup):
         self.inverse_table = sum(p * s for p, s in zip(parts, self._strides)).astype(np.int32)
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._digits is not None:
+            return _cyclic_mul(self._digits, self.order, a, b)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
@@ -605,6 +646,12 @@ class GeneralDirectProductGroup(FiniteGroup):
         return out
 
     def mul(self, i: int, j: int) -> int:
+        if self._digits is not None:
+            out = i + j
+            for m, s in self._digits:
+                if i // s % m + j // s % m >= m:
+                    out -= m * s
+            return out
         out = 0
         for g, s in zip(self.components, self._strides):
             out += g.mul((i // s) % g.order, (j // s) % g.order) * s

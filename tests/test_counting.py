@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,23 @@ def test_cyclic_convolution_fallback_is_weighted(monkeypatch):
     for _ in range(3):
         fa = np.array(stream.randrange_array(4, g.order), dtype=np.int64)
         fb = np.array(stream.randrange_array(3, g.order), dtype=np.int64) * (np.arange(g.order) % 5 == 0)
+        assert np.array_equal(cyclic_convolution(g, fa, fb), _convolution_oracle(g, fa, fb))
+
+
+@pytest.mark.parametrize("spec, density", [("Z/3 x Z/5 x Z/7", 0.5), ("Z/2 x Z/2 x Z/51", 0.5), ("Z/20011", 0.006)])
+def test_cyclic_convolution_on_an_odd_last_axis(spec, density, monkeypatch):
+    # the real-input FFT halves the last axis; an odd one must come back
+    # whole, and without a warning.  A short axis would fail the residual
+    # test and be hidden by the exact fallback, so the fallback must not run.
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("exact fallback ran")
+
+    monkeypatch.setattr(np, "roll", no_fallback)
+    g = build_group(spec)
+    rng = np.random.default_rng(g.order)
+    fa, fb = rng.integers(1, 1000, size=(2, g.order)) * (rng.random((2, g.order)) < density)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert np.array_equal(cyclic_convolution(g, fa, fb), _convolution_oracle(g, fa, fb))
 
 

@@ -109,17 +109,73 @@ def test_element_labels_of_cyclic_groups_and_their_products():
     assert [z7.element_label(i) for i in range(7)] == [str(i) for i in range(7)]
 
 
-@pytest.mark.parametrize("moduli", [(3, 9, 27), (2, 1000)])
+def _digit_oracle(moduli, a, b):
+    """Products in Z/m_1 x ... x Z/m_r by unravelling to digits, adding each
+    digit mod its modulus and ravelling back."""
+    a, b = np.broadcast_arrays(a, b)
+    digits = [(x + y) % m for x, y, m in zip(np.unravel_index(a, moduli), np.unravel_index(b, moduli), moduli)]
+    return np.ravel_multi_index(digits, moduli)
+
+
+@pytest.mark.parametrize("moduli", [(3, 9, 27), (2, 1000), (2, 2, 50000), (400, 500), (1, 7)])
 def test_cyclic_product_adds_digit_by_digit(moduli):
     g = build_group(" x ".join(f"Z/{m}" for m in moduli))
     rng = np.random.default_rng(len(moduli))
     a, b = rng.integers(0, g.order, size=(2, 20000))
-    digits = [(x + y) % m for x, y, m in zip(np.unravel_index(a, moduli), np.unravel_index(b, moduli), moduli)]
-    want = np.ravel_multi_index(digits, moduli)
+    want = _digit_oracle(moduli, a, b)
+    assert np.array_equal(g._mul_kernel(a, b), want)
     assert np.array_equal(g.mul_arrays(a, b), want)
     assert [g.mul(int(x), int(y)) for x, y in zip(a[:50], b[:50])] == want[:50].tolist()
     assert np.array_equal(g.mul_arrays(np.arange(g.order), g.inverse_table), np.zeros(g.order))
     assert g.cyclic_moduli == moduli
+    # a column times a row, as in a pair block, and a Python int operand
+    col, row = a[:300, None], b[None, :200]
+    assert np.array_equal(g._mul_kernel(col, row), _digit_oracle(moduli, col, row))
+    five = 5 % g.order
+    assert np.array_equal(g.mul_arrays(five, a), _digit_oracle(moduli, five, a))
+    assert np.array_equal(g._mul_kernel(a, five), _digit_oracle(moduli, a, five))
+
+
+@pytest.mark.parametrize(
+    "spec, moduli",
+    [
+        (DirectProduct((DirectProduct((Cyclic(2), Cyclic(3))), Cyclic(5))), (2, 3, 5)),
+        (
+            DirectProduct((DirectProduct((DirectProduct((Cyclic(2), Cyclic(3))), Cyclic(4))), Cyclic(5))),
+            (2, 3, 4, 5),
+        ),
+        (
+            DirectProduct((Cyclic(2), DirectProduct((Cyclic(3), DirectProduct((Cyclic(4), Cyclic(5))))))),
+            (2, 3, 4, 5),
+        ),
+    ],
+)
+def test_nested_cyclic_products_add_digit_by_digit(spec, moduli):
+    # a nested component spans several digits, so its stride is not theirs
+    g = build_group(spec)
+    assert g.cyclic_moduli == moduli
+    idx = np.arange(g.order)
+    want = _digit_oracle(moduli, idx[:, None], idx[None, :])
+    assert np.array_equal(g._mul_kernel(idx[:, None], idx[None, :]), want)
+    assert np.array_equal(g.mul_arrays(idx[:, None], idx[None, :]), want)
+    assert [[g.mul(x, y) for y in range(g.order)] for x in range(g.order)] == want.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 200000])
+def test_cyclic_kernel_wraps_at_the_modulus(n):
+    # pairs whose sums are n - 1 (no wrap), n and 2n - 2 (the largest)
+    g = build_group(f"Z/{n}")
+    pairs = [
+        (x, s - x)
+        for s in (n - 1, n, 2 * n - 2)
+        for x in sorted({s - n + 1, s // 2, n - 1})
+        if 0 <= x < n and 0 <= s - x < n
+    ]
+    a, b = np.array(pairs).T
+    want = (a + b) % n
+    assert np.array_equal(g._mul_kernel(a, b), want)
+    assert np.array_equal(g._mul_kernel(a[:, None], b[None, :]), (a[:, None] + b[None, :]) % n)
+    assert [g.mul(int(x), int(y)) for x, y in pairs] == want.tolist()
 
 
 @pytest.mark.parametrize("spec", FLEET_SPECS)
