@@ -184,8 +184,13 @@ def _emit(payload: Dict[str, Any], args: argparse.Namespace, started: float) -> 
         text = rows_to_csv([_flatten(payload)])
     else:
         text = canonical_json(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    _write_report(text, args.out)
+
+
+def _write_report(text: str, out: Optional[str]) -> None:
+    """Write report text to the --out file, or to stdout without one."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -393,11 +398,7 @@ def _cmd_sweep(args: argparse.Namespace, started: float) -> None:
         text = rows_to_csv(rows)
     else:
         text = canonical_json([r.to_dict() for r in reports])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_report(text, args.out)
 
 
 _COMMANDS = {

@@ -12,7 +12,7 @@ and the build holds little beyond the tables themselves (GF(1024): 32 MB).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -90,23 +90,3 @@ class PrimePowerField:
             self.mul_table[block] = np.tensordot(weights, full[:k] % p, 1)
         # row 0 has no 1 and argmax gives 0 there, as 0 has no inverse
         self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int32)
-        self.one = 1
-        self.zero = 0
-
-    def add(self, a, b):
-        return self.add_table[a, b]
-
-    def sub(self, a, b):
-        return self.add_table[a, self.neg_table[b]]
-
-    def mul(self, a, b):
-        return self.mul_table[a, b]
-
-    def neg(self, a):
-        return self.neg_table[a]
-
-    def inv(self, a):
-        return self.inv_table[a]
-
-    def elements(self) -> List[int]:
-        return list(range(self.q))

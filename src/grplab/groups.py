@@ -349,16 +349,10 @@ class CyclicGroup(FiniteGroup):
 class TableGroup(FiniteGroup):
     """Group given by an explicit validated Cayley table (identity at 0)."""
 
-    def __init__(
-        self,
-        table: np.ndarray,
-        spec_text: str,
-        labels: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, table: np.ndarray, spec_text: str) -> None:
         n = len(table)
         super().__init__(n, spec_text)
         self._table = np.asarray(table, dtype=np.int32)
-        self._labels = list(labels) if labels is not None else None
         is_identity = self._table == 0
         hits = np.count_nonzero(is_identity, axis=1)
         bad = np.flatnonzero(hits != 1)
@@ -372,11 +366,6 @@ class TableGroup(FiniteGroup):
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._table[a, b].astype(np.int64)
-
-    def element_label(self, i: int) -> str:
-        if self._labels is not None:
-            return self._labels[i]
-        return str(i)
 
 
 class PSL2Group(FiniteGroup):

@@ -1,13 +1,17 @@
 """Irreducible character degrees and the quasirandomness degree of a group.
 
-Degrees are recovered by the class-algebra (Burnside) method: build the
-class-multiplication-coefficient matrices from the Cayley structure,
-simultaneously diagonalize them through a seeded random linear combination,
-and read each irreducible's degree from its central character.  The result
-is validated against three exact integer invariants (degree count = class
-count, sum of squares = |G|, multiplicity of degree 1 = |G/[G,G]|, with
-[G,G] the normal closure of the commutators of a greedy generating set)
-and the computation retries with fresh seeds before failing loudly.
+Degrees are recovered by the class-algebra (Burnside) method: a seeded
+random combination of the class sums acts on the centre of the group algebra
+with the central idempotents e_chi as eigenvectors, and the class-sum
+coordinates of e_chi are proportional to chi(g^-1).  Its identity coordinate
+is chi(1), the one of largest modulus, so with <chi, chi> = 1 each
+eigenvector v gives chi(1)^2 = |G| / sum_k |K_k| |v_k / v_0|^2.  The operator
+is r x r and each of its r rows is one bincount over n products, so the
+memory is O(n + r^2).  The result is validated against three exact integer
+invariants (degree count = class count, sum of squares = |G|, multiplicity
+of degree 1 = |G/[G,G]|, with [G,G] the normal closure of the commutators of
+a greedy generating set) and the computation retries with fresh seeds before
+failing loudly.
 
 For tiny groups an independent second path decomposes the regular
 representation directly from eigenvalue multiplicities of a generic group
@@ -26,7 +30,6 @@ from .groups import ConjugacyClasses, FiniteGroup, _generating_set, _subgroup_cl
 from .rng import SplitMix64, derive
 
 CLASS_COUNT_CAP = 300
-_EIG_TOL = 1e-8
 _RETRY_SEEDS = 3
 _REGULAR_MAX_ORDER = 24
 
@@ -76,47 +79,44 @@ def abelianization_order(group: FiniteGroup) -> int:
     return n // commutator_order
 
 
-def _class_matrices(group: FiniteGroup, classes: ConjugacyClasses) -> np.ndarray:
-    """a[i, j, k] = #{(x, y) in K_i x K_j : x*y = z_k} for fixed class reps z_k."""
+def _class_sum_operator(group: FiniteGroup, classes: ConjugacyClasses, weights: np.ndarray) -> np.ndarray:
+    """Multiplication by sum_i w_i C_i in the class-sum basis: entry (k, j)
+    is sum_x w(class of x) [x^-1 z_k in K_j] for the class reps z_k."""
     r = classes.count
-    n = group.order
     class_of = classes.class_of
     inv = group.inverse_table.astype(np.int64)
-    xs = np.arange(n, dtype=np.int64)
-    a = np.zeros((r, r, r), dtype=np.int64)
+    w = weights[class_of]
+    op = np.empty((r, r), dtype=np.float64)
     for k, rep in enumerate(classes.representatives()):
-        ys = group.mul_arrays(inv, np.full(n, rep, dtype=np.int64))
-        np.add.at(a[:, :, k], (class_of[xs], class_of[ys]), 1)
-    return a
+        op[k] = np.bincount(class_of[group.mul_arrays(inv, rep)], weights=w, minlength=r)
+    return op
 
 
 def character_degrees(group: FiniteGroup, *, seed: int = 0) -> DegreeProfile:
     """Exact irreducible character degrees via the class-algebra method.
 
-    Refuses a group with more than CLASS_COUNT_CAP classes before building
-    any class matrix.
+    Refuses a group with more than CLASS_COUNT_CAP classes before the
+    abelianization or the class-sum operator takes any product.
     """
     classes = conjugacy_classes(group)
     r = classes.count
     if r > CLASS_COUNT_CAP:
         raise BudgetExceeded(f"{r} conjugacy classes exceed cap {CLASS_COUNT_CAP}")
     ab_order = abelianization_order(group)
-    coeffs = _class_matrices(group, classes)
     sizes = np.array(classes.sizes(), dtype=np.float64)
-    # multiplication-by-class-sum operators T_i in the class-sum basis
-    mats = [coeffs[i].T.astype(np.float64) for i in range(r)]
 
     last_error: Optional[str] = None
     for attempt in range(_RETRY_SEEDS):
-        rng = SplitMix64(derive(seed, 0xB0B, attempt))
-        weights = rng.uniform_array(r)
-        combo = sum(w * m for w, m in zip(weights, mats))
-        _, vecs = np.linalg.eig(combo)
-        degrees = _degrees_from_eigenvectors(group.order, mats, sizes, vecs)
-        if degrees is None:
+        weights = SplitMix64(derive(seed, 0xB0B, attempt)).uniform_array(r)
+        _, vecs = np.linalg.eig(_class_sum_operator(group, classes, weights))
+        # a vanishing or NaN identity coordinate gives d = 0 or NaN, which fails below
+        with np.errstate(all="ignore"):
+            d = np.sqrt(group.order / (sizes @ np.abs(vecs / vecs[0]) ** 2))
+        rounded = np.rint(d)
+        if not (np.all(np.abs(d - rounded) <= 1e-4) and np.all(rounded >= 1)):
             last_error = "eigenvalue extraction did not yield clean integers"
             continue
-        profile = DegreeProfile(tuple(sorted(degrees)), r, ab_order)
+        profile = DegreeProfile(tuple(sorted(int(x) for x in rounded)), r, ab_order)
         try:
             _validate_profile(profile, group.order)
         except ValidationFailed as exc:
@@ -126,28 +126,6 @@ def character_degrees(group: FiniteGroup, *, seed: int = 0) -> DegreeProfile:
     raise ValidationFailed(
         f"character degrees failed validation after {_RETRY_SEEDS} seeds: {last_error}"
     )
-
-
-def _degrees_from_eigenvectors(
-    order: int, mats: List[np.ndarray], sizes: np.ndarray, vecs: np.ndarray
-) -> Optional[List[int]]:
-    r = len(mats)
-    degrees: List[int] = []
-    for col in range(r):
-        v = vecs[:, col]
-        pivot = int(np.argmax(np.abs(v)))
-        if abs(v[pivot]) < _EIG_TOL:
-            return None
-        omegas = np.array([(m @ v)[pivot] / v[pivot] for m in mats])
-        denom = float(np.sum(np.abs(omegas) ** 2 / sizes))
-        if denom <= 0:
-            return None
-        d = np.sqrt(order / denom)
-        d_int = int(round(d))
-        if d_int < 1 or abs(d - d_int) > 1e-4:
-            return None
-        degrees.append(d_int)
-    return degrees
 
 
 def _validate_profile(profile: DegreeProfile, order: int) -> None:

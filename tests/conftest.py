@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
 import pytest
 
 from grplab.groups import build_group
@@ -48,6 +49,14 @@ def s4():
 @pytest.fixture()
 def psl2_5():
     return fleet_group("PSL2(5)")
+
+
+def _dihedral_table(m):
+    """D_m of order 2m, r^i s^e at index 2i + e: index 1 is the reflection s
+    and index 2 the rotation r, the two generators Light's test picks."""
+    i, e = np.divmod(np.arange(2 * m), 2)
+    rot = (i[:, None] + np.where(e[:, None] == 1, -i[None, :], i[None, :])) % m
+    return 2 * rot + (e[:, None] ^ e[None, :])
 
 
 # scalar polynomial arithmetic over F_p, coefficients lowest degree first:

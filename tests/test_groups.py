@@ -24,7 +24,7 @@ from grplab.groups import (
 )
 from grplab.sets import make_set
 
-from conftest import FLEET_SPECS, _gf_scalar_ops, fleet_group
+from conftest import FLEET_SPECS, _dihedral_table, _gf_scalar_ops, fleet_group
 
 
 # a Latin square with two-sided identity 0 that is not associative
@@ -534,14 +534,6 @@ def test_light_test_agrees_with_the_triple_scan_on_small_loops():
         assert _light_accepts(t) == brute
         verdicts.append(brute)
     assert 0 < sum(verdicts) < len(verdicts)
-
-
-def _dihedral_table(m):
-    """D_m of order 2m, r^i s^e at index 2i + e: index 1 is the reflection s
-    and index 2 the rotation r, the two generators Light's test picks."""
-    i, e = np.divmod(np.arange(2 * m), 2)
-    rot = (i[:, None] + np.where(e[:, None] == 1, -i[None, :], i[None, :])) % m
-    return 2 * rot + (e[:, None] ^ e[None, :])
 
 
 def _swap_intercalate(table):

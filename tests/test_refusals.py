@@ -20,6 +20,8 @@ import pytest
 
 from grplab.groups import Cyclic, DirectProduct, build_group, parse_group_spec
 
+from conftest import _dihedral_table
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 BUDGET = "grplab: budget exceeded: "
 
@@ -45,10 +47,11 @@ REFUSALS = [
 ]
 
 
-# argv, seconds
+# argv ({dihedral} is a CSV of D_597, with 300 classes: the class cap), seconds
 IN_LIMITS = [
     (["group", "--group", "Z/200000", "--classes"], 10),
     (["group", "--group", "PSL2(73)", "--classes"], 10),
+    (["quasirandom", "--group", "table:{dihedral}"], 10),
 ]
 
 
@@ -58,6 +61,13 @@ def s3_z200_table(tmp_path_factory):
     g = build_group(DirectProduct((parse_group_spec("perm:(1 2 3);(1 2)"), Cyclic(200))))
     path = tmp_path_factory.mktemp("refusals") / "s3_z200.csv"
     np.savetxt(path, g.table, fmt="%d", delimiter=",")
+    return path
+
+
+@pytest.fixture(scope="module")
+def d597_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("in_limits") / "d597.csv"
+    np.savetxt(path, _dihedral_table(597), fmt="%d", delimiter=",")
     return path
 
 
@@ -80,7 +90,7 @@ def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table):
 
 
 @pytest.mark.parametrize("argv, seconds", IN_LIMITS, ids=[" ".join(row[0]) for row in IN_LIMITS])
-def test_input_inside_the_limits_finishes_in_time(argv, seconds):
-    done, elapsed = _run_cli(argv)
+def test_input_inside_the_limits_finishes_in_time(argv, seconds, d597_table):
+    done, elapsed = _run_cli([arg.format(dihedral=d597_table) for arg in argv])
     assert done.returncode == 0, done.stderr
     assert elapsed < seconds

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from grplab.errors import BudgetExceeded
-from grplab.groups import Cyclic, DirectProduct, build_group, conjugacy_classes, parse_group_spec
+from grplab.errors import BudgetExceeded, ValidationFailed
+from grplab.groups import Cyclic, DirectProduct, TableGroup, build_group, conjugacy_classes, parse_group_spec
 from grplab.spectral import (
+    _class_sum_operator,
     abelianization_order,
     character_degrees,
     quasirandomness_degree,
     regular_representation_degrees,
 )
 
-from conftest import FLEET_SPECS, fleet_group
+from conftest import FLEET_SPECS, _dihedral_table, fleet_group
 
 
 @pytest.mark.parametrize("spec", FLEET_SPECS)
@@ -144,3 +148,98 @@ def test_psl2_abelianization_orders():
     qs = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 23, 29)
     got = [abelianization_order(build_group(f"PSL2({q})")) for q in qs]
     assert got == [2, 3] + [1] * (len(qs) - 2)
+
+
+def _psl2_degrees(q):
+    """Closed-form degree multiset of PSL2(q) (PSL2(2) = S3, PSL2(3) = A4)."""
+    if q % 2 == 0:
+        degs = [1, q] + [q + 1] * ((q - 2) // 2) + [q - 1] * (q // 2)
+    elif q % 4 == 1:
+        degs = [1, q] + [(q + 1) // 2] * 2 + [q + 1] * ((q - 5) // 4) + [q - 1] * ((q - 1) // 4)
+    else:
+        degs = [1, q] + [(q - 1) // 2] * 2 + [q + 1] * ((q - 3) // 4) + [q - 1] * ((q - 3) // 4)
+    return tuple(sorted(degs))
+
+
+# every prime power q <= 73 but 64, whose PSL2 has order 262080, past the cap
+_PSL2_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53,
+            59, 61, 67, 71, 73)
+
+
+@pytest.mark.parametrize("q", _PSL2_QS)
+def test_psl2_degrees_match_the_closed_form(q):
+    assert character_degrees(build_group(f"PSL2({q})")).degrees == _psl2_degrees(q)
+
+
+# D_597 and D_594 have 300 classes, the cap
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 255, 256, 594, 597])
+def test_dihedral_degrees(m):
+    ones = 2 if m % 2 else 4
+    want = (1,) * ones + (2,) * ((2 * m - ones) // 4)
+    assert character_degrees(TableGroup(_dihedral_table(m), f"D{m}")).degrees == want
+
+
+def test_degrees_at_the_class_cap_stay_within_their_memory_budget():
+    g = TableGroup(_dihedral_table(597), "D597")
+    tracemalloc.start()
+    try:
+        profile = character_degrees(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.class_count == 300
+    assert peak <= 32 << 20, peak
+
+
+@pytest.mark.parametrize("spec", ["perm:(1 2 3 4);(1 2)", "PSL2(5)"])
+def test_class_sum_operator_matches_the_structure_constants(spec):
+    # entry (k, j) is sum_i w_i #{(x, y) in K_i x K_j : x*y = z_k}
+    g = fleet_group(spec)
+    classes = conjugacy_classes(g)
+    class_of, reps = classes.class_of, classes.representatives()
+    w = np.arange(1.0, classes.count + 1)  # integer weights keep the sums exact
+    want = np.zeros((classes.count, classes.count))
+    for x in range(g.order):
+        for y in range(g.order):
+            z = g.mul(x, y)
+            if z in reps:
+                want[reps.index(z), class_of[y]] += w[class_of[x]]
+    assert np.array_equal(_class_sum_operator(g, classes, w), want)
+
+
+def _eig_spoiling_attempts(monkeypatch, bad, attempts):
+    """Patch np.linalg.eig so its first ``attempts`` calls return an
+    eigenvector whose identity coordinate is ``bad``; returns the operators."""
+    real_eig = np.linalg.eig
+    seen = []
+
+    def eig(op):
+        seen.append(op.copy())
+        vals, vecs = real_eig(op)
+        if len(seen) <= attempts:
+            vecs = vecs.astype(np.complex128)
+            vecs[0, 0] = bad
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    return seen
+
+
+# 0 gives 0/0 = NaN; a tiny coordinate overflows the sum and gives d = 0
+_SPOILED = [np.nan, 0.0, 1e-300, np.inf]
+
+
+@pytest.mark.parametrize("bad", _SPOILED)
+def test_a_spoiled_identity_coordinate_fails_the_attempt(monkeypatch, s4, bad):
+    seen = _eig_spoiling_attempts(monkeypatch, bad, attempts=1)
+    assert character_degrees(s4).degrees == (1, 1, 2, 3, 3)
+    assert len(seen) == 2
+    assert not np.array_equal(seen[0], seen[1])  # the retry draws fresh weights
+
+
+@pytest.mark.parametrize("bad", _SPOILED)
+def test_three_spoiled_attempts_raise(monkeypatch, s4, bad):
+    seen = _eig_spoiling_attempts(monkeypatch, bad, attempts=3)
+    with pytest.raises(ValidationFailed, match="after 3 seeds: eigenvalue extraction did not yield clean integers"):
+        character_degrees(s4)
+    assert len(seen) == 3
