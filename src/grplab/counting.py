@@ -2,11 +2,14 @@
 
 The xyz, power, fiber and Schur counts, and ap3 on abelian groups, are one
 weighted pair count: the sum of weights[x*y] over x in one index array and
-y in another.  ``_pair_count`` computes it by one of three engines that
-cross-check each other: ``BruteForce`` is a plain Python loop over the
-pairs, ``CayleyConvolution`` gathers the products through the group's
-vectorized multiplication, and ``AbelianFFT`` convolves the two index
-histograms over a cyclic-product group by a real-input FFT.
+y in another.  The mixing count ends in it too: ``_subproducts``, the one
+recurrence for increasing-order subproducts, enumerates a_1..a_{n-2}, and
+each such prefix adds one pair count over the last two positions.
+``_pair_count`` computes it by one of three engines that cross-check each
+other: ``BruteForce`` is a plain Python loop over the pairs,
+``CayleyConvolution`` gathers the products through the group's vectorized
+multiplication, and ``AbelianFFT`` convolves the two index histograms over
+a cyclic-product group by a real-input FFT.
 ``_resolve_engine`` is the one place that turns an engine string into one
 of these.  All counts are exact integers; the FFT path rounds and is
 accepted only when both an a-priori error bound and the observed rounding
@@ -386,67 +389,62 @@ def count_mixing_tuples(
     return CountReport(f"mixing:{n}", count, normalizer, degenerate, engine, extras)
 
 
+def _subproducts(mul, elements, prods=()) -> list:
+    """a_F for every nonempty F, in the order of ``all_nonempty_subsets``.
+
+    The a_F whose largest index is i are a_i, then a_F' * a_i for each
+    earlier a_F' in order.  ``prods`` are the subproducts of a prefix in
+    that order; the result extends a copy of them by ``elements``.  ``mul``
+    is ``group.mul`` for indices, or ``group.mul_arrays`` for index arrays
+    (one array per position, many tuples at once)."""
+    prods = list(prods)
+    for a in elements:
+        prods += [a] + [mul(p, a) for p in prods]
+    return prods
+
+
 def _mixing_brute(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubset]) -> int:
     import itertools
 
-    masks = {f: fams[f].mask for f in fams}
+    masks = [fams[f].mask for f in all_nonempty_subsets(n)]
     mul = g.mul
-    count = 0
-    subsets = all_nonempty_subsets(n)
-    for tup in itertools.product(range(g.order), repeat=n):
-        ok = True
-        for f in subsets:
-            prod = 0
-            for i in f:
-                prod = mul(prod, tup[i - 1])
-            if not masks[f][prod]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def _translated_mask(g: FiniteGroup, x: int, mask: np.ndarray) -> np.ndarray:
-    """{y : x*y in mask} as a boolean mask."""
-    return mask[g.mul_arrays(x, np.arange(g.order, dtype=np.int64))]
+    return sum(
+        all(mask[v] for mask, v in zip(masks, _subproducts(mul, tup)))
+        for tup in itertools.product(range(g.order), repeat=n)
+    )
 
 
 def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubset]) -> int:
-    """Prefix recursion: enumerate a_1..a_{n-1} under their constraints, then
-    intersect translated masks to count admissible a_n in bulk."""
-    count = 0
+    """Enumerate a_1..a_{n-2} under their constraints, then count the last
+    two positions of each prefix with one pair count.
 
-    def last_mask(prefix: List[int], prods: Dict[Tuple[int, ...], int]) -> np.ndarray:
-        mask = fams[(n,)].mask.copy()
-        for f, value in prods.items():
-            mask &= _translated_mask(g, value, fams[f + (n,)].mask)
-        return mask
+    With p_F the prefix's subproducts, (a_{n-1}, a_n) = (x, y) qualifies
+    when x lies in X = A_{n-1} meet p_F^-1 A_{F+(n-1)}, y in
+    Y = A_n meet p_F^-1 A_{F+(n)}, and xy in
+    W = A_{n-1,n} meet p_F^-1 A_{F+(n-1,n)}, intersected over every F.
+    ``masks[m - 1]`` is A_F for the F of binary code m, so the prefix's
+    p_F sits at position m - 1 too; for n = 2 this is the xyz count."""
+    masks = [fams[f].mask for f in all_nonempty_subsets(n)]
+    half = 1 << (n - 2)  # the code of {n-1}; {n} is 2*half
+    elements = np.arange(g.order, dtype=np.int64)
 
-    def recurse(prefix: List[int], prods: Dict[Tuple[int, ...], int]) -> None:
-        nonlocal count
-        depth = len(prefix) + 1
-        if depth == n:
-            count += int(last_mask(prefix, prods).sum())
-            return
+    def recurse(depth: int, prods: List[int]) -> int:
+        if depth == n - 1:
+            x, y, w = (masks[k * half - 1].copy() for k in (1, 2, 3))
+            for m, p in enumerate(prods, 1):
+                row = g.mul_arrays(p, elements)
+                x &= masks[m + half - 1][row]
+                y &= masks[m + 2 * half - 1][row]
+                w &= masks[m + 3 * half - 1][row]
+            return _pair_count(g, np.flatnonzero(x), np.flatnonzero(y), w, ENGINE_CAYLEY)
+        count = 0
         for a in fams[(depth,)].indices.tolist():
-            new_prods = dict(prods)
-            ok = True
-            for f, value in prods.items():
-                if f[-1] < depth:
-                    extended = f + (depth,)
-                    v = g.mul(value, a)
-                    if not fams[extended].mask[v]:
-                        ok = False
-                        break
-                    new_prods[extended] = v
-            if not ok:
-                continue
-            new_prods[(depth,)] = a
-            recurse(prefix + [a], new_prods)
+            new = _subproducts(g.mul, (a,), prods)
+            if all(masks[i][new[i]] for i in range(len(prods), len(new))):
+                count += recurse(depth + 1, new)
+        return count
 
-    recurse([], {})
-    return count
+    return recurse(1, [])
 
 
 # ---------------------------------------------------------------------------

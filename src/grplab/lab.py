@@ -9,6 +9,7 @@ results do not depend on scheduling and any instance can be re-run alone.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,10 +180,7 @@ def _recipe_mixing_trend(cfg: ExperimentConfig, report: ExperimentReport) -> Non
                     "engine": rep.engine,
                 }
             )
-        deviations.sort()
-        mid = len(deviations) // 2
-        median = deviations[mid] if len(deviations) % 2 else (deviations[mid - 1] + deviations[mid]) / 2
-        medians[spec] = {"median_deviation": median, "quasirandomness_degree": qdeg}
+        medians[spec] = {"median_deviation": statistics.median(deviations), "quasirandomness_degree": qdeg}
     report.aggregates["per_group"] = medians
 
 

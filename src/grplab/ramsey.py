@@ -6,20 +6,24 @@ B_{i+1} = B_i meet a_i^-1 B_i: while every B_i stays nonempty, the chosen
 elements a_1..a_n have all of their increasing-order subproducts inside B_0.
 Greedy element choice (argmax of the surviving set, ties to the least
 index) makes the run deterministic; a backtracking search with prefix
-pruning covers the colorings the greedy misses.
+pruning covers the colorings the greedy misses.  Every subproduct here,
+in a witness, a backtracking prefix or a block of sampled tuples, comes
+from the one recurrence ``counting._subproducts``.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .counting import ENGINE_CAYLEY, CountReport, _pair_count, _translated_mask, count_xy_eq_z
+from .counting import ENGINE_CAYLEY, CountReport, _pair_count, _subproducts, all_nonempty_subsets
+from .counting import count_mixing_tuples, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec
-from .groups import FiniteGroup, _pair_blocks
+from .groups import PRODUCT_BLOCK, FiniteGroup, _pair_blocks
 from .rng import SplitMix64, derive
 from .sets import GroupSubset
 
@@ -254,15 +258,7 @@ class Exhausted:
 
 def increasing_products(group: FiniteGroup, elements: Sequence[int]) -> Dict[Tuple[int, ...], int]:
     """All a_F for nonempty F, products taken in increasing index order."""
-    n = len(elements)
-    out: Dict[Tuple[int, ...], int] = {}
-    for mask in range(1, 1 << n):
-        f = tuple(i + 1 for i in range(n) if (mask >> i) & 1)
-        prod = 0
-        for i in f:
-            prod = group.mul(prod, elements[i - 1])
-        out[f] = prod
-    return out
+    return dict(zip(all_nonempty_subsets(len(elements)), _subproducts(group.mul, elements)))
 
 
 def validate_witness(group: FiniteGroup, witness: TupleWitness, target: GroupSubset) -> bool:
@@ -302,7 +298,7 @@ def hindman_greedy(a: GroupSubset, n: int) -> Union[TupleWitness, FailureTrace]:
         sizes.append(best_size)
         if best_size == 0:
             return FailureTrace(tuple(chosen), tuple(sizes), step + 1)
-        current &= _translated_mask(group, best_elem, current)
+        current &= current[group.mul_arrays(best_elem, np.arange(group.order, dtype=np.int64))]
     witness = TupleWitness(tuple(chosen), None, increasing_products(group, chosen))
     if not validate_witness(group, witness, a):
         raise AssertionError("greedy witness failed re-validation")
@@ -341,31 +337,31 @@ def monochromatic_tuple_search(
                 if not validate_witness(group, witness, cls_):
                     raise AssertionError("witness failed re-validation")
                 return witness
-        found, hit = _backtrack_tuple(group, cls_, n, budget, nontrivial)
+        # nontrivial mode drops the identity from the targets, not the candidates
+        target = GroupSubset(group, cls_.mask & (np.arange(group.order) != 0)) if nontrivial else cls_
+        found, hit = _backtrack_tuple(group, cls_.indices.tolist(), target.mask, n, budget)
         budget_hit = budget_hit or hit
         if found is not None:
             witness = TupleWitness(found, j, increasing_products(group, found))
-            if not validate_witness(group, witness, cls_):
+            if not validate_witness(group, witness, target):
                 raise AssertionError("witness failed re-validation")
-            if nontrivial and any(v == 0 for v in witness.products.values()):
-                raise AssertionError("nontrivial witness contains the identity")
             return witness
     return Exhausted(budget_hit)
 
 
 def _backtrack_tuple(
     group: FiniteGroup,
-    target: GroupSubset,
+    candidates: List[int],
+    mask: np.ndarray,
     n: int,
     budget: int,
-    nontrivial: bool,
 ) -> Tuple[Optional[Tuple[int, ...]], bool]:
-    mask = target.mask
-    candidates = target.indices.tolist()
+    """Depth-first search over ``candidates`` for a tuple whose every
+    subproduct lies in ``mask``; each candidate tried is one node."""
     nodes = 0
 
     def extend(prefix: List[int], prods: List[int]) -> Optional[Tuple[int, ...]]:
-        # prods holds a_F for all nonempty F of the prefix, any order
+        # prods holds a_F for all nonempty F of the prefix, in binary order
         nonlocal nodes
         if len(prefix) == n:
             return tuple(prefix)
@@ -373,14 +369,10 @@ def _backtrack_tuple(
             nodes += 1
             if nodes > budget:
                 return None
-            if nontrivial and cand == 0:
+            new = _subproducts(group.mul, (cand,), prods)
+            if any(not mask[v] for v in new[len(prods):]):
                 continue
-            new_prods = [cand] + [group.mul(p, cand) for p in prods]
-            if any(not mask[v] for v in new_prods):
-                continue
-            if nontrivial and any(v == 0 for v in new_prods):
-                continue
-            result = extend(prefix + [cand], prods + new_prods)
+            result = extend(prefix + [cand], new)
             if result is not None:
                 return result
             if nodes > budget:
@@ -425,14 +417,12 @@ def monochromatic_tuple_density(
         else:
             hits = 0
             stream = SplitMix64(derive(seed, 0xC1B, j))
-            # blocks of about 2^16 draws bound memory; consecutive block draws
-            # continue one stream, so the tuples equal one samples*n draw
+            # blocks of about 2^16 draws; consecutive block draws continue
+            # one stream, so the tuples equal one samples*n draw
             rows = max(1, (1 << 16) // n)
             for lo in range(0, samples, rows):
                 block = stream.randrange_array(group.order, min(rows, samples - lo) * n)
-                for tup in block.reshape(-1, n).tolist():
-                    if _tuple_is_monochromatic(group, cls_.mask, tup):
-                        hits += 1
+                hits += _count_inside(group.mul_arrays, cls_.mask, block.reshape(-1, n).T)
             p = hits / samples
             se = (p * (1 - p) / samples) ** 0.5
             entry = {
@@ -449,8 +439,6 @@ def monochromatic_tuple_density(
 
 
 def _count_mono_tuples_exact(group: FiniteGroup, cls_: GroupSubset, n: int) -> int:
-    from .counting import all_nonempty_subsets, count_mixing_tuples
-
     if 2 <= n <= 4:
         sets = {f: cls_ for f in all_nonempty_subsets(n)}
         return count_mixing_tuples(n, sets).count
@@ -459,16 +447,33 @@ def _count_mono_tuples_exact(group: FiniteGroup, cls_: GroupSubset, n: int) -> i
     raise BudgetExceeded(f"exact monochromatic tuple count supports n in 1..4, got {n}")
 
 
-def _tuple_is_monochromatic(group: FiniteGroup, mask: np.ndarray, tup: List[int]) -> bool:
-    n = len(tup)
-    for fmask in range(1, 1 << n):
-        prod = 0
-        for i in range(n):
-            if (fmask >> i) & 1:
-                prod = group.mul(prod, tup[i])
-        if not mask[prod]:
-            return False
-    return True
+def _count_inside(mul, mask: np.ndarray, cols: np.ndarray, prods: Optional[np.ndarray] = None) -> int:
+    """How many columns of ``cols`` (one tuple each, a row per position) have
+    every subproduct in ``mask``; ``prods`` holds the subproducts of earlier
+    positions as rows, in the order of ``all_nonempty_subsets``.  A tuple
+    leaves at its first position with a subproduct outside ``mask``.
+    Survivors whose next rows would pass PRODUCT_BLOCK go on in chunks sized
+    for all 2^n - 1 rows; only a lone tuple whose first 2^20 subproducts lie
+    in ``mask`` holds more."""
+    if prods is None:
+        prods = np.empty((0, cols.shape[1]), dtype=np.int64)
+    while len(cols) and cols.shape[1]:
+        m = cols.shape[1]
+        if m > 1 and m * (2 * len(prods) + 1) > PRODUCT_BLOCK:
+            chunk = max(1, PRODUCT_BLOCK // (((len(prods) + 1) << len(cols)) - 1))
+            return sum(
+                _count_inside(mul, mask, cols[:, lo : lo + chunk], prods[:, lo : lo + chunk])
+                for lo in range(0, m, chunk)
+            )
+        # the prefix's rows go through the recurrence as one block: they
+        # come back as [rows, a, rows * a], the next rows in order
+        done = len(prods)
+        prods = np.vstack(_subproducts(mul, (cols[0],), (prods,)))
+        keep = mask[prods[done:]].all(axis=0)
+        cols = cols[1:]
+        if not keep.all():
+            cols, prods = cols[:, keep], prods[:, keep]
+    return cols.shape[1]
 
 
 def cip_density_experiment(
@@ -496,8 +501,6 @@ def cip_density_experiment(
         )
         per_trial.append(result)
     maxima = sorted(r["max_density"] for r in per_trial)
-    mid = len(maxima) // 2
-    median = maxima[mid] if len(maxima) % 2 else (maxima[mid - 1] + maxima[mid]) / 2
     return {
         "group": group.spec_text,
         "k": k,
@@ -505,7 +508,7 @@ def cip_density_experiment(
         "trials": trials,
         "seed": seed,
         "min_max_density": maxima[0],
-        "median_max_density": median,
+        "median_max_density": statistics.median(maxima),
         "max_max_density": maxima[-1],
         "per_trial": per_trial,
     }

@@ -99,10 +99,6 @@ class GroupSubset:
         return f"<GroupSubset {body} of {self.group.spec_text}>"
 
 
-def subset_from_json(group: FiniteGroup, text: str) -> GroupSubset:
-    return GroupSubset.from_indices(group, json.loads(text))
-
-
 def _require_same_group(*sets: GroupSubset) -> FiniteGroup:
     g = sets[0].group
     for s in sets[1:]:

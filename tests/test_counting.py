@@ -466,6 +466,31 @@ def test_mixing_n4_nonabelian_matches_brute():
     assert fast.count == brute.count
 
 
+def _mixing_family(g, n, empty):
+    """Seeded targets of density 0.6, except A_F for F = ``empty``."""
+    sets = {f: _random_subset(g, 0.6, derive(41, g.order, n, *f)) for f in all_nonempty_subsets(n)}
+    if empty is not None:
+        sets[empty] = GroupSubset.empty(g)
+    return sets
+
+
+# (n, empty target): with A_{n-1} or A_n empty, one side of the last pair
+# count, X or Y, is empty for every prefix; at n = 4 the random targets
+# leave X (density about 0.6^4 of 24) empty for many prefixes.  The n = 4
+# brute count takes seconds, so only the random family runs there.
+MIXING_FAMILIES = [(2, None), (2, (1,)), (2, (2,)), (3, None), (3, (2,)), (3, (3,)), (4, None)]
+
+
+@pytest.mark.parametrize("spec", ["perm:(1 2 3 4);(1 2)", "Z/6 x Z/4"])
+@pytest.mark.parametrize("n, empty", MIXING_FAMILIES)
+def test_mixing_prefix_matches_brute_with_empty_sides(spec, n, empty):
+    g = build_group(spec)
+    sets = _mixing_family(g, n, empty)
+    fast = count_mixing_tuples(n, sets)
+    assert fast.count == count_mixing_tuples(n, sets, "brute").count
+    assert (fast.count == 0) == (empty is not None) and fast.engine == "CayleyConvolution"
+
+
 def test_fiber_equation_matches_triple_oracle():
     g = build_group("Z/9")
     a = GroupSubset.from_indices(g, [0, 1, 3, 4, 7])

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import functools
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from grplab.counting import _subproducts, all_nonempty_subsets
 from grplab.groups import build_group
 from grplab.ramsey import (
     Coloring,
-    _tuple_is_monochromatic,
     Exhausted,
     FailureTrace,
     TupleWitness,
@@ -254,6 +258,70 @@ def test_search_never_exhausted_in_trivial_mode():
             assert validate_witness(g, w, col.color_class(w.color))
 
 
+def _backtrack_with_identity_checks(group, target, n, budget, nontrivial):
+    # the backtracking search as it stood with explicit identity checks:
+    # the oracle for the nontrivial mode's target mask without the identity
+    mask = target.mask
+    candidates = target.indices.tolist()
+    nodes = 0
+
+    def extend(prefix, prods):
+        nonlocal nodes
+        if len(prefix) == n:
+            return tuple(prefix)
+        for cand in candidates:
+            nodes += 1
+            if nodes > budget:
+                return None
+            if nontrivial and cand == 0:
+                continue
+            new_prods = [cand] + [group.mul(p, cand) for p in prods]
+            if any(not mask[v] for v in new_prods):
+                continue
+            if nontrivial and any(v == 0 for v in new_prods):
+                continue
+            result = extend(prefix + [cand], prods + new_prods)
+            if result is not None:
+                return result
+            if nodes > budget:
+                return None
+        return None
+
+    found = extend([], [])
+    return found, nodes > budget
+
+
+def _nontrivial_search_oracle(coloring, n, budget):
+    budget_hit = False
+    for j in range(coloring.k):
+        cls_ = coloring.color_class(j)
+        if cls_.card == 0:
+            continue
+        found, hit = _backtrack_with_identity_checks(coloring.group, cls_, n, budget, True)
+        budget_hit = budget_hit or hit
+        if found is not None:
+            return found, j
+    return Exhausted(budget_hit)
+
+
+@pytest.mark.parametrize("spec", ["Z/9", "perm:(1 2 3 4);(1 2)", "PSL2(5)"])
+def test_nontrivial_search_matches_the_explicit_identity_checks(spec):
+    g = fleet_group(spec) if spec in FLEET_SPECS else build_group(spec)
+    seen = set()
+    for k, n, seed in ((2, 2, 3), (2, 3, 5), (3, 3, 8)):
+        col = Coloring.random(g, k, derive(61, seed))
+        for budget in range(1, 201):
+            got = monochromatic_tuple_search(col, n, budget=budget, nontrivial=True)
+            want = _nontrivial_search_oracle(col, n, budget)
+            if isinstance(want, Exhausted):
+                assert got == want
+            else:
+                assert (got.elements, got.color) == want
+                assert 0 not in got.products.values()
+            seen.add(type(got))
+    assert seen == {TupleWitness, Exhausted}
+
+
 def test_greedy_success_implies_search_success():
     z9 = build_group("Z/9")
     col = Coloring.random(z9, 2, 77)
@@ -320,10 +388,80 @@ def test_random_coloring_and_sampled_density_follow_the_scalar_stream():
         mask = col.color_class(j).mask
         stream = SplitMix64(derive(9, 0xC1B, j))
         hits = sum(
-            _tuple_is_monochromatic(z12, mask, [stream.randrange(12) for _ in range(3)])
+            all(mask[v] for v in _subproducts(z12.mul, [stream.randrange(12) for _ in range(3)]))
             for _ in range(samples)
         )
         assert entry["density"] == hits / samples
+
+
+def _inside_from_scratch(group, mask, tup):
+    # each a_F multiplied out on its own, F in binary order, stopping at
+    # the first F outside
+    n = len(tup)
+    return all(
+        mask[functools.reduce(group.mul, (tup[i] for i in range(n) if fmask >> i & 1), 0)]
+        for fmask in range(1, 1 << n)
+    )
+
+
+@pytest.mark.parametrize("spec", ["perm:(1 2 3 4);(1 2)", "PSL2(5)"])
+def test_subproducts_match_products_from_scratch(spec):
+    g = fleet_group(spec)
+    stream = SplitMix64(derive(11, g.order))
+    for n in (3, 4):
+        cols = stream.randrange_array(g.order, 40 * n).reshape(-1, n)
+        by_arrays = _subproducts(g.mul_arrays, cols.T)
+        for row, tup in enumerate(cols.tolist()):
+            expect = [functools.reduce(g.mul, (tup[i - 1] for i in f), 0) for f in all_nonempty_subsets(n)]
+            assert _subproducts(g.mul, tup) == expect
+            assert [int(p[row]) for p in by_arrays] == expect
+            # extending a prefix's list gives the same list
+            assert _subproducts(g.mul, tup[2:], _subproducts(g.mul, tup[:2])) == expect
+
+
+@pytest.mark.parametrize("spec, n", [("perm:(1 2 3 4);(1 2)", 4), ("Z/2 x Z/2", 5), ("perm:(1 2 3 4);(1 2)", 24)])
+def test_sampled_density_matches_tuples_checked_from_scratch(spec, n):
+    # at n = 24 a tuple has 2^24 - 1 subproducts, but each sampled tuple
+    # leaves at an early position with one outside its class
+    g = build_group(spec)
+    col = Coloring.random(g, 2, 3)
+    samples = 3000
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        out = monochromatic_tuple_density(col, n, max_exact_iterations=0, samples=samples, seed=4)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
+    assert elapsed < 10, elapsed
+    for j, entry in enumerate(out["per_color"]):
+        mask = col.color_class(j).mask
+        stream = SplitMix64(derive(4, 0xC1B, j))
+        hits = sum(
+            _inside_from_scratch(g, mask, [stream.randrange(g.order) for _ in range(n)]) for _ in range(samples)
+        )
+        assert entry["density"] == hits / samples
+
+
+def test_sampled_cip_holds_at_most_a_block_of_subproducts():
+    # one colour: every one of the 6553 tuples in a block of 2^16 draws at
+    # n = 10 keeps all 1023 subproducts, 53 MB of int64 at once unless the
+    # survivors go on in chunks of PRODUCT_BLOCK subproducts (about 23 MB
+    # traced with chunks: the block's rows so far and one chunk's stack;
+    # 108 MB without)
+    s4 = fleet_group("perm:(1 2 3 4);(1 2)")
+    col = Coloring(s4, np.zeros(s4.order, dtype=np.int64), 1)
+    samples = (1 << 16) // 10
+    tracemalloc.start()
+    try:
+        out = monochromatic_tuple_density(col, 10, max_exact_iterations=0, samples=samples, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["per_color"] == [{"color": 0, "density": 1.0, "stderr": 0.0, "samples": samples, "exact": False}]
+    assert peak <= 32 << 20, peak
 
 
 def test_cip_sampling_close_to_exact():

@@ -52,6 +52,8 @@ IN_LIMITS = [
     (["group", "--group", "Z/200000", "--classes"], 10),
     (["group", "--group", "PSL2(73)", "--classes"], 10),
     (["quasirandom", "--group", "table:{dihedral}"], 10),
+    # 177^4 tuples, just inside the mixing budget of 10^9
+    (["mixing", "--group", "Z/177", "--n", "4", "--set-all", "random:0.7,1"], 10),
 ]
 
 

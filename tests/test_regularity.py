@@ -130,8 +130,9 @@ def test_product_rich_matches_oracle_exhaustively(spec, eps):
     for mask in range(1 << g.order):
         a = GroupSubset.from_indices(g, [i for i in range(g.order) if (mask >> i) & 1])
         got = check_product_rich(a, eps)
-        want_status, _ = _rich_oracle(a, eps)
+        want_status, want_witness = _rich_oracle(a, eps)
         assert got.status == want_status
+        assert got.witness == (None if want_witness is None else (want_witness,))
         if got.status == VIOLATED:
             sub = set(got.witness[0])
             assert not any(g.mul(x, y) in sub for x in sub for y in sub)
@@ -152,8 +153,9 @@ def test_product_rich_matches_oracle_sampled_order_12(spec):
         a = GroupSubset.from_indices(g, sorted(idx))
         for eps in (Fraction(1, 2), Fraction(1)):
             got = check_product_rich(a, eps)
-            want_status, _ = _rich_oracle(a, eps)
+            want_status, want_witness = _rich_oracle(a, eps)
             assert got.status == want_status, (spec, sorted(idx), eps)
+            assert got.witness == (None if want_witness is None else (want_witness,))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)])
@@ -162,8 +164,7 @@ def test_regular_position_matches_oracle_diagonal(eps):
     for mask in range(1, 1 << g.order):
         a = GroupSubset.from_indices(g, [i for i in range(g.order) if (mask >> i) & 1])
         got = check_regular_position(a, a, a, eps)
-        want_status, _ = _regular_oracle(a, a, a, eps)
-        assert got.status == want_status
+        assert (got.status, got.witness) == _regular_oracle(a, a, a, eps)
 
 
 def test_regular_position_matches_oracle_mixed_triples():
@@ -177,8 +178,7 @@ def test_regular_position_matches_oracle_mixed_triples():
         for b in subsets:
             for c in subsets:
                 got = check_regular_position(a, b, c, eps)
-                want_status, _ = _regular_oracle(a, b, c, eps)
-                assert got.status == want_status
+                assert (got.status, got.witness) == _regular_oracle(a, b, c, eps)
 
 
 def test_sampled_mode_reports_sample_count():

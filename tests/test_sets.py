@@ -20,7 +20,6 @@ from grplab.sets import (
     make_set,
     parse_set_spec,
     product_set,
-    subset_from_json,
     symmetrize,
     tripling_constant,
 )
@@ -251,7 +250,7 @@ def test_make_set_explicit_and_json_round_trip():
     z8 = build_group("Z/8")
     a = make_set(z8, "explicit:1,5,7")
     assert a.to_index_list() == [1, 5, 7]
-    assert subset_from_json(z8, a.to_json()) == a
+    assert GroupSubset.from_indices(z8, json.loads(a.to_json())) == a
     assert json.loads(a.to_json()) == [1, 5, 7]
 
 
