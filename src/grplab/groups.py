@@ -414,7 +414,7 @@ class PSL2Group(FiniteGroup):
         if len(classes) != order:
             raise NotAGroup(f"PSL2({q}) canonicalization found {len(classes)} classes")
         classes[0] = identity_key
-        self._slot_index = np.zeros(q**3, dtype=np.int32)
+        self._slot_index = np.zeros(q**3, dtype=np.int64)
         self._slot_rest = np.full(q**3, -1, dtype=np.int16)
         self._slot_index[q:] = index
         self._slot_rest[q:] = np.where(top, d, c)
@@ -456,7 +456,7 @@ class PSL2Group(FiniteGroup):
         slot, rest = self._slot(a, b, c, d)
         if np.count_nonzero(self._slot_rest[slot] != rest):
             raise NotAGroup("product fell outside the element set")
-        return self._slot_index[slot].astype(np.int64)
+        return self._slot_index[slot]
 
     def _mul_kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # codes gathered at each factor's own shape; one broadcast add and one

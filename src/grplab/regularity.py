@@ -5,6 +5,10 @@ exponential and only offered below hard caps.  Sampled mode is a one-sided
 falsification search: it can return a violation witness but can never
 certify, which is why its clean verdict is ``no_violation_found`` with the
 sample count rather than ``verified_exact``.
+
+Every product goes through ``mul_arrays``: exact regular position tests each
+A-subset against all B- and C-subsets as one batched xyz count, sampled mode
+builds each S S^-1 S on the set layer, which also re-checks every witness.
 """
 
 from __future__ import annotations
@@ -12,10 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .errors import ExactCapExceeded, MalformedSpec
-from .sets import GroupSubset, _require_same_group
+from .groups import _pair_blocks
+from .sets import GroupSubset, _require_same_group, inverse_set, is_product_free, product_set
 from .rng import SplitMix64, derive
 
 PRODUCT_RICH_EXACT_CAP = 22
@@ -59,16 +66,41 @@ def _min_qualifying_size(card: int, eps: Fraction) -> int:
     return -((-eps.numerator * card) // eps.denominator)
 
 
+def _positions(universe: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in the sorted array ``universe``, -1 where absent."""
+    pos = np.searchsorted(universe, values)
+    return np.where(universe.take(pos, mode="clip") == values, pos, -1)
+
+
+def _sss(s: GroupSubset) -> GroupSubset:
+    return product_set(product_set(s, inverse_set(s)), s)
+
+
+def _rich_violation(group, witness: Tuple[int, ...]) -> RegularityVerdict:
+    """The violated verdict, once the set layer finds the witness product-free."""
+    if not is_product_free(GroupSubset.from_indices(group, witness)):
+        raise AssertionError("witness fails re-validation against the raw definition")
+    return RegularityVerdict(VIOLATED, witness=(witness,))
+
+
+def _regular_violation(group, witness: Sequence[Tuple[int, ...]]) -> RegularityVerdict:
+    """The violated verdict, once the set layer finds the witness (A0, B0, C0) out of position."""
+    ta, tb, tc = (_sss(GroupSubset.from_indices(group, w)) for w in witness)
+    if (product_set(ta, tb).mask & tc.mask).any():
+        raise AssertionError("witness fails re-validation against the raw definition")
+    return RegularityVerdict(VIOLATED, witness=tuple(witness))
+
+
 # ---------------------------------------------------------------------------
 # product-richness: every dense subset S0 of A has S0*S0 meeting S0
 
 
 def _internal_products(a: GroupSubset) -> List[List[int]]:
-    """prod[i][j] = position in a of a_i * a_j, or -1 when outside a."""
-    g = a.group
-    elems = a.to_index_list()
-    pos = {e: t for t, e in enumerate(elems)}
-    return [[pos.get(g.mul(x, y), -1) for y in elems] for x in elems]
+    """prod[i][j] = position in a of a_i * a_j, or -1 outside a; one int object per value."""
+    idx = a.indices
+    shared = np.array(range(-1, len(idx)), dtype=object)
+    blocks = _pair_blocks(a.group.mul_arrays, idx, idx)
+    return [row for blk in blocks for row in shared[_positions(idx, blk) + 1].tolist()]
 
 
 def _has_internal_product(combo: Sequence[int], member: int, prod: List[List[int]]) -> bool:
@@ -117,19 +149,8 @@ def _product_rich_exact(a: GroupSubset, eps: Fraction) -> RegularityVerdict:
         for i in combo:
             member |= 1 << i
         if not _has_internal_product(combo, member, prod):
-            witness = tuple(elems[i] for i in combo)
-            _assert_product_rich_witness(a, witness)
-            return RegularityVerdict(VIOLATED, witness=(witness,))
+            return _rich_violation(a.group, tuple(elems[i] for i in combo))
     return RegularityVerdict(VERIFIED_EXACT)
-
-
-def _assert_product_rich_witness(a: GroupSubset, subset: Tuple[int, ...]) -> None:
-    g = a.group
-    inside = set(subset)
-    for x in subset:
-        for y in subset:
-            if g.mul(x, y) in inside:
-                raise AssertionError("witness fails re-validation against the raw definition")
 
 
 def _product_rich_sampled(a: GroupSubset, eps: Fraction, trials: int, seed: int) -> RegularityVerdict:
@@ -173,9 +194,7 @@ def _product_rich_sampled(a: GroupSubset, eps: Fraction, trials: int, seed: int)
                 if improved:
                     break
         if score == 0:
-            witness = tuple(elems[i] for i in combo)
-            _assert_product_rich_witness(a, witness)
-            return RegularityVerdict(VIOLATED, witness=(witness,))
+            return _rich_violation(a.group, tuple(elems[i] for i in combo))
     return RegularityVerdict(NO_VIOLATION_FOUND, samples=trials)
 
 
@@ -184,20 +203,16 @@ def _product_rich_sampled(a: GroupSubset, eps: Fraction, trials: int, seed: int)
 # dense subsets A0, B0, C0
 
 
-def _sss_inv_sss(group, subset: Tuple[int, ...]) -> frozenset:
-    """The set S S^-1 S for a tuple of element indices."""
-    inv = group.inverse_table
-    pair = {group.mul(x, int(inv[y])) for x in subset for y in subset}
-    return frozenset(group.mul(p, z) for p in pair for z in subset)
-
-
-def _products_meet(group, left: frozenset, right: frozenset, target: frozenset) -> bool:
-    """Whether (left * right) intersects target, with early exit."""
-    for x in left:
-        for y in right:
-            if group.mul(x, y) in target:
-                return True
-    return False
+def _sss_rows(group, subsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """S S^-1 S of every row S of the m x s index array ``subsets``: the sorted
+    union ``universe`` and one boolean row over it per S.  All m s^3 products are
+    held at once, which only the exact cap bounds (about 1.5M at 14 elements)."""
+    m = len(subsets)
+    pairs = group.mul_arrays(subsets[:, :, None], group.inverse_table[subsets][:, None, :].astype(np.int64))
+    universe, pos = np.unique(group.mul_arrays(pairs.reshape(m, -1, 1), subsets[:, None, :]), return_inverse=True)
+    rows = np.zeros((m, len(universe)), dtype=bool)
+    rows[np.arange(m)[:, None], pos.reshape(m, -1)] = True
+    return universe, rows
 
 
 def check_regular_position(
@@ -229,46 +244,40 @@ def check_regular_position(
     raise MalformedSpec(f"unknown mode {mode!r}")
 
 
-def _qualifying_subsets(s: GroupSubset, eps: Fraction) -> List[Tuple[int, ...]]:
-    """The subsets of s of the least qualifying size, in lexicographic order.
-    Every violation shrinks to one made of such subsets, and an ascending
-    enumeration of all sizes would find that one first."""
-    return list(itertools.combinations(s.to_index_list(), _min_qualifying_size(s.card, eps)))
-
-
-def _dedupe_by_sss(group, subsets: List[Tuple[int, ...]]):
-    """Group subsets by their S S^-1 S value, keeping first representatives."""
-    reps: List[Tuple[frozenset, Tuple[int, ...]]] = []
-    seen: Dict[frozenset, int] = {}
-    for sub in subsets:
-        val = _sss_inv_sss(group, sub)
-        if val not in seen:
-            seen[val] = len(reps)
-            reps.append((val, sub))
-    return reps
+def _first_miss(group, a, b, c) -> Optional[Tuple[int, int, int]]:
+    """The least (i, j, k) with a_i b_j disjoint from c_k, or None, for
+    (universe, rows) pairs a, b, c from :func:`_sss_rows`.  hits[y, z] = 1 when
+    x*y = z for some x in a_i, so rb @ hits @ rc.T is the xyz count N(a_i, b_j,
+    c_k) for every (j, k) at once.  Only zero against nonzero is read, and a
+    float32 sum of nonnegative terms is zero only when every term is."""
+    (ua, ra), (ub, rb), (uc, rc) = a, b, c
+    # position in uc of each ua[x] * ub[y], or -1 (a spare column) outside uc
+    pos = np.concatenate([_positions(uc, blk) for blk in _pair_blocks(group.mul_arrays, ua, ub)])
+    rb, rct = rb.astype(np.float32), rc.T.astype(np.float32)
+    for i, row in enumerate(ra):
+        hits = np.zeros((len(ub), len(uc) + 1), dtype=np.float32)
+        hits[np.arange(len(ub)), pos[row]] = 1
+        counts = rb @ hits[:, :-1] @ rct
+        if not counts.all():
+            return (i, *divmod(int(counts.argmin()), counts.shape[1]))
+    return None
 
 
 def _regular_position_exact(group, a, b, c, eps: Fraction) -> RegularityVerdict:
     if min(a.card, b.card, c.card) == 0:
         return RegularityVerdict(VERIFIED_EXACT)
-    reps_a = _dedupe_by_sss(group, _qualifying_subsets(a, eps))
-    reps_b = _dedupe_by_sss(group, _qualifying_subsets(b, eps))
-    reps_c = _dedupe_by_sss(group, _qualifying_subsets(c, eps))
-    for ta, wa in reps_a:
-        for tb, wb in reps_b:
-            for tc, wc in reps_c:
-                if not _products_meet(group, ta, tb, tc):
-                    _assert_regular_witness(group, wa, wb, wc)
-                    return RegularityVerdict(VIOLATED, witness=(wa, wb, wc))
-    return RegularityVerdict(VERIFIED_EXACT)
-
-
-def _assert_regular_witness(group, wa, wb, wc) -> None:
-    ta = _sss_inv_sss(group, wa)
-    tb = _sss_inv_sss(group, wb)
-    tc = _sss_inv_sss(group, wc)
-    if _products_meet(group, ta, tb, tc):
-        raise AssertionError("witness fails re-validation against the raw definition")
+    # the first subset of least qualifying size of each S S^-1 S value, which
+    # an ascending enumeration of all sizes would also find first
+    reps = []
+    for s in (a, b, c):
+        subsets = np.array(list(itertools.combinations(s.to_index_list(), _min_qualifying_size(s.card, eps))))
+        universe, rows = _sss_rows(group, subsets)
+        first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+        reps.append((subsets[first], universe, rows[first]))
+    miss = _first_miss(group, *((universe, rows) for _, universe, rows in reps))
+    if miss is None:
+        return RegularityVerdict(VERIFIED_EXACT)
+    return _regular_violation(group, [tuple(subsets[t].tolist()) for (subsets, _, _), t in zip(reps, miss)])
 
 
 def _regular_position_sampled(group, a, b, c, eps: Fraction, trials: int, seed: int) -> RegularityVerdict:
@@ -278,12 +287,8 @@ def _regular_position_sampled(group, a, b, c, eps: Fraction, trials: int, seed: 
     sizes = [_min_qualifying_size(s.card, eps) for s in (a, b, c)]
     pools = [s.to_index_list() for s in (a, b, c)]
     for _ in range(trials):
-        subs = [
-            tuple(sorted(pool[i] for i in rng.sample_indices(len(pool), size)))
-            for pool, size in zip(pools, sizes)
-        ]
-        vals = [_sss_inv_sss(group, sub) for sub in subs]
-        if not _products_meet(group, vals[0], vals[1], vals[2]):
-            _assert_regular_witness(group, *subs)
-            return RegularityVerdict(VIOLATED, witness=tuple(subs))
+        subs = [tuple(sorted(pool[i] for i in rng.sample_indices(len(pool), size))) for pool, size in zip(pools, sizes)]
+        ta, tb, tc = (_sss(GroupSubset.from_indices(group, sub)) for sub in subs)
+        if not any(tc.mask[group.mul_arrays(x, tb.indices)].any() for x in ta.indices):
+            return _regular_violation(group, subs)
     return RegularityVerdict(NO_VIOLATION_FOUND, samples=trials)

@@ -54,6 +54,22 @@ IN_LIMITS = [
     (["quasirandom", "--group", "table:{dihedral}"], 10),
     # 177^4 tuples, just inside the mixing budget of 10^9
     (["mixing", "--group", "Z/177", "--n", "4", "--set-all", "random:0.7,1"], 10),
+    # three 14-element sets, the exact cap, with 1768, 1383 and 812 distinct
+    # S S^-1 S values: about 2*10^9 triples
+    (
+        [
+            "regular",
+            "--group",
+            "PSL2(5)",
+            "--eps",
+            "1/2",
+            "--sets",
+            "explicit:0,4,5,10,12,15,28,32,35,37,43,44,47,55",
+            "explicit:7,9,10,11,12,16,23,26,43,44,49,52,53,56",
+            "explicit:1,6,15,17,22,27,31,35,41,48,49,50,56,57",
+        ],
+        15,
+    ),
 ]
 
 

@@ -216,3 +216,115 @@ def test_sampled_mode_is_deterministic():
     v1 = check_product_rich(a, Fraction(1, 2), mode="sampled", trials=25, seed=11)
     v2 = check_product_rich(a, Fraction(1, 2), mode="sampled", trials=25, seed=11)
     assert v1 == v2
+
+
+# --- nonabelian witnesses and re-validation ----------------------------------
+
+
+def _seeded_triples(g, count, seed):
+    from grplab.rng import SplitMix64, derive
+
+    stream = SplitMix64(derive(seed, g.order))
+    for _ in range(count):
+        yield [
+            GroupSubset.from_indices(g, sorted(stream.sample_indices(g.order, 1 + stream.randrange(6))))
+            for _ in range(3)
+        ]
+
+
+def _sss_scalar(g, sub):
+    inv = g.inverse_table
+    pair = {g.mul(x, int(inv[y])) for x in sub for y in sub}
+    return frozenset(g.mul(p, z) for p in pair for z in sub)
+
+
+def _regular_sampled_scalar(a, b, c, eps, trials, seed):
+    """The scalar sampled loop: the same draws, each triple's S S^-1 S
+    values built and tested one product at a time."""
+    from grplab.rng import SplitMix64, derive
+
+    g = a.group
+    if min(a.card, b.card, c.card) == 0:
+        return NO_VIOLATION_FOUND, 0, None
+    rng = SplitMix64(derive(seed, 0x3E6))
+    sizes = [_ceil_frac(eps.numerator * s.card, eps.denominator) for s in (a, b, c)]
+    pools = [s.to_index_list() for s in (a, b, c)]
+    for _ in range(trials):
+        subs = [
+            tuple(sorted(pool[i] for i in rng.sample_indices(len(pool), size)))
+            for pool, size in zip(pools, sizes)
+        ]
+        ta, tb, tc = (_sss_scalar(g, sub) for sub in subs)
+        if not any(g.mul(x, y) in tc for x in ta for y in tb):
+            return VIOLATED, None, tuple(subs)
+    return NO_VIOLATION_FOUND, trials, None
+
+
+NONABELIAN = ["perm:(1 2 3 4);(1 2)", "PSL2(5)", "perm:(1 2 3);(1 2)(3 4)"]
+
+
+@pytest.mark.parametrize("spec", NONABELIAN)
+def test_regular_position_exact_matches_oracle_on_nonabelian_groups(spec):
+    g = fleet_group(spec)
+    found = set()
+    for a, b, c in _seeded_triples(g, 30, 9091):
+        for eps in (Fraction(1, 2), Fraction(1)):
+            got = check_regular_position(a, b, c, eps)
+            assert (got.status, got.witness) == _regular_oracle(a, b, c, eps)
+            found.add(got.status)
+    assert found == {VERIFIED_EXACT, VIOLATED}
+
+
+@pytest.mark.parametrize("spec", NONABELIAN)
+def test_regular_position_sampled_matches_the_scalar_loop(spec):
+    g = fleet_group(spec)
+    found = set()
+    for t, (a, b, c) in enumerate(_seeded_triples(g, 40, 5077)):
+        for eps in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            got = check_regular_position(a, b, c, eps, mode="sampled", trials=30, seed=t)
+            assert (got.status, got.samples, got.witness) == _regular_sampled_scalar(a, b, c, eps, 30, t)
+            found.add(got.status)
+    assert found == {NO_VIOLATION_FOUND, VIOLATED}
+
+
+def test_regular_witness_is_rechecked_on_the_set_layer(monkeypatch):
+    import grplab.regularity as regularity
+
+    z3 = build_group("Z/3")
+    g3 = GroupSubset.full(z3)
+    # (G G^-1 G)(G G^-1 G) meets G, so no triple of subsets misses
+    monkeypatch.setattr(regularity, "_first_miss", lambda *args: (0, 0, 0))
+    with pytest.raises(AssertionError, match="re-validation"):
+        check_regular_position(g3, g3, g3, Fraction(1, 2))
+
+
+def test_product_rich_witness_is_rechecked_on_the_set_layer(monkeypatch):
+    import grplab.regularity as regularity
+
+    z5 = build_group("Z/5")
+    a = GroupSubset.full(z5)
+    # with no internal product recorded, the first subset looks product-free
+    # though it holds 0 * 0 = 0
+    monkeypatch.setattr(regularity, "_internal_products", lambda a: [[-1] * a.card for _ in range(a.card)])
+    for mode in ("exact", "sampled"):
+        with pytest.raises(AssertionError, match="re-validation"):
+            check_product_rich(a, Fraction(1, 2), mode=mode, trials=5)
+
+
+def test_sampled_regular_position_on_slow_growing_sets_stays_small():
+    import time
+    import tracemalloc
+
+    # S S^-1 of a 1000-element subset of an interval has about 4000 values,
+    # far below the 10^6 pairs, so each drawn value must not cost s^3 products
+    a = make_set(build_group("Z/100000"), "interval:0,2000")
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        got = check_regular_position(a, a, a, Fraction(1, 2), mode="sampled", trials=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.to_dict() == {"status": NO_VIOLATION_FOUND, "samples": 3}
+    assert time.monotonic() - start < 10
+    assert peak < 40 * 2**20
