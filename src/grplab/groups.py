@@ -3,29 +3,30 @@
 Index 0 is always the identity.  Every group exposes scalar ``mul``/``inv``
 and one vectorized product, ``mul_arrays``, used by every caller.  For
 orders n <= TABLE_CAP the full Cayley table is a private cache behind
-``mul_arrays``: products go to the subclass kernel (field arithmetic,
-permutation composition, addition mod n) until the kernel has evaluated n^2
-of them, then the table is built and every later product is a gather.
+``mul_arrays``: products go to the subclass kernel (composition of point
+images, addition mod n) until the kernel has evaluated n^2 of them, then
+the table is built and every later product is a gather.
 Building at that point costs at most twice the cheaper of "never build" and
 "build first".  Scalar ``mul`` neither counts toward n^2 nor builds the
 table: each class computes one product in plain Python, PSL2 and
 permutation groups over zero-copy memoryviews of their kernel's own arrays.
-Above TABLE_CAP every vector product goes to the kernel: PSL2(q) reads
-each entry of a matrix product, a dot product of a row and a column, from
-one table of all q^4 of them and finds the product in a dense index of q^3
-slots over SL2(q); a permutation group sums the product's key one point at
-a time from the flattened image array and finds it among the sorted keys.
-Both gather per-element codes at each operand's own shape, so only the
-final adds and gathers run at the broadcast shape.  A direct product
+Above TABLE_CAP every vector product goes to the kernel.  PSL2(q) and
+permutation groups both describe an element by its images of a set of
+points and compose a product's key from them (:func:`_composed_keys`):
+PSL2(q) the images of 0, 1 and infinity on the projective line, found in a
+dense index of (q+1)^3 slots, and a permutation group the images of every
+point, found in one hashed table.  The images of the right factor are
+gathered at its own shape, so only the composition's gathers and the key's
+adds run at the broadcast shape.  A direct product
 (``Z/a x Z/b`` included) indexes its elements in mixed radix, last factor
 fastest.  Z/n and every product of cyclic groups, nested ones included, add
 digit by digit with carries dropped (:func:`_cyclic_mul`): x + y, less m*s
 for each digit of modulus m and stride s whose two summands reach m.  Other
 direct products multiply factor by factor through each factor's kernel.
-Construction works on whole arrays:
-PSL2(q) lists SL2(q) in closed form, one matrix per slot of its index, and
-a permutation group closes its generators one breadth-first layer of keys
-at a time.  It is deterministic: the same specification always yields the
+Construction works on whole arrays: PSL2(q) lists SL2(q) in closed form
+and takes each element's point images from the field tables, and a
+permutation group closes its generators one breadth-first layer of keys at
+a time.  It is deterministic: the same specification always yields the
 same indexing.
 
 Every "all x in one index array times all y in another" scan, here and in
@@ -50,7 +51,6 @@ Spec grammar accepted by :func:`parse_group_spec`:
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple, Union
@@ -65,6 +65,33 @@ TABLE_CAP = 4096
 DEFAULT_ORDER_CAP = 200_000
 PRODUCT_BLOCK = 1 << 20
 _ASSOC_SAMPLE_CAP = 50_000_000
+# Fibonacci hashing: the odd integer nearest 2^64 divided by the golden ratio
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+_U64_MASK = (1 << 64) - 1
+
+
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct entries of ``values``: plain ``np.unique``, which
+    under numpy 2.4 imports ``numpy.ma`` (about 9 ms) to check for a mask."""
+    out = np.sort(values, axis=None)
+    if len(out) > 1:
+        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
+    return out
+
+
+def _composed_keys(images: np.ndarray, width: int, columns: np.ndarray, a, b) -> np.ndarray:
+    """The key of each product a*b in a group of permutations of ``width``
+    points, ``images`` their flat n x width image array: (f*g)(x) = f(g(x)) is
+    entry f*width + g(x), and the key reads the product's images of the
+    points whose image columns are ``columns`` as base-``width`` digits, first
+    point most significant.  Columns are gathered at b's own shape and the
+    key sums one point at a time, so no (products, points) array is built."""
+    row = np.asarray(a, dtype=np.int64) * width
+    key = images[row + columns[0][b]].astype(np.int64)
+    for column in columns[1:]:
+        key *= width
+        key += images[row + column[b]]
+    return key
 
 
 def _pair_blocks(mul, left: np.ndarray, right: np.ndarray):
@@ -373,17 +400,18 @@ class PSL2Group(FiniteGroup):
 
     Matrices are canonicalized to the lexicographically smaller of M and -M
     on the flattened entry tuple (a, b, c, d); index 0 is the identity and
-    the other elements follow in key order.  Products are looked up in a
-    dense index over every matrix of SL2(q), both signs included: (a, b, c)
-    determine d when a != 0, and (b, d) determine c when a = 0, so each
-    matrix has its own slot among q^3 and one remaining entry to compare.
+    the other elements follow in key order.
 
-    Each entry of a product, such as a1*a2 + b1*c2, is one gather from a
-    table of every dot product u*s + v*t over GF(q), at the sum of a row
-    code of the left factor and a column code of the right one.  The table
-    takes q^4 bytes (0.7 MB at q = 29, 28 MB at q = 73) and one broadcast
-    gather of the field tables to build.  The scalar ``mul`` reads the same
-    codes, dot table and slot index through memoryviews.
+    Products are taken on the action x -> (ax + b)/(cx + d) on the q + 1
+    points of the projective line over GF(q): points 0..q-1 are the field
+    elements and point q is infinity.  PSL2(q) acts faithfully there, and
+    PGL2(q) is sharply 3-transitive, so the images of 0, 1 and infinity fix
+    an element.  Each element keeps the images of all q + 1 points, one byte
+    each (n(q+1) bytes, 14.4 MB at q = 73).  A product composes the images
+    of the three points (:func:`_composed_keys`) and finds its element in a
+    dense index of (q+1)^3 slots keyed by them (3.2 MB at q = 73), where -1
+    marks a slot that no element fills.  The scalar ``mul`` reads the same
+    images and index through memoryviews.
     """
 
     def __init__(self, q: int) -> None:
@@ -395,12 +423,10 @@ class PSL2Group(FiniteGroup):
         self.is_abelian = order <= 2
 
         f_mul, f_add, f_neg, f_inv = field.mul_table, field.add_table, field.neg_table, field.inv_table
-        # SL2(q) in closed form, one matrix per slot of the dense index (see
-        # _slot): slot (a*q + b)*q + c with a != 0 holds d = a^-1 (1 + bc),
-        # and slot b*q + d with b != 0 holds a = 0, c = -b^-1.  The q slots
-        # with a = b = 0 hold none; their remaining entry -1 matches no product.
-        slot = np.arange(q, q**3, dtype=np.int64)
-        a, b, x = slot // (q * q), slot // q % q, slot % q
+        # SL2(q) in closed form, one matrix per code (a*q + b)*q + x >= q:
+        # c = x and d = a^-1 (1 + bc) when a != 0, else c = -b^-1 and d = x
+        code = np.arange(q, q**3, dtype=np.int64)
+        a, b, x = code // (q * q), code // q % q, code % q
         top = a != 0
         c = np.where(top, x, f_neg[f_inv[b]])
         d = np.where(top, f_mul[f_inv[a], f_add[1, f_mul[b, x]]], x)
@@ -410,71 +436,76 @@ class PSL2Group(FiniteGroup):
             keys = np.minimum(keys, self._encode(f_neg[a], f_neg[b], f_neg[c], f_neg[d]))
         identity_key = self._encode(1, 0, 0, 1)
         keys[keys == identity_key] = -1  # the identity sorts first
-        classes, index = np.unique(keys, return_inverse=True)
+        classes = _distinct(keys)
         if len(classes) != order:
             raise NotAGroup(f"PSL2({q}) canonicalization found {len(classes)} classes")
         classes[0] = identity_key
-        self._slot_index = np.zeros(q**3, dtype=np.int64)
-        self._slot_rest = np.full(q**3, -1, dtype=np.int16)
-        self._slot_index[q:] = index
-        self._slot_rest[q:] = np.where(top, d, c)
-
         a, b, c, d = ((classes // q**e % q).astype(np.int32) for e in (3, 2, 1, 0))
         self._mats = (a, b, c, d)
-        # every entry of a product is a dot product u*s + v*t of a row (u, v)
-        # of the left factor with a column (s, t) of the right one; this
-        # table holds it at (u*q + v)*q^2 + s*q + t, one byte per entry for
-        # q <= 256 (q^4 bytes: 28 MB at q = 73)
-        u, v, s, t = np.ix_(*[np.arange(q)] * 4)
-        self._dot = f_add.astype(np.min_scalar_type(q - 1))[f_mul[u, s], f_mul[v, t]].ravel()
-        # row codes (u*q + v)*q^2 of the rows (a, b) and (c, d) of each
-        # element, and column codes s*q + t of its columns (a, c) and (b, d)
-        a, b, c, d = (m.astype(np.int64) for m in self._mats)
-        self._rows = ((a * q + b) * q * q, (c * q + d) * q * q)
-        self._cols = (a * q + c, b * q + d)
-        # zero-copy views of the same arrays for the scalar mul, whose items
-        # read as Python ints; one tuple, unpacked once per call
-        self._views = tuple(
-            memoryview(v) for v in (*self._rows, *self._cols, self._dot, self._slot_rest, self._slot_index)
-        )
-        # inverse of unimodular [[a,b],[c,d]] is [[d,-b],[-c,a]]
-        self.inverse_table = self._canonical_lookup(d, f_neg[b], f_neg[c], a).astype(np.int32)
+
+        # div[u*q + v] = u/v, and infinity where v = 0; the image of a field
+        # point x is div at (ax + b)*q + cx + d, and that of infinity div at a*q + c
+        div = f_mul[:, f_inv].astype(np.min_scalar_type(q))
+        div[:, 0] = q
+        div = div.ravel()
+        # line[u*q + v, x] = ux + v: the rows (a, b) and (c, d) at every field point
+        line = f_add[f_mul, np.arange(q)[:, None, None]].transpose(1, 0, 2).reshape(q * q, q)
+        line = line.astype(np.min_scalar_type(q * q))
+        rows = (a.astype(np.int64) * q + b, c.astype(np.int64) * q + d)
+        # one byte per image for q <= 255
+        self.images = np.empty((order, q + 1), dtype=div.dtype)
+        step = max(1, PRODUCT_BLOCK // q)
+        for lo in range(0, order, step):
+            frac = line[rows[0][lo:lo + step]] * q
+            frac += line[rows[1][lo:lo + step]]
+            self.images[lo:lo + step, :q] = div[frac]
+        self.images[:, q] = div[a * q + c]
+        self._width = q + 1
+        self._columns = np.ascontiguousarray(self.images[:, [0, 1, q]].T)
+        self._index = np.full(self._width**3, -1, dtype=np.int64)
+        self._index[self._key(*self._columns)] = np.arange(order)
+        if np.count_nonzero(self._index >= 0) != order:
+            raise NotAGroup(f"PSL2({q}) images of 0, 1 and infinity do not separate its elements")
+        # zero-copy views for the scalar mul, whose items read as Python ints
+        self._views = (memoryview(self.images.ravel()), memoryview(self._index))
+        # the inverse [[d,-b],[-c,a]] sends 0, 1 and infinity to -b/a,
+        # (d - b)/(a - c) and d/(-c)
+        nb, nc = f_neg[b], f_neg[c]
+        self.inverse_table = self._lookup(self._key(
+            div[nb * q + a], div[f_add[d, nb] * q + f_add[a, nc]], div[d * q + nc]
+        )).astype(np.int32)
 
     def _encode(self, a, b, c, d) -> np.ndarray:
         q = self.q
         return ((np.asarray(a, dtype=np.int64) * q + b) * q + c) * q + d
 
-    def _slot(self, a, b, c, d):
-        """Dense-index slot and remaining entry of the matrix [[a,b],[c,d]]:
-        slot (a*q + b)*q + c with remaining d when a != 0, which lies in
-        [q^2, q^3); slot b*q + d with remaining c when a = 0, in [0, q^2)."""
-        swap = (a == 0) * (d - c)
-        return (a * self.q + b) * self.q + c + swap, d - swap
+    def _key(self, zero, one, infinity) -> np.ndarray:
+        """Index slot of the elements with these images of 0, 1 and infinity."""
+        w = self._width
+        return (np.asarray(zero, dtype=np.int64) * w + one) * w + infinity
 
-    def _canonical_lookup(self, a, b, c, d) -> np.ndarray:
-        """Element index of each matrix; raises NotAGroup off SL2(q)."""
-        slot, rest = self._slot(a, b, c, d)
-        if np.count_nonzero(self._slot_rest[slot] != rest):
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Element index of each key; raises NotAGroup at a slot no element fills."""
+        out = self._index[keys]
+        if out.size and out.min() < 0:
             raise NotAGroup("product fell outside the element set")
-        return self._slot_index[slot]
+        return out
 
     def _mul_kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # codes gathered at each factor's own shape; one broadcast add and one
-        # table gather per entry, widened because _slot subtracts entries
-        rows = [v[x] for v in self._rows]
-        cols = [v[y] for v in self._cols]
-        return self._canonical_lookup(*(self._dot[r + c].astype(np.int32) for r in rows for c in cols))
+        return self._lookup(_composed_keys(self.images.ravel(), self._width, self._columns, x, y))
 
     def mul(self, i: int, j: int) -> int:
-        # the kernel's codes, dot table and slot rule, one product in Python
-        top, bottom, left, right, dot, rests, index = self._views
-        q = self.q
-        r, s, u, v = top[i], bottom[i], left[j], right[j]
-        a, b, c, d = dot[r + u], dot[r + v], dot[s + u], dot[s + v]
-        slot, rest = ((a * q + b) * q + c, d) if a else (b * q + d, c)
-        if rests[slot] != rest:
+        # the kernel's key and index, one product in Python
+        images, index = self._views
+        w = self._width
+        row, base = i * w, j * w
+        zero = images[row + images[base]]
+        one = images[row + images[base + 1]]
+        infinity = images[row + images[base + w - 1]]
+        k = index[(zero * w + one) * w + infinity]
+        if k < 0:
             raise NotAGroup("product fell outside the element set")
-        return index[slot]
+        return k
 
     def element_label(self, i: int) -> str:
         a, b, c, d = (int(v[i]) for v in self._mats)
@@ -488,8 +519,15 @@ class PermutationGroup(FiniteGroup):
     its images as base-degree digits, first point most significant.  The
     closure grows one breadth-first layer of keys at a time, and the elements
     are indexed in key order, so the identity, the least key, is index 0.
-    The scalar ``mul`` builds the same key in Python and bisects the sorted
-    keys, both through memoryviews.
+
+    Keys are found in one open-addressing table with linear probing, which
+    holds element indices, -1 in an empty slot: a key's home slot is the top
+    bits of its product with _HASH_MULTIPLIER mod 2^64, over at least 4n
+    slots, and its element sits in the run of filled slots from there.  A
+    probe compares the key of the element in its slot; the table ends with
+    an empty slot, so no probe runs off its end.  The kernel probes a whole
+    array of keys at once; the scalar ``mul`` builds the same key in Python
+    and probes the same table through memoryviews.
     """
 
     def __init__(self, generators: Sequence[Tuple[Tuple[int, ...], ...]], spec_text: str, order_cap: int) -> None:
@@ -509,23 +547,34 @@ class PermutationGroup(FiniteGroup):
             images = self._images_of(layer)
             found: List[int] = []
             for g in gens:
-                new = [k for k in np.unique(self._keys_of(images[:, g])).tolist() if k not in seen]
+                new = [k for k in _distinct(self._keys_of(images[:, g])).tolist() if k not in seen]
                 seen.update(new)
                 found += new
                 if len(seen) > order_cap:
                     raise OrderCapExceeded(f"permutation closure exceeded cap {order_cap}")
             layer = np.array(found, dtype=np.int64)
 
-        super().__init__(len(seen), spec_text)
-        keys = np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
-        # a trailing sentinel above every key: searchsorted never runs off the
-        # end, and a key past the last one meets the sentinel and is rejected
-        self._sorted_keys = np.append(keys, np.iinfo(np.int64).max)
+        n = len(seen)
+        super().__init__(n, spec_text)
+        keys = np.sort(np.fromiter(seen, dtype=np.int64, count=n))
         # one byte per image (degree <= 15); column x holds every element's image of x
         self.images = self._images_of(keys).astype(np.int8)
         self._columns = np.ascontiguousarray(self.images.T)
+
+        self._multiplier = _HASH_MULTIPLIER
+        bits = (4 * n - 1).bit_length()
+        self._shift = 64 - bits
+        # linear probing with the keys inserted in home order: each takes the
+        # first slot at or after its home that the ones before it left free
+        home = self._home(keys)
+        by_home = np.argsort(home, kind="stable")
+        ranks = np.arange(n)
+        at = np.maximum.accumulate(home[by_home] - ranks) + ranks
+        self._keys = keys
+        self._slots = np.full(max(1 << bits, int(at[-1]) + 1) + 1, -1, dtype=np.int64)
+        self._slots[at] = by_home
         # zero-copy views for the scalar mul, whose items read as Python ints
-        self._views = (memoryview(self.images.ravel()), memoryview(self._sorted_keys))
+        self._views = (memoryview(self.images.ravel()), memoryview(self._keys), memoryview(self._slots))
         inv_images = np.argsort(self.images, axis=1)
         self.inverse_table = self._lookup(self._keys_of(inv_images)).astype(np.int32)
         products = gens[:, gens]  # products[i, j] is gens[i] * gens[j]
@@ -545,37 +594,53 @@ class PermutationGroup(FiniteGroup):
     def _images_of(self, keys: np.ndarray) -> np.ndarray:
         return keys[:, None] // self._key_weights % self.degree
 
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Home slot of each key of the 1-d int64 array ``keys``."""
+        slot = keys.view(np.uint64) * np.uint64(self._multiplier)
+        slot >>= np.uint64(self._shift)
+        return slot.view(np.int64)
+
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Element index of each key, its position among the sorted keys."""
-        pos = np.searchsorted(self._sorted_keys, keys)
-        if np.count_nonzero(self._sorted_keys[pos] != keys):
-            raise NotAGroup("product fell outside the element set")
-        return pos
+        """Element index of each key, probed in the hashed table; raises
+        NotAGroup when a probe meets an empty slot first."""
+        flat = keys.reshape(-1)
+        out = self._slots[self._home(flat)]
+        # no element has an empty home slot; there -1 reads the last key,
+        # which an absent key is not
+        todo = np.flatnonzero(self._keys[out] != flat)
+        # the keys not in their home slot go on, one slot a round, until they
+        # are found or meet an empty slot: then they are no element's
+        want = flat[todo]
+        slot = self._home(want)
+        while len(todo):
+            slot += 1
+            found = self._slots[slot]
+            if found.min() < 0:
+                raise NotAGroup("product fell outside the element set")
+            hit = self._keys[found] == want
+            out[todo[hit]] = found[hit]
+            todo, slot, want = todo[~hit], slot[~hit], want[~hit]
+        return out.reshape(keys.shape)
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # (f*g)(x) = f(g(x)) is entry f*degree + g(x) of the flat image array;
-        # the key sums one point at a time, so no (products, degree) array
-        flat = self.images.ravel()
-        row = np.asarray(a, dtype=np.int64) * self.degree
-        key = np.zeros(np.broadcast(row, b).shape, dtype=np.int64)
-        for column in self._columns:
-            key *= self.degree
-            key += flat[row + column[b]]
-        return self._lookup(key)
+        return self._lookup(_composed_keys(self.images.ravel(), self.degree, self._columns, a, b))
 
     def mul(self, i: int, j: int) -> int:
-        # the kernel's key, one point at a time, and a bisection of the sorted
-        # keys, whose sentinel rejects a key past the last one
-        flat, keys = self._views
+        # the kernel's key, one point at a time, and its probe of the table
+        images, keys, table = self._views
         degree = self.degree
         row, base = i * degree, j * degree
         key = 0
         for pt in range(base, base + degree):
-            key = key * degree + flat[row + flat[pt]]
-        pos = bisect_left(keys, key)
-        if keys[pos] != key:
-            raise NotAGroup("product fell outside the element set")
-        return pos
+            key = key * degree + images[row + images[pt]]
+        slot = (key * self._multiplier & _U64_MASK) >> self._shift
+        while True:
+            k = table[slot]
+            if k < 0:
+                raise NotAGroup("product fell outside the element set")
+            if keys[k] == key:
+                return k
+            slot += 1
 
     def element_label(self, i: int) -> str:
         images = self.images[i]
@@ -764,7 +829,7 @@ def _subgroup_closure(group: FiniteGroup, gens: Sequence[int], member: Optional[
     while len(frontier) and len(right):
         found = []
         for block in _pair_blocks(group.mul_arrays, frontier, first):
-            prods = np.unique(block)
+            prods = _distinct(block)
             del block
             new = prods[~member[prods]]
             member[new] = True
@@ -844,9 +909,9 @@ def verify_group_axioms(group: FiniteGroup, *, seed: int = 0) -> None:
     rng = SplitMix64(derive(seed, 1))
     for _ in range(min(n, 16)):
         i = rng.randrange(n)
-        if len(np.unique(group.mul_arrays(np.full(n, i, dtype=np.int64), idx))) != n:
+        if len(_distinct(group.mul_arrays(np.full(n, i, dtype=np.int64), idx))) != n:
             raise NotAGroup(f"row {i} is not a permutation")
-        if len(np.unique(group.mul_arrays(idx, np.full(n, i, dtype=np.int64)))) != n:
+        if len(_distinct(group.mul_arrays(idx, np.full(n, i, dtype=np.int64)))) != n:
             raise NotAGroup(f"column {i} is not a permutation")
     rng = SplitMix64(derive(seed, 2))
     sample = min(10 * n * n, _ASSOC_SAMPLE_CAP)

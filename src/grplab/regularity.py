@@ -161,41 +161,73 @@ def _product_rich_sampled(a: GroupSubset, eps: Fraction, trials: int, seed: int)
     prod = _internal_products(a)
     s_min = _min_qualifying_size(k, eps)
     rng = SplitMix64(derive(seed, 0x51C4))
+    for _ in range(trials):
+        combo = _descend(sorted(rng.sample_indices(k, s_min)), prod)
+        if combo is not None:
+            return _rich_violation(a.group, tuple(elems[i] for i in combo))
+    return RegularityVerdict(NO_VIOLATION_FOUND, samples=trials)
 
-    def violation_score(combo: List[int]) -> int:
-        member = 0
-        for i in combo:
-            member |= 1 << i
-        hits = 0
+
+def _descend(combo: List[int], prod: List[List[int]]) -> Optional[List[int]]:
+    """Greedy descent on the score of the sorted positions ``combo``, the
+    number of ordered pairs (i, j) of members whose product prod[i][j] is a
+    member, by :func:`_first_better_swap` while the score is above 0.
+    Returns the product-free subset it reaches, or None where no swap helps."""
+    while combo is not None:
+        # counts[p] pairs of combo^2 have product p; counts[-1], those outside a
+        counts = [0] * (len(prod) + 1)
         for i in combo:
             row = prod[i]
             for j in combo:
-                p = row[j]
-                if p >= 0 and (member >> p) & 1:
-                    hits += 1
-        return hits
+                counts[row[j]] += 1
+        if not any(counts[p] for p in combo):
+            return combo
+        combo = _first_better_swap(combo, prod, counts)
+    return None
 
-    for _ in range(trials):
-        combo = sorted(rng.sample_indices(k, s_min))
-        score = violation_score(combo)
-        # greedy descent: swap one member for an outsider while it helps
-        improved = True
-        while score > 0 and improved:
-            improved = False
-            outside = [i for i in range(k) if i not in combo]
-            for oi, out_pos in enumerate(combo):
-                for cand in outside:
-                    trial = sorted(combo[:oi] + combo[oi + 1 :] + [cand])
-                    s = violation_score(trial)
-                    if s < score:
-                        combo, score = trial, s
-                        improved = True
-                        break
-                if improved:
-                    break
-        if score == 0:
-            return _rich_violation(a.group, tuple(elems[i] for i in combo))
-    return RegularityVerdict(NO_VIOLATION_FOUND, samples=trials)
+
+def _first_better_swap(combo: List[int], prod: List[List[int]], counts: List[int]) -> Optional[List[int]]:
+    """combo with its first member (in combo order) swapped for its first
+    outsider (ascending) that lowers the score, or None if none does.
+
+    Each swap is scored in O(s).  With U = combo - {o}, the subset U + x
+    scores score(U) + f(x), where f(x) counts the pairs of (U + x)^2 with
+    product in U + x that hold x as a factor, plus the pairs of U^2 with
+    product x.  So swapping o for c lowers the score when f(c) < f(o).
+    """
+    # inside[-1] stands for the products outside a, never inside
+    inside = [False] * len(counts)
+    for i in combo:
+        inside[i] = True
+    outside = [c for c in range(len(prod)) if not inside[c]]
+    for oi, o in enumerate(combo):
+        rest = combo[:oi] + combo[oi + 1:]
+        inside[o] = False  # inside is now U
+        # pairs of combo^2 holding o, by product: the pairs of U^2 with
+        # product x are counts[x] less these
+        with_o = {}
+        row = prod[o]
+        for j in combo:
+            with_o[row[j]] = with_o.get(row[j], 0) + 1
+            with_o[prod[j][o]] = with_o.get(prod[j][o], 0) + 1
+        with_o[row[o]] -= 1
+
+        def f(x: int) -> int:
+            row = prod[x]
+            hits = counts[x] - with_o.get(x, 0) + (inside[row[x]] or row[x] == x)
+            for j in rest:
+                p = row[j]
+                hits += inside[p] or p == x
+                p = prod[j][x]
+                hits += inside[p] or p == x
+            return hits
+
+        f_out = f(o)
+        better = next((c for c in outside if f(c) < f_out), None)
+        if better is not None:
+            return sorted(rest + [better])
+        inside[o] = True
+    return None
 
 
 # ---------------------------------------------------------------------------

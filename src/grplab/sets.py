@@ -24,7 +24,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import EmptySet, GroupMismatch, KindUnsupportedForGroup, MalformedSpec
-from .groups import FiniteGroup, _pair_blocks, _subgroup_closure, same_group
+from .groups import FiniteGroup, _distinct, _pair_blocks, _subgroup_closure, same_group
 from .rng import SplitMix64
 
 
@@ -306,7 +306,7 @@ def make_set(group: FiniteGroup, spec: Union[SetSpec, str]) -> GroupSubset:
         cur = np.array([spec.base % n], dtype=np.int64)
         for step, ln in zip(spec.steps, spec.lens):
             powers = np.array([group.pow(step % n, k) for k in range(ln)], dtype=np.int64)
-            cur = np.unique(group.mul_arrays(cur[:, None], powers[None, :]).ravel())
+            cur = _distinct(group.mul_arrays(cur[:, None], powers[None, :]))
         return GroupSubset.from_indices(group, cur)
     if isinstance(spec, RandomSet):
         if not 0.0 <= spec.density <= 1.0:

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationFailed
-from .groups import ConjugacyClasses, FiniteGroup, _generating_set, _subgroup_closure, conjugacy_classes
+from .groups import ConjugacyClasses, FiniteGroup, _distinct, _generating_set, _subgroup_closure, conjugacy_classes
 from .rng import SplitMix64, derive
 
 CLASS_COUNT_CAP = 300
@@ -64,7 +64,7 @@ def abelianization_order(group: FiniteGroup) -> int:
     comm = group.mul_arrays(
         group.mul_arrays(inv[:, None], inv[None, :]), group.mul_arrays(s[:, None], s[None, :])
     )
-    gens = [int(c) for c in np.unique(comm) if c]
+    gens = [int(c) for c in _distinct(comm) if c]
     members = _subgroup_closure(group, gens)
     while gens:
         conj = group.mul_arrays(group.mul_arrays(inv[:, None], np.array(gens)[None, :]), s[:, None])

@@ -615,9 +615,8 @@ def test_psl2_labels_identity():
 
 def test_group_above_table_cap_uses_keyed_lookup():
     # PSL2(23) has order 6072 > 4096, so no Cayley table is materialized and
-    # multiplication goes through the PSL2 field-arithmetic kernel and its
-    # dense SL2 slot index, however many products the kernel has already
-    # evaluated
+    # multiplication goes through the PSL2 point-image kernel and its dense
+    # index, however many products the kernel has already evaluated
     g = build_group("PSL2(23)")
     assert g.order == 6072
     assert g.table is None
@@ -764,30 +763,90 @@ def _check_kernel_shapes(g, oracle, rng):
         assert got.ravel().tolist() == want
 
 
-@pytest.mark.parametrize("q", [4, 9, 29, 73])
-def test_psl2_dot_table_holds_every_dot_product_in_q4_bytes(q):
+def _psl2_matrix_product_oracle(g):
+    """The index of each product x*y from the 2x2 matrix product over the
+    field tables, reduced mod +-I to the lexicographically smaller sign and
+    found in a dense table of the elements' own matrices: a unimodular
+    matrix is fixed by (a, b, c) when a != 0, and by (b, d) when a = 0."""
+    q, f_mul, f_add, f_neg = g.q, g.field.mul_table, g.field.add_table, g.field.neg_table
+
+    def encode(a, b, c, d):
+        return ((a.astype(np.int64) * q + b) * q + c) * q + d
+
+    def slot(a, b, c, d):
+        code = np.minimum(encode(a, b, c, d), encode(*(f_neg[e] for e in (a, b, c, d))))
+        a, b, c, d = (code // q**e % q for e in (3, 2, 1, 0))
+        return np.where(a != 0, (a * q + b) * q + c, q**3 + b * q + d)
+
+    element_at = np.full(q**3 + q**2, -1)
+    element_at[slot(*g._mats)] = np.arange(g.order)
+
+    def oracle(x, y):
+        a1, b1, c1, d1 = (m[x] for m in g._mats)
+        a2, b2, c2, d2 = (m[y] for m in g._mats)
+        found = element_at[slot(
+            f_add[f_mul[a1, a2], f_mul[b1, c2]],
+            f_add[f_mul[a1, b2], f_mul[b1, d2]],
+            f_add[f_mul[c1, a2], f_mul[d1, c2]],
+            f_add[f_mul[c1, b2], f_mul[d1, d2]],
+        )]
+        assert found.min() >= 0
+        return found
+
+    return oracle
+
+
+# every prime power q with PSL2(q) of order <= TABLE_CAP
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
+def test_psl2_kernel_matches_the_matrix_product_on_every_pair(q):
     g = build_group(f"PSL2({q})")
+    oracle = _psl2_matrix_product_oracle(g)
+    idx = np.arange(g.order)
+    for x in np.array_split(idx, max(1, g.order // 256)):
+        x, y = x[:, None], idx[None, :]
+        assert np.array_equal(g._mul_kernel(x, y), oracle(x, y))
+
+
+@pytest.mark.parametrize("q", [23, 29, 49, 73])
+def test_psl2_kernel_matches_the_matrix_product_on_seeded_pairs(q):
+    g = build_group(f"PSL2({q})")
+    x, y = np.random.default_rng(q).integers(0, g.order, size=(2, 200_000))
+    assert np.array_equal(g._mul_kernel(x, y), _psl2_matrix_product_oracle(g)(x, y))
+
+
+@pytest.mark.parametrize("q", [4, 9, 29, 73])
+def test_psl2_images_and_index_take_n_times_q_plus_1_bytes_and_q_plus_1_cubed_slots(q):
+    g = build_group(f"PSL2({q})")
+    n, w = g.order, q + 1
     add, mul, _ = _gf_scalar_ops(g.field)
-    assert g._dot.nbytes == q**4
+    assert g.images.itemsize == 1 and g.images.nbytes == n * w
+    assert g._index.size == w**3 and np.count_nonzero(g._index >= 0) == n
+    # each row permutes the q + 1 points, and the index holds each element at
+    # the images of 0, 1 and infinity
+    assert np.array_equal(np.sort(g.images, axis=1), np.broadcast_to(np.arange(w), (n, w)))
+    assert np.array_equal(g._index[g._key(g.images[:, 0], g.images[:, 1], g.images[:, q])], np.arange(n))
+    # x -> (ax + b)/(cx + d), with infinity at q, from the scalar field ops
+    inverse = {v: u for u in range(1, q) for v in range(1, q) if mul(u, v) == 1}
+
+    def image(a, b, c, d, x):
+        num, den = (a, c) if x == q else (add(mul(a, x), b), add(mul(c, x), d))
+        return q if den == 0 else mul(num, inverse[den])
+
     rng = np.random.default_rng(q)
-    for u, v, s, t in rng.integers(0, q, size=(300, 4)).tolist():
-        assert g._dot[((u * q + v) * q + s) * q + t] == add(mul(u, s), mul(v, t))
+    for k, x in zip(rng.integers(0, n, 300).tolist(), rng.integers(0, w, 300).tolist()):
+        assert g.images[k, x] == image(*(int(m[k]) for m in g._mats), x)
 
 
 @pytest.mark.parametrize("q", [4, 7])
-def test_psl2_canonical_lookup_rejects_matrices_off_sl2(q):
+def test_psl2_lookup_rejects_keys_no_element_has(q):
     g = build_group(f"PSL2({q})")
-
-    def lookup(*mats):
-        return g._canonical_lookup(*(np.array(entries) for entries in zip(*mats)))
-
-    one, minus_one = 1, int(g.field.neg_table[1])
-    assert lookup((one, 0, 0, one), (minus_one, 0, 0, minus_one)).tolist() == [0, 0]
-    # det 0 with a != 0, a = b = 0 (twice), and a = 0 with det -1 or 0
-    off_sl2 = [(1, 1, 1, 1), (0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 1, 0) if q == 7 else (0, 1, 0, 1)]
-    for mat in off_sl2:
-        with pytest.raises(NotAGroup):
-            lookup((one, 0, 0, one), mat)
+    assert g._lookup(g._key(0, 1, q)).tolist() == 0  # the identity fixes all three
+    # no element sends two points to one; for odd q, x -> 3x (3 a non-square
+    # mod 7) lies in PGL2(q) but not in PSL2(q)
+    missing = [(0, 0, 0), (1, 1, q), (0, 2, 2)] + ([(0, 3, q)] if q == 7 else [])
+    for images in missing:
+        with pytest.raises(NotAGroup, match="outside the element set"):
+            g._lookup(g._key(*(np.array([e, v]) for e, v in zip((0, 1, q), images))))
 
 
 @pytest.mark.parametrize(
@@ -834,31 +893,88 @@ def test_psl2_scalar_mul_matches_the_kernel(q):
     assert type(g.mul(x[0], y[0])) is int
 
 
-def test_psl2_scalar_mul_checks_the_remaining_entry():
+def test_psl2_corrupt_index_entry_raises_from_kernel_and_scalar_mul():
     g = build_group("PSL2(11)")
     i, j = 5, 17
     k = g.mul(i, j)
-    entries = [int(g._dot[r[i] + c[j]]) for r in g._rows for c in g._cols]
-    slot, _ = g._slot(*entries)
-    assert g._slot_index[slot] == k
-    g._slot_rest[slot] = -1
+    slot = g._key(*g._columns[:, k])
+    assert g._index[slot] == k
+    g._index[slot] = -1
     with pytest.raises(NotAGroup, match="outside the element set"):
         g.mul(i, j)
-    with pytest.raises(NotAGroup):
+    with pytest.raises(NotAGroup, match="outside the element set"):
         g._mul_kernel(np.array([i]), np.array([j]))
 
 
-@pytest.mark.parametrize("position", ["middle", "last"])
-def test_permutation_scalar_mul_checks_the_sorted_keys(position):
+def _check_hashed_lookup(g, rng):
+    """The hashed lookup against a sorted search over every element's key:
+    each element's own key, the composed keys of seeded products in the
+    kernel and the scalar mul, and keys of no element."""
+    weights = g.degree ** np.arange(g.degree - 1, -1, -1)
+    keys = g.images.astype(np.int64) @ weights
+    assert np.all(keys[1:] > keys[:-1])  # indexed in key order
+    assert np.array_equal(g._lookup(keys), np.arange(g.order))
+    x, y = rng.integers(0, g.order, size=(2, 20_000))
+    composed = np.take_along_axis(g.images[x], g.images[y].astype(np.int64), axis=1) @ weights
+    want = np.searchsorted(keys, composed)
+    assert np.array_equal(keys[want], composed)
+    assert np.array_equal(g._lookup(composed), want)
+    assert np.array_equal(g._mul_kernel(x, y), want)
+    assert [g.mul(i, j) for i, j in zip(x[:2000].tolist(), y[:2000].tolist())] == want[:2000].tolist()
+    # digit strings that are no element's images: alone, or among elements
+    strings = rng.integers(0, g.degree, size=(200, g.degree)) @ weights
+    absent = strings[keys[np.searchsorted(keys, strings) % g.order] != strings][:20]
+    assert len(absent)
+    for key in absent.tolist():
+        with pytest.raises(NotAGroup, match="outside the element set"):
+            g._lookup(np.array([keys[0], key, keys[-1]]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "perm:(1 2 3 4 5 6);(1 2)",
+        "perm:(1 2 3 4 5 6 7);(1 2)",
+        "perm:(1 2 3 4 5 6 7 8);(1 2)",
+        "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)",
+    ],
+)
+def test_permutation_hashed_lookup_matches_a_sorted_search(spec):
+    g = build_group(spec)
+    assert len(g._slots) > 4 * g.order and g._slots[-1] == -1
+    _check_hashed_lookup(g, np.random.default_rng(g.order))
+
+
+@pytest.mark.parametrize("multiplier", [0, 1 << 44])
+def test_permutation_hashed_lookup_on_long_probe_chains(multiplier, monkeypatch):
+    # multiplier 0 sends every key home to slot 0, one chain of all n keys;
+    # 2^44 sends the keys of S6 (below 6^6 < 2^16) home by their top bits,
+    # so runs of neighbouring keys share a home
+    monkeypatch.setattr(groups, "_HASH_MULTIPLIER", multiplier)
     g = build_group("perm:(1 2 3 4 5 6);(1 2)")
-    n = g.order
-    # a product equal to element k, whose key is then moved off by one; the
-    # last key, lowered, sends the search to the int64-max sentinel
-    i, j = (5, 17) if position == "middle" else (n - 1, 0)
-    k = g.mul(i, j)
-    g._sorted_keys[k] += 1 if position == "middle" else -1
+    filled = np.flatnonzero(g._slots >= 0)
+    assert len(filled) == g.order
+    assert (filled - g._home(g._keys[g._slots[filled]])).max() >= (g.order - 1 if multiplier == 0 else 100)
+    _check_hashed_lookup(g, np.random.default_rng(multiplier % 7))
+
+
+@pytest.mark.parametrize("position", ["home", "probed"])
+def test_permutation_corrupt_table_entry_raises_from_kernel_and_scalar_mul(position):
+    # the slot of an element in its home slot, or of one found further along
+    # its probe chain, is given another element; its products then miss
+    g = build_group("perm:(1 2 3 4 5 6);(1 2)")
+    filled = np.flatnonzero(g._slots >= 0)
+    probed = filled != g._home(g._keys[g._slots[filled]])
+    slot = filled[probed if position == "probed" else ~probed][0]
+    k = int(g._slots[slot])
+    j = 5
+    i = g.mul(k, g.inv(j))
+    assert g.mul(i, j) == k
+    g._slots[slot] = (k + 1) % g.order
     with pytest.raises(NotAGroup, match="outside the element set"):
         g.mul(i, j)
+    with pytest.raises(NotAGroup, match="outside the element set"):
+        g._mul_kernel(np.array([i]), np.array([j]))
 
 
 @pytest.mark.parametrize("spec", ["PSL2(11)", "perm:(1 2 3 4 5 6);(1 2)"])

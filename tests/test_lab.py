@@ -438,6 +438,30 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--group", "PSL2(23)", "--classes"],
+        ["stats", "--group", "perm:(1 2 3 4 5 6 7);(1 2)", "--set", "explicit:3,17,140,999,2500,4000"],
+    ],
+)
+def test_cli_runs_without_numpy_ma(argv):
+    # under numpy 2.4 a plain np.unique imports numpy.ma, about 9 ms a process
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from grplab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        "sys.exit(code)"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["group"] == argv[2]
+
+
 def test_cli_import_leaves_out_concurrent_futures():
     # only a threaded sweep imports the thread pool; every grplab module
     # still loads with the CLI

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grplab.errors import ExactCapExceeded
@@ -216,6 +217,99 @@ def test_sampled_mode_is_deterministic():
     v1 = check_product_rich(a, Fraction(1, 2), mode="sampled", trials=25, seed=11)
     v2 = check_product_rich(a, Fraction(1, 2), mode="sampled", trials=25, seed=11)
     assert v1 == v2
+
+
+def _violation_score(combo, prod) -> int:
+    """Ordered pairs of members whose product is a member, by full rescan."""
+    member = 0
+    for i in combo:
+        member |= 1 << i
+    hits = 0
+    for i in combo:
+        row = prod[i]
+        for j in combo:
+            p = row[j]
+            if p >= 0 and (member >> p) & 1:
+                hits += 1
+    return hits
+
+
+def _rich_sampled_by_rescoring(a: GroupSubset, eps: Fraction, trials: int, seed: int):
+    """The sampled product-rich check with every candidate swap rescored in
+    full: (status, witness, samples)."""
+    from grplab.regularity import _internal_products, _min_qualifying_size
+    from grplab.rng import SplitMix64, derive
+
+    k = a.card
+    elems = a.to_index_list()
+    prod = _internal_products(a)
+    s_min = _min_qualifying_size(k, eps)
+    rng = SplitMix64(derive(seed, 0x51C4))
+    for _ in range(trials):
+        combo = sorted(rng.sample_indices(k, s_min))
+        score = _violation_score(combo, prod)
+        improved = True
+        while score > 0 and improved:
+            improved = False
+            outside = [i for i in range(k) if i not in combo]
+            for oi in range(len(combo)):
+                for cand in outside:
+                    trial = sorted(combo[:oi] + combo[oi + 1:] + [cand])
+                    s = _violation_score(trial, prod)
+                    if s < score:
+                        combo, score, improved = trial, s, True
+                        break
+                if improved:
+                    break
+        if score == 0:
+            return VIOLATED, ((tuple(elems[i] for i in combo)),), None
+    return NO_VIOLATION_FOUND, None, trials
+
+
+@pytest.mark.parametrize("spec", ["Z/23", "Z/2 x Z/4", "perm:(1 2 3 4);(1 2)", "PSL2(7)", "Z/100"])
+def test_sampled_rich_descent_matches_the_full_rescore(spec):
+    g = build_group(spec)
+    checked = violated = 0
+    for seed in range(12):
+        for size in (4, 10, 20):
+            a = make_set(g, f"random:{min(1, size / g.order)},{seed}")
+            if not a.card:
+                continue
+            for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                got = check_product_rich(a, eps, mode="sampled", trials=6, seed=seed)
+                want = _rich_sampled_by_rescoring(a, eps, 6, seed)
+                assert (got.status, got.witness, got.samples) == want
+                checked += 1
+                violated += got.status == VIOLATED
+    assert checked >= 60 and 0 < violated < checked
+
+
+def test_rich_descent_scores_each_swap_as_the_full_rescore():
+    from grplab.regularity import _descend, _internal_products
+
+    g = build_group("PSL2(7)")
+    a = make_set(g, "random:0.4,5")
+    prod = _internal_products(a)
+    k = a.card
+    rng = np.random.default_rng(5)
+    for size, count in ((3, 20), (8, 20), (20, 6)):
+        for _ in range(count):
+            combo = sorted(rng.choice(k, size, replace=False).tolist())
+            end = _descend(list(combo), prod)
+            score = _violation_score(combo, prod)
+            # the same descent, scored by full rescans
+            while score > 0:
+                trials = (
+                    sorted(combo[:oi] + combo[oi + 1:] + [c])
+                    for oi in range(len(combo))
+                    for c in range(k)
+                    if c not in combo
+                )
+                combo = next((t for t in trials if _violation_score(t, prod) < score), None)
+                if combo is None:
+                    break
+                score = _violation_score(combo, prod)
+            assert end == combo
 
 
 # --- nonabelian witnesses and re-validation ----------------------------------
