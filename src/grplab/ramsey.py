@@ -63,6 +63,8 @@ class Coloring:
 
     @classmethod
     def random(cls, group: FiniteGroup, k: int, seed: int) -> "Coloring":
+        if k < 1:
+            raise MalformedSpec(f"a coloring needs k >= 1 colors, got {k}")
         colors = SplitMix64(derive(seed, 0xC0105)).randrange_array(k, group.order)
         return cls(group, colors, k)
 
@@ -135,6 +137,8 @@ def schur_adversarial_search(
 
     Moves recolor one element; a move is taken when it lowers
     (max count, total count), ties broken by element index then new color.
+    Each step scores all n(k - 1) moves at once from per-class deltas
+    (:func:`_best_schur_move`), at most 3n^2 products a step.
     Restarts run from fresh seeded random colorings; the best local minimum
     over all restarts is returned.  Deterministic given the seed.
     """
@@ -149,7 +153,7 @@ def schur_adversarial_search(
         ]
         for _ in range(max(0, iterations)):
             used += 1
-            move = _best_recolor_move(group, colors, counts, k)
+            move = _best_schur_move(group, colors, counts, k)
             if move is None:
                 break
             element, new_color, new_counts = move
@@ -163,27 +167,58 @@ def schur_adversarial_search(
     return AdversarialSearchResult(final, best[0], best[3], max(1, restarts), used)
 
 
-def _best_recolor_move(
+def _best_schur_move(
     group: FiniteGroup, colors: np.ndarray, counts: List[int], k: int
 ) -> Optional[Tuple[int, int, List[int]]]:
-    current = (max(counts), sum(counts))
-    best_move: Optional[Tuple[Tuple[int, int], int, int, List[int]]] = None
-    for element in range(group.order):
-        old = int(colors[element])
-        for new in range(k):
-            if new == old:
-                continue
-            colors[element] = new
-            trial = list(counts)
-            trial[old] = _schur_count_of_mask(group, colors == old)
-            trial[new] = _schur_count_of_mask(group, colors == new)
-            colors[element] = old
-            score = (max(trial), sum(trial))
-            if score < current and (best_move is None or score < best_move[0]):
-                best_move = (score, element, new, trial)
-    if best_move is None:
+    """The strictly improving recolouring of one element that is least by
+    (max count, total count, element, new colour), with the counts after
+    it; None when no move improves.
+
+    For a class C and an element e, let A(e) = #{y in C : ey in C},
+    B(e) = #{x in C : xe in C} and Z(e) = #{(x, y) in C^2 : xy = e}.
+    Adding e to C (e not in C) raises its count by
+    A + B + Z + 2[1 in C] + [e^2 in C] + [e = 1]; taking e out of C
+    (e in C) lowers it by A + B + Z - 2[1 in C] - [e^2 in C] + [e = 1].
+    A + B + Z is one bincount of the products z y^-1, x^-1 z and x y over
+    C x C, so a step takes 3 sum |C|^2 <= 3n^2 products plus the n squares,
+    and every candidate is scored at once on (n, k) arrays.
+    """
+    n = group.order
+    inv = group.inverse_table.astype(np.int64)
+    abz = np.zeros((n, k), dtype=np.int64)
+    for j in range(k):
+        idx = np.flatnonzero(colors == j)
+        for left, right in ((idx, inv[idx]), (inv[idx], idx), (idx, idx)):
+            for block in _pair_blocks(group.mul_arrays, left, right):
+                abz[:, j] += np.bincount(block.ravel(), minlength=n)
+                del block
+    elements = np.arange(n)
+    palette = np.arange(k)
+    identity_color = colors[0]
+    square_color = colors[group.mul_arrays(elements, elements)]
+    add = abz + 2 * (palette == identity_color) + (square_color[:, None] == palette) + (elements == 0)[:, None]
+    drop = abz[elements, colors] - 2 * (colors == identity_color) - (square_color == colors) + (elements == 0)
+    before = np.asarray(counts, dtype=np.int64)
+    old_after = before[colors] - drop
+    new_after = before + add
+    # the largest count outside the element's own class; the new class only
+    # grows, so its count before the move may stay in that maximum
+    top = np.argsort(-before, kind="stable")[:2]
+    rest = np.where(colors == top[0], before[top[-1]], before[top[0]])
+    new_max = np.maximum(np.maximum(old_after, rest)[:, None], new_after)
+    current_max, current_sum = max(counts), sum(counts)
+    new_sum = current_sum - drop[:, None] + add
+    improves = (new_max < current_max) | ((new_max == current_max) & (new_sum < current_sum))
+    improves &= palette != colors[:, None]
+    if not improves.any():
         return None
-    return best_move[1], best_move[2], best_move[3]
+    improves &= new_max == new_max[improves].min()
+    improves &= new_sum == new_sum[improves].min()
+    element, new_color = divmod(int(np.flatnonzero(improves)[0]), k)
+    trial = list(counts)
+    trial[int(colors[element])] = int(old_after[element])
+    trial[new_color] = int(new_after[element, new_color])
+    return element, new_color, trial
 
 
 def exhaustive_schur_minimum(group: FiniteGroup, k: int) -> int:

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grplab import ramsey
 from grplab.counting import _subproducts, all_nonempty_subsets
+from grplab.errors import MalformedSpec
 from grplab.groups import build_group
 from grplab.ramsey import (
     Coloring,
@@ -21,6 +23,7 @@ from grplab.ramsey import (
     monochromatic_tuple_density,
     monochromatic_tuple_search,
     schur_adversarial_search,
+    _schur_count_of_mask,
     schur_counts,
     validate_witness,
 )
@@ -111,6 +114,135 @@ def test_adversarial_search_deterministic():
     b = schur_adversarial_search(z6, 2, iterations=50, restarts=5, seed=9)
     assert a.max_count == b.max_count
     assert np.array_equal(a.coloring.color_of, b.coloring.color_of)
+
+
+def test_random_coloring_refuses_fewer_than_one_color(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(ramsey, "SplitMix64", no_draws)
+    z5 = build_group("Z/5")
+    for k in (0, -1):
+        with pytest.raises(MalformedSpec, match="k >= 1"):
+            Coloring.random(z5, k, 3)
+
+
+def _best_recolor_move(group, colors, counts, k):
+    """The search's move by brute force: every one of the n(k - 1)
+    recolourings, each scored by recounting the two classes it touches
+    (O(n^3) products a step); strict improvement only, so ties go to the
+    least (element, new colour)."""
+    current = (max(counts), sum(counts))
+    best_move = None
+    for element in range(group.order):
+        old = int(colors[element])
+        for new in range(k):
+            if new == old:
+                continue
+            colors[element] = new
+            trial = list(counts)
+            trial[old] = _schur_count_of_mask(group, colors == old)
+            trial[new] = _schur_count_of_mask(group, colors == new)
+            colors[element] = old
+            score = (max(trial), sum(trial))
+            if score < current and (best_move is None or score < best_move[0]):
+                best_move = (score, element, new, trial)
+    if best_move is None:
+        return None
+    return best_move[1], best_move[2], best_move[3]
+
+
+def _assert_moves_match(g, colors, k, steps):
+    # walks the oracle's moves from ``colors``; returns the moves taken
+    colors = np.array(colors)
+    counts = [_schur_count_of_mask(g, colors == j) for j in range(k)]
+    moves = []
+    for _ in range(steps):
+        want = _best_recolor_move(g, colors.copy(), counts, k)
+        assert ramsey._best_schur_move(g, colors, counts, k) == want
+        if want is None:
+            break
+        moves.append(want)
+        colors[want[0]] = want[1]
+        counts = want[2]
+    return moves
+
+
+# Z/2 x Z/2 x Z/6 has 7 involutions: e^2 = 1 for a third of its elements
+SCORER_GROUPS = ["PSL2(5)", "PSL2(7)", "perm:(1 2 3 4);(1 2)", "perm:(1 2 3 4 5);(1 2)", "Z/60", "Z/2 x Z/2 x Z/6"]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("spec", SCORER_GROUPS)
+def test_delta_scorer_matches_the_full_recount(spec, k):
+    g = fleet_group(spec) if spec in FLEET_SPECS else build_group(spec)
+    for seed in range(2):
+        colors = np.array(Coloring.random(g, k, derive(83, seed)).color_of)
+        # the identity in every class in turn
+        for one in range(k):
+            colors[0] = one
+            _assert_moves_match(g, colors, k, 3)
+
+
+@pytest.mark.parametrize("spec", ["PSL2(5)", "Z/2 x Z/2 x Z/6", "Z/12"])
+def test_delta_scorer_moves_the_identity_out_of_a_single_class(spec):
+    # from one colour, taking out the identity lowers the count by 3n - 2
+    # and every other element by 3n - 3
+    g = build_group(spec)
+    moves = _assert_moves_match(g, np.zeros(g.order, dtype=np.int64), 2, 4)
+    assert moves[0][:2] == (0, 1)
+
+
+def test_delta_scorer_with_empty_classes():
+    z12 = build_group("Z/12")
+    for seed in range(4):
+        colors = Coloring.random(z12, 12, derive(89, seed)).color_of
+        assert len(set(colors.tolist())) < 12
+        _assert_moves_match(z12, colors, 12, 4)
+    _assert_moves_match(z12, np.zeros(12, dtype=np.int64), 12, 4)
+
+
+def _oracle_driven_search(monkeypatch, *args, **kwargs):
+    calls = []
+
+    def oracle(*move_args):
+        calls.append(1)
+        return _best_recolor_move(*move_args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ramsey, "_best_schur_move", oracle)
+        result = schur_adversarial_search(*args, **kwargs).to_dict()
+    assert len(calls) == result["iterations_used"]
+    return result
+
+
+@pytest.mark.parametrize(
+    "spec, k, iterations, restarts, seed",
+    [
+        ("PSL2(5)", 2, 4, 2, 1),
+        ("PSL2(7)", 2, 3, 3, 0),
+        ("perm:(1 2 3 4);(1 2)", 3, 30, 2, 7),
+        ("Z/2 x Z/2 x Z/6", 4, 30, 2, 5),
+        ("Z/12", 12, 20, 2, 2),
+    ],
+)
+def test_search_matches_the_oracle_driven_search(monkeypatch, spec, k, iterations, restarts, seed):
+    g = build_group(spec)
+    got = schur_adversarial_search(g, k, iterations=iterations, restarts=restarts, seed=seed).to_dict()
+    assert got == _oracle_driven_search(monkeypatch, g, k, iterations=iterations, restarts=restarts, seed=seed)
+
+
+def test_search_with_k_near_n_holds_o_nk_memory(monkeypatch):
+    # an (n, k, k) int64 array of trial counts alone would take 1.7 MB here
+    z60 = build_group("Z/60")
+    tracemalloc.start()
+    try:
+        got = schur_adversarial_search(z60, 60, iterations=2, restarts=1, seed=3).to_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 60 * 60 * 8, peak
+    assert got == _oracle_driven_search(monkeypatch, z60, 60, iterations=2, restarts=1, seed=3)
 
 
 # --- greedy tuple recursion --------------------------------------------------

@@ -44,6 +44,16 @@ REFUSALS = [
     (["group", "--group", "Z/300000"], 3, BUDGET + "group order 300000 exceeds cap 200000", 5),
     (["quasirandom", "--group", "table:{table}"], 3, BUDGET + "600 conjugacy classes exceed cap 300", 10),
     (["mixing", "--group", "Z/4", "--n", "20", "--set-all", "explicit:0"], 3, BUDGET, 5),
+    # a random coloring refuses k < 1 before any draw
+    (["schur", "--group", "Z/5", "--search", "--k", "0"], 1, "grplab: a coloring needs k >= 1 colors, got 0", 5),
+    (["cip", "--group", "Z/5", "--k", "0", "--n", "2"], 1, "grplab: a coloring needs k >= 1 colors, got 0", 5),
+    (["schur", "--group", "Z/5", "--coloring", "random:0,3"], 1, "grplab: a coloring needs k >= 1 colors, got 0", 5),
+    (
+        ["hindman", "--group", "Z/5", "--coloring", "random:-2,3", "--n", "2"],
+        1,
+        "grplab: a coloring needs k >= 1 colors, got -2",
+        5,
+    ),
 ]
 
 
