@@ -11,13 +11,13 @@ Building at that point costs at most twice the cheaper of "never build" and
 table: each class computes one product in plain Python, PSL2 and
 permutation groups over zero-copy memoryviews of their kernel's own arrays.
 Above TABLE_CAP every vector product goes to the kernel.  PSL2(q) and
-permutation groups both describe an element by its images of a set of
-points and compose a product's key from them (:func:`_composed_keys`):
-PSL2(q) the images of 0, 1 and infinity on the projective line, found in a
-dense index of (q+1)^3 slots, and a permutation group the images of every
-point, found in one hashed table.  The images of the right factor are
-gathered at its own shape, so only the composition's gathers and the key's
-adds run at the broadcast shape.  A direct product
+permutation groups share one kernel (:class:`PointImageGroup`): an element
+is its images of the points it acts on (PSL2(q) on the q + 1 points of the
+projective line), a product's image of x is f(g(x)), and the product is
+found by its images of a greedy base of the action, one dense table per
+base level.  The base images of the right factor are gathered at its own
+shape, so only the composition's gathers and the table reads run at the
+broadcast shape.  A direct product
 (``Z/a x Z/b`` included) indexes its elements in mixed radix, last factor
 fastest.  Z/n and every product of cyclic groups, nested ones included, add
 digit by digit with carries dropped (:func:`_cyclic_mul`): x + y, less m*s
@@ -65,9 +65,6 @@ TABLE_CAP = 4096
 DEFAULT_ORDER_CAP = 200_000
 PRODUCT_BLOCK = 1 << 20
 _ASSOC_SAMPLE_CAP = 50_000_000
-# Fibonacci hashing: the odd integer nearest 2^64 divided by the golden ratio
-_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
-_U64_MASK = (1 << 64) - 1
 
 
 def _distinct(values) -> np.ndarray:
@@ -77,21 +74,6 @@ def _distinct(values) -> np.ndarray:
     if len(out) > 1:
         out = out[np.concatenate(([True], out[1:] != out[:-1]))]
     return out
-
-
-def _composed_keys(images: np.ndarray, width: int, columns: np.ndarray, a, b) -> np.ndarray:
-    """The key of each product a*b in a group of permutations of ``width``
-    points, ``images`` their flat n x width image array: (f*g)(x) = f(g(x)) is
-    entry f*width + g(x), and the key reads the product's images of the
-    points whose image columns are ``columns`` as base-``width`` digits, first
-    point most significant.  Columns are gathered at b's own shape and the
-    key sums one point at a time, so no (products, points) array is built."""
-    row = np.asarray(a, dtype=np.int64) * width
-    key = images[row + columns[0][b]].astype(np.int64)
-    for column in columns[1:]:
-        key *= width
-        key += images[row + column[b]]
-    return key
 
 
 def _pair_blocks(mul, left: np.ndarray, right: np.ndarray):
@@ -395,7 +377,113 @@ class TableGroup(FiniteGroup):
         return self._table[a, b].astype(np.int64)
 
 
-class PSL2Group(FiniteGroup):
+def _greedy_base(images: np.ndarray) -> List[int]:
+    """A base of the group whose elements are the rows of ``images``: each
+    point the least one whose images split the classes of the elements that
+    agree on the points before it, until every element stands alone.  A
+    point that the earlier base images fix stays fixed, so each point is
+    tried once, one sort each.  A base of fewer than two points is padded
+    by repeating one, so the index always has a first and a last level."""
+    n, width = images.shape
+    base: List[int] = []
+    node = np.zeros(n, dtype=np.int64)
+    classes = 1
+    for point in range(width):
+        if classes == n:
+            break
+        live, node = np.unique(node * width + images[:, point], return_inverse=True)
+        if len(live) > classes:
+            base.append(point)
+            classes = len(live)
+    if classes < n:
+        raise NotAGroup("the point images do not separate the elements")
+    return base if len(base) > 1 else (base or [0]) * 2
+
+
+class PointImageGroup(FiniteGroup):
+    """A group acting faithfully on ``width`` points, each element stored as
+    its images of every point (one byte each up to 256 points); subclasses
+    build the images in their own element order and the labels.
+
+    Composition convention: (f*g)(x) = f(g(x)), one gather from f's images
+    at g's image of x.  An element is found by its images of a base
+    (:func:`_greedy_base`; Seress, *Permutation Group Algorithms*, ch. 4)
+    in one dense table per base level, with no hashing.  A node of level 0
+    is the image of b_0; level i reads slot node*width + (image of b_i),
+    which holds the next node, numbered in order and stored times width so
+    that the next level only adds, and at the last level the element index.
+    A slot that no element reaches holds the level's dead node, which has
+    an all-dead row of its own, or -1 at the last level, which raises
+    NotAGroup.  The nodes of level i are the cosets of the stabilizer of
+    b_0..b_i, so each level at least doubles them, and the tables hold at
+    most width*(n + width + len(base)) entries: int32 in the middle levels,
+    int64 in the last.  The kernel, the scalar ``mul`` (over memoryviews)
+    and the inverse table all walk these tables (:meth:`_lookup`).
+    """
+
+    def __init__(self, images: np.ndarray, spec_text: str) -> None:
+        n, width = images.shape
+        super().__init__(n, spec_text)
+        self.images = images
+        self.base = _greedy_base(images)
+        self._width = np.int32(width)  # so b_0's slot from uint8 images does not wrap
+        # column i holds every element's image of b_i
+        self._columns = np.ascontiguousarray(images[:, self.base].T)
+        node, rows = self._columns[0].astype(np.int64), width
+        self._tables: List[np.ndarray] = []
+        for column in self._columns[1:-1]:
+            live, node = np.unique(node * width + column, return_inverse=True)
+            table = np.full(rows * width, len(live) * width, dtype=np.int32)
+            table[live] = np.arange(0, len(live) * width, width)
+            self._tables.append(table)
+            rows = len(live) + 1
+        last = np.full(rows * width, -1, dtype=np.int64)
+        last[node * width + self._columns[-1]] = np.arange(n)
+        self._tables.append(last)
+        # zero-copy views for the scalar mul, whose items read as Python ints
+        levels = tuple((memoryview(t), int(b)) for t, b in zip(self._tables, self.base[1:]))
+        self._views = (memoryview(images.ravel()), width, int(self.base[0]), levels)
+        # the inverse of g sends b to the x with g(x) = b; found in row blocks
+        # of at most PRODUCT_BLOCK images, so no (n, width) temporary is built
+        step = max(1, PRODUCT_BLOCK // width)
+        blocks = (images[lo:lo + step] for lo in range(0, n, step))
+        self.inverse_table = np.concatenate(
+            [self._lookup((block == b).argmax(axis=1) for b in self.base) for block in blocks]
+        ).astype(np.int32)
+
+    def _lookup(self, base_images) -> np.ndarray:
+        """The element with each tuple of base images, ``base_images`` giving
+        the images of b_0, b_1, ... one array at a time; raises NotAGroup
+        where no element has them."""
+        images = iter(base_images)
+        slot = next(images) * self._width
+        for table, image in zip(self._tables, images):
+            slot += image
+            slot = table.take(slot)
+        if slot.size and slot.min() < 0:
+            raise NotAGroup("product fell outside the element set")
+        return slot
+
+    def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # each base column is gathered at b's own shape, so only the
+        # composition's gather and the table reads run at the product's
+        images = self.images.ravel()
+        row = np.asarray(a, dtype=np.int64) * self._width
+        return self._lookup(images.take(row + column[b]) for column in self._columns)
+
+    def mul(self, i: int, j: int) -> int:
+        # the kernel's walk, one product in Python
+        images, w, first, levels = self._views
+        row, col = i * w, j * w
+        slot = images[row + images[col + first]] * w
+        for table, point in levels:
+            slot = table[slot + images[row + images[col + point]]]
+        if slot < 0:
+            raise NotAGroup("product fell outside the element set")
+        return slot
+
+
+class PSL2Group(PointImageGroup):
     """PSL2(q): unimodular 2x2 matrices over GF(q) modulo +-identity.
 
     Matrices are canonicalized to the lexicographically smaller of M and -M
@@ -404,23 +492,18 @@ class PSL2Group(FiniteGroup):
 
     Products are taken on the action x -> (ax + b)/(cx + d) on the q + 1
     points of the projective line over GF(q): points 0..q-1 are the field
-    elements and point q is infinity.  PSL2(q) acts faithfully there, and
-    PGL2(q) is sharply 3-transitive, so the images of 0, 1 and infinity fix
-    an element.  Each element keeps the images of all q + 1 points, one byte
-    each (n(q+1) bytes, 14.4 MB at q = 73).  A product composes the images
-    of the three points (:func:`_composed_keys`) and finds its element in a
-    dense index of (q+1)^3 slots keyed by them (3.2 MB at q = 73), where -1
-    marks a slot that no element fills.  The scalar ``mul`` reads the same
-    images and index through memoryviews.
+    elements and point q is infinity.  PSL2(q) acts faithfully there; each
+    element keeps the images of all q + 1 points, one byte each (n(q+1)
+    bytes, 14.4 MB at q = 73).  PGL2(q) is sharply 3-transitive, so the base
+    is at most three points and the index about (q+1)^3 entries (3.2 MB at
+    q = 73).
     """
 
     def __init__(self, q: int) -> None:
         field = PrimePowerField(q)
         order = q * (q * q - 1) // gcd(2, q - 1)
-        super().__init__(order, f"PSL2({q})")
         self.q = q
         self.field = field
-        self.is_abelian = order <= 2
 
         f_mul, f_add, f_neg, f_inv = field.mul_table, field.add_table, field.neg_table, field.inv_table
         # SL2(q) in closed form, one matrix per code (a*q + b)*q + x >= q:
@@ -453,81 +536,32 @@ class PSL2Group(FiniteGroup):
         line = line.astype(np.min_scalar_type(q * q))
         rows = (a.astype(np.int64) * q + b, c.astype(np.int64) * q + d)
         # one byte per image for q <= 255
-        self.images = np.empty((order, q + 1), dtype=div.dtype)
+        images = np.empty((order, q + 1), dtype=div.dtype)
         step = max(1, PRODUCT_BLOCK // q)
         for lo in range(0, order, step):
             frac = line[rows[0][lo:lo + step]] * q
             frac += line[rows[1][lo:lo + step]]
-            self.images[lo:lo + step, :q] = div[frac]
-        self.images[:, q] = div[a * q + c]
-        self._width = q + 1
-        self._columns = np.ascontiguousarray(self.images[:, [0, 1, q]].T)
-        self._index = np.full(self._width**3, -1, dtype=np.int64)
-        self._index[self._key(*self._columns)] = np.arange(order)
-        if np.count_nonzero(self._index >= 0) != order:
-            raise NotAGroup(f"PSL2({q}) images of 0, 1 and infinity do not separate its elements")
-        # zero-copy views for the scalar mul, whose items read as Python ints
-        self._views = (memoryview(self.images.ravel()), memoryview(self._index))
-        # the inverse [[d,-b],[-c,a]] sends 0, 1 and infinity to -b/a,
-        # (d - b)/(a - c) and d/(-c)
-        nb, nc = f_neg[b], f_neg[c]
-        self.inverse_table = self._lookup(self._key(
-            div[nb * q + a], div[f_add[d, nb] * q + f_add[a, nc]], div[d * q + nc]
-        )).astype(np.int32)
+            images[lo:lo + step, :q] = div[frac]
+        images[:, q] = div[a * q + c]
+        super().__init__(images, f"PSL2({q})")
+        self.is_abelian = order <= 2
 
     def _encode(self, a, b, c, d) -> np.ndarray:
         q = self.q
         return ((np.asarray(a, dtype=np.int64) * q + b) * q + c) * q + d
-
-    def _key(self, zero, one, infinity) -> np.ndarray:
-        """Index slot of the elements with these images of 0, 1 and infinity."""
-        w = self._width
-        return (np.asarray(zero, dtype=np.int64) * w + one) * w + infinity
-
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Element index of each key; raises NotAGroup at a slot no element fills."""
-        out = self._index[keys]
-        if out.size and out.min() < 0:
-            raise NotAGroup("product fell outside the element set")
-        return out
-
-    def _mul_kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._lookup(_composed_keys(self.images.ravel(), self._width, self._columns, x, y))
-
-    def mul(self, i: int, j: int) -> int:
-        # the kernel's key and index, one product in Python
-        images, index = self._views
-        w = self._width
-        row, base = i * w, j * w
-        zero = images[row + images[base]]
-        one = images[row + images[base + 1]]
-        infinity = images[row + images[base + w - 1]]
-        k = index[(zero * w + one) * w + infinity]
-        if k < 0:
-            raise NotAGroup("product fell outside the element set")
-        return k
 
     def element_label(self, i: int) -> str:
         a, b, c, d = (int(v[i]) for v in self._mats)
         return f"[[{a},{b}],[{c},{d}]]"
 
 
-class PermutationGroup(FiniteGroup):
+class PermutationGroup(PointImageGroup):
     """Closure of permutation generators under composition.
 
-    Composition convention: (f*g)(x) = f(g(x)).  A permutation's key reads
-    its images as base-degree digits, first point most significant.  The
-    closure grows one breadth-first layer of keys at a time, and the elements
-    are indexed in key order, so the identity, the least key, is index 0.
-
-    Keys are found in one open-addressing table with linear probing, which
-    holds element indices, -1 in an empty slot: a key's home slot is the top
-    bits of its product with _HASH_MULTIPLIER mod 2^64, over at least 4n
-    slots, and its element sits in the run of filled slots from there.  A
-    probe compares the key of the element in its slot; the table ends with
-    an empty slot, so no probe runs off its end.  The kernel probes a whole
-    array of keys at once; the scalar ``mul`` builds the same key in Python
-    and probes the same table through memoryviews.
+    A permutation's key reads its images as base-degree digits, first point
+    most significant.  The closure grows one breadth-first layer of keys at
+    a time, and the elements are indexed in key order, so the identity, the
+    least key, is index 0.
     """
 
     def __init__(self, generators: Sequence[Tuple[Tuple[int, ...], ...]], spec_text: str, order_cap: int) -> None:
@@ -554,29 +588,8 @@ class PermutationGroup(FiniteGroup):
                     raise OrderCapExceeded(f"permutation closure exceeded cap {order_cap}")
             layer = np.array(found, dtype=np.int64)
 
-        n = len(seen)
-        super().__init__(n, spec_text)
-        keys = np.sort(np.fromiter(seen, dtype=np.int64, count=n))
-        # one byte per image (degree <= 15); column x holds every element's image of x
-        self.images = self._images_of(keys).astype(np.int8)
-        self._columns = np.ascontiguousarray(self.images.T)
-
-        self._multiplier = _HASH_MULTIPLIER
-        bits = (4 * n - 1).bit_length()
-        self._shift = 64 - bits
-        # linear probing with the keys inserted in home order: each takes the
-        # first slot at or after its home that the ones before it left free
-        home = self._home(keys)
-        by_home = np.argsort(home, kind="stable")
-        ranks = np.arange(n)
-        at = np.maximum.accumulate(home[by_home] - ranks) + ranks
-        self._keys = keys
-        self._slots = np.full(max(1 << bits, int(at[-1]) + 1) + 1, -1, dtype=np.int64)
-        self._slots[at] = by_home
-        # zero-copy views for the scalar mul, whose items read as Python ints
-        self._views = (memoryview(self.images.ravel()), memoryview(self._keys), memoryview(self._slots))
-        inv_images = np.argsort(self.images, axis=1)
-        self.inverse_table = self._lookup(self._keys_of(inv_images)).astype(np.int32)
+        keys = np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
+        super().__init__(self._images_of(keys).astype(np.uint8), spec_text)
         products = gens[:, gens]  # products[i, j] is gens[i] * gens[j]
         self.is_abelian = bool(np.array_equal(products, products.swapaxes(0, 1)))
 
@@ -593,54 +606,6 @@ class PermutationGroup(FiniteGroup):
 
     def _images_of(self, keys: np.ndarray) -> np.ndarray:
         return keys[:, None] // self._key_weights % self.degree
-
-    def _home(self, keys: np.ndarray) -> np.ndarray:
-        """Home slot of each key of the 1-d int64 array ``keys``."""
-        slot = keys.view(np.uint64) * np.uint64(self._multiplier)
-        slot >>= np.uint64(self._shift)
-        return slot.view(np.int64)
-
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Element index of each key, probed in the hashed table; raises
-        NotAGroup when a probe meets an empty slot first."""
-        flat = keys.reshape(-1)
-        out = self._slots[self._home(flat)]
-        # no element has an empty home slot; there -1 reads the last key,
-        # which an absent key is not
-        todo = np.flatnonzero(self._keys[out] != flat)
-        # the keys not in their home slot go on, one slot a round, until they
-        # are found or meet an empty slot: then they are no element's
-        want = flat[todo]
-        slot = self._home(want)
-        while len(todo):
-            slot += 1
-            found = self._slots[slot]
-            if found.min() < 0:
-                raise NotAGroup("product fell outside the element set")
-            hit = self._keys[found] == want
-            out[todo[hit]] = found[hit]
-            todo, slot, want = todo[~hit], slot[~hit], want[~hit]
-        return out.reshape(keys.shape)
-
-    def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._lookup(_composed_keys(self.images.ravel(), self.degree, self._columns, a, b))
-
-    def mul(self, i: int, j: int) -> int:
-        # the kernel's key, one point at a time, and its probe of the table
-        images, keys, table = self._views
-        degree = self.degree
-        row, base = i * degree, j * degree
-        key = 0
-        for pt in range(base, base + degree):
-            key = key * degree + images[row + images[pt]]
-        slot = (key * self._multiplier & _U64_MASK) >> self._shift
-        while True:
-            k = table[slot]
-            if k < 0:
-                raise NotAGroup("product fell outside the element set")
-            if keys[k] == key:
-                return k
-            slot += 1
 
     def element_label(self, i: int) -> str:
         images = self.images[i]

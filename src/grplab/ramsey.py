@@ -180,8 +180,9 @@ def _best_schur_move(
     A + B + Z + 2[1 in C] + [e^2 in C] + [e = 1]; taking e out of C
     (e in C) lowers it by A + B + Z - 2[1 in C] - [e^2 in C] + [e = 1].
     A + B + Z is one bincount of the products z y^-1, x^-1 z and x y over
-    C x C, so a step takes 3 sum |C|^2 <= 3n^2 products plus the n squares,
-    and every candidate is scored at once on (n, k) arrays.
+    C x C, so a step takes 3 sum |C|^2 <= 3n^2 products plus the n squares.
+    The candidates are scored in row blocks of about PRODUCT_BLOCK entries,
+    so A + B + Z is the only (n, k) array a step holds.
     """
     n = group.order
     inv = group.inverse_table.astype(np.int64)
@@ -196,28 +197,44 @@ def _best_schur_move(
     palette = np.arange(k)
     identity_color = colors[0]
     square_color = colors[group.mul_arrays(elements, elements)]
-    add = abz + 2 * (palette == identity_color) + (square_color[:, None] == palette) + (elements == 0)[:, None]
     drop = abz[elements, colors] - 2 * (colors == identity_color) - (square_color == colors) + (elements == 0)
     before = np.asarray(counts, dtype=np.int64)
     old_after = before[colors] - drop
-    new_after = before + add
     # the largest count outside the element's own class; the new class only
     # grows, so its count before the move may stay in that maximum
     top = np.argsort(-before, kind="stable")[:2]
     rest = np.where(colors == top[0], before[top[-1]], before[top[0]])
-    new_max = np.maximum(np.maximum(old_after, rest)[:, None], new_after)
+    hold = np.maximum(old_after, rest)
     current_max, current_sum = max(counts), sum(counts)
-    new_sum = current_sum - drop[:, None] + add
-    improves = (new_max < current_max) | ((new_max == current_max) & (new_sum < current_sum))
-    improves &= palette != colors[:, None]
-    if not improves.any():
+    kept_sum = current_sum - drop
+    best: Optional[Tuple[int, int, int, int]] = None  # (new max, new sum, element, colour)
+    bonus = 2 * (palette == identity_color)
+    rows = max(1, PRODUCT_BLOCK // k)
+    for lo in range(0, n, rows):
+        at = slice(lo, lo + rows)
+        add = abz[at] + bonus
+        add += square_color[at, None] == palette
+        add += (elements[at] == 0)[:, None]
+        new_sum = add + kept_sum[at, None]
+        add += before
+        new_max = np.maximum(add, hold[at, None], out=add)
+        improves = (new_max < current_max) | ((new_max == current_max) & (new_sum < current_sum))
+        improves &= palette != colors[at, None]
+        if improves.any():
+            improves &= new_max == new_max[improves].min()
+            improves &= new_sum == new_sum[improves].min()
+            first = int(np.flatnonzero(improves)[0])
+            move = (int(new_max.flat[first]), int(new_sum.flat[first]), lo + first // k, first % k)
+            if best is None or move < best:
+                best = move
+        del add, new_max, new_sum, improves  # one block at a time
+    if best is None:
         return None
-    improves &= new_max == new_max[improves].min()
-    improves &= new_sum == new_sum[improves].min()
-    element, new_color = divmod(int(np.flatnonzero(improves)[0]), k)
+    _, new_sum, element, new_color = best
     trial = list(counts)
     trial[int(colors[element])] = int(old_after[element])
-    trial[new_color] = int(new_after[element, new_color])
+    # the move adds new_sum - kept_sum to the receiving class
+    trial[new_color] = int(before[new_color] + new_sum - kept_sum[element])
     return element, new_color, trial
 
 

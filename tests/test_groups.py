@@ -615,8 +615,8 @@ def test_psl2_labels_identity():
 
 def test_group_above_table_cap_uses_keyed_lookup():
     # PSL2(23) has order 6072 > 4096, so no Cayley table is materialized and
-    # multiplication goes through the PSL2 point-image kernel and its dense
-    # index, however many products the kernel has already evaluated
+    # multiplication goes through the point-image kernel and its per-level
+    # index on the base, however many products the kernel has already evaluated
     g = build_group("PSL2(23)")
     assert g.order == 6072
     assert g.table is None
@@ -814,17 +814,25 @@ def test_psl2_kernel_matches_the_matrix_product_on_seeded_pairs(q):
     assert np.array_equal(g._mul_kernel(x, y), _psl2_matrix_product_oracle(g)(x, y))
 
 
+def _index_entries(g):
+    return sum(table.size for table in g._tables)
+
+
 @pytest.mark.parametrize("q", [4, 9, 29, 73])
-def test_psl2_images_and_index_take_n_times_q_plus_1_bytes_and_q_plus_1_cubed_slots(q):
+def test_psl2_images_and_index_sizes(q):
     g = build_group(f"PSL2({q})")
     n, w = g.order, q + 1
     add, mul, _ = _gf_scalar_ops(g.field)
     assert g.images.itemsize == 1 and g.images.nbytes == n * w
-    assert g._index.size == w**3 and np.count_nonzero(g._index >= 0) == n
-    # each row permutes the q + 1 points, and the index holds each element at
-    # the images of 0, 1 and infinity
+    # 0 and 1 split the elements into the (q+1)q ordered pairs of distinct
+    # points (PSL2(q) is 2-transitive), and 2 separates them: (q+1)^2 slots
+    # at the middle level and (q(q+1) + 1)(q+1) at the last
+    assert g.base == [0, 1, 2]
+    assert [t.size for t in g._tables] == [w * w, (q * w + 1) * w]
+    assert _index_entries(g) == w**3 + w and np.count_nonzero(g._tables[-1] >= 0) == n
+    # each row permutes the q + 1 points
     assert np.array_equal(np.sort(g.images, axis=1), np.broadcast_to(np.arange(w), (n, w)))
-    assert np.array_equal(g._index[g._key(g.images[:, 0], g.images[:, 1], g.images[:, q])], np.arange(n))
+    assert np.array_equal(g._lookup(g.images[:, b] for b in g.base), np.arange(n))
     # x -> (ax + b)/(cx + d), with infinity at q, from the scalar field ops
     inverse = {v: u for u in range(1, q) for v in range(1, q) if mul(u, v) == 1}
 
@@ -840,19 +848,37 @@ def test_psl2_images_and_index_take_n_times_q_plus_1_bytes_and_q_plus_1_cubed_sl
 @pytest.mark.parametrize("q", [4, 7])
 def test_psl2_lookup_rejects_keys_no_element_has(q):
     g = build_group(f"PSL2({q})")
-    assert g._lookup(g._key(0, 1, q)).tolist() == 0  # the identity fixes all three
+    assert g.base == [0, 1, 2]
+    assert g._lookup(np.array(b) for b in (0, 1, 2)).tolist() == 0  # the identity fixes all three
     # no element sends two points to one; for odd q, x -> 3x (3 a non-square
     # mod 7) lies in PGL2(q) but not in PSL2(q)
-    missing = [(0, 0, 0), (1, 1, q), (0, 2, 2)] + ([(0, 3, q)] if q == 7 else [])
+    missing = [(0, 0, 0), (1, 1, q), (0, 2, 2)] + ([(0, 3, 6)] if q == 7 else [])
     for images in missing:
         with pytest.raises(NotAGroup, match="outside the element set"):
-            g._lookup(g._key(*(np.array([e, v]) for e, v in zip((0, 1, q), images))))
+            g._lookup(np.array([b, v]) for b, v in zip((0, 1, 2), images))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    ["perm:(1 2 3 4 5 6 7);(1 2)", "perm:(1 2 3 4 5 6 7 8);(1 2)", "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)"],
-)
+# permutation groups with awkward bases, and their greedy bases (0-based; a
+# base of fewer than two points is padded by repeating one)
+AWKWARD_BASES = {
+    "perm:(1)": [0, 0],  # the trivial group
+    "perm:(2 3 4)": [1, 1],  # every element fixes the first point
+    "perm:(2 3);(4 5 6)": [1, 3],  # two orbits
+    "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)": [0, 0],  # one point fixes each element
+    # S3^5 on five orbits of three points
+    "perm:(1 2 3);(1 2);(4 5 6);(4 5);(7 8 9);(7 8);(10 11 12);(10 11);(13 14 15);(13 14)": [
+        0, 1, 3, 4, 6, 7, 9, 10, 12, 13
+    ],
+    "perm:(1 2);(3 4);(5 6);(7 8);(9 10);(11 12);(13 14)": [0, 2, 4, 6, 8, 10, 12],  # 2^7 on 14 points
+    "perm:(1 2 3 4 5 6);(1 2)": [0, 1, 2, 3, 4],
+    "perm:(1 2 3 4 5 6 7);(1 2)": [0, 1, 2, 3, 4, 5],
+    "perm:(1 2 3 4 5 6 7 8);(1 2)": [0, 1, 2, 3, 4, 5, 6],
+    "perm:(1 2 3 4 5 6 7 8 9);(1 2 3)": [0, 1, 2, 3, 4, 5, 6],  # A9
+}
+AWKWARD_PERMS = list(AWKWARD_BASES)
+
+
+@pytest.mark.parametrize("spec", AWKWARD_PERMS)
 def test_permutation_kernel_matches_python_composition(spec):
     g = build_group(spec)
     perms = [tuple(int(v) for v in row) for row in g.images]
@@ -874,6 +900,39 @@ def test_permutation_kernel_matches_python_composition(spec):
     _check_kernel_shapes(g, oracle, rng)
 
 
+@pytest.mark.parametrize("spec", AWKWARD_PERMS)
+def test_permutation_lookup_matches_a_sorted_search(spec):
+    g = build_group(spec)
+    n, degree = g.order, g.degree
+    weights = degree ** np.arange(degree - 1, -1, -1)
+    keys = g.images.astype(np.int64) @ weights
+    assert np.all(keys[1:] > keys[:-1])  # indexed in full-degree key order
+    assert g.images.dtype == np.uint8 and g.base == AWKWARD_BASES[spec]
+    assert np.array_equal(g._lookup(g.images[:, b] for b in g.base), np.arange(n))
+    assert _index_entries(g) <= degree * (n + degree + len(g.base))
+    # products composed on every point and found by a sorted search: every
+    # pair up to order 720, seeded pairs above, in the kernel and scalar mul
+    if n <= 720:
+        x, y = np.divmod(np.arange(n * n), n)
+    else:
+        x, y = np.random.default_rng(n).integers(0, n, size=(2, 20_000))
+    composed = np.take_along_axis(g.images[x], g.images[y].astype(np.int64), axis=1) @ weights
+    want = np.searchsorted(keys, composed)
+    assert np.array_equal(keys[want], composed)
+    assert np.array_equal(g._mul_kernel(x, y), want)
+    assert [g.mul(i, j) for i, j in zip(x[:2000].tolist(), y[:2000].tolist())] == want[:2000].tolist()
+    # base images that are no element's, alone or between two elements'
+    if n < degree ** len(g.base):
+        digits = degree ** np.arange(len(g.base))
+        base_keys = np.sort(g.images[:, g.base].astype(np.int64) @ digits)
+        strings = np.random.default_rng(n).integers(0, degree, size=(400, len(g.base)))
+        absent = strings[base_keys[np.searchsorted(base_keys, strings @ digits) % n] != strings @ digits][:20]
+        assert len(absent)
+        for images in absent:
+            with pytest.raises(NotAGroup, match="outside the element set"):
+                g._lookup(np.array([g.images[0, b], v, g.images[-1, b]]) for b, v in zip(g.base, images))
+
+
 # scalar mul: one product in plain Python over the kernel's own arrays
 
 
@@ -893,88 +952,53 @@ def test_psl2_scalar_mul_matches_the_kernel(q):
     assert type(g.mul(x[0], y[0])) is int
 
 
-def test_psl2_corrupt_index_entry_raises_from_kernel_and_scalar_mul():
-    g = build_group("PSL2(11)")
-    i, j = 5, 17
-    k = g.mul(i, j)
-    slot = g._key(*g._columns[:, k])
-    assert g._index[slot] == k
-    g._index[slot] = -1
-    with pytest.raises(NotAGroup, match="outside the element set"):
-        g.mul(i, j)
-    with pytest.raises(NotAGroup, match="outside the element set"):
-        g._mul_kernel(np.array([i]), np.array([j]))
+def _index_path(g, k):
+    """The slot that element k reads at each level of the index, walked from
+    its own images of the base."""
+    slots = []
+    slot = int(g.images[k, g.base[0]]) * g.images.shape[1]
+    for table, point in zip(g._tables, g.base[1:]):
+        slot += int(g.images[k, point])
+        slots.append(slot)
+        slot = int(table[slot])
+    assert slot == k
+    return slots
 
 
-def _check_hashed_lookup(g, rng):
-    """The hashed lookup against a sorted search over every element's key:
-    each element's own key, the composed keys of seeded products in the
-    kernel and the scalar mul, and keys of no element."""
-    weights = g.degree ** np.arange(g.degree - 1, -1, -1)
-    keys = g.images.astype(np.int64) @ weights
-    assert np.all(keys[1:] > keys[:-1])  # indexed in key order
-    assert np.array_equal(g._lookup(keys), np.arange(g.order))
-    x, y = rng.integers(0, g.order, size=(2, 20_000))
-    composed = np.take_along_axis(g.images[x], g.images[y].astype(np.int64), axis=1) @ weights
-    want = np.searchsorted(keys, composed)
-    assert np.array_equal(keys[want], composed)
-    assert np.array_equal(g._lookup(composed), want)
-    assert np.array_equal(g._mul_kernel(x, y), want)
-    assert [g.mul(i, j) for i, j in zip(x[:2000].tolist(), y[:2000].tolist())] == want[:2000].tolist()
-    # digit strings that are no element's images: alone, or among elements
-    strings = rng.integers(0, g.degree, size=(200, g.degree)) @ weights
-    absent = strings[keys[np.searchsorted(keys, strings) % g.order] != strings][:20]
-    assert len(absent)
-    for key in absent.tolist():
+CORRUPT_LEVELS = {"middle": (0, None), "last": (-1, -1)}
+
+
+def _check_corrupt_index_entries(spec, levels=tuple(CORRUPT_LEVELS)):
+    """A product's slot at the first middle level sent to the dead node (the
+    largest entry of a middle table), or its slot at the last level to -1:
+    both the kernel and the scalar mul must then refuse it."""
+    for at, dead in (CORRUPT_LEVELS[level] for level in levels):
+        g = build_group(spec)
+        assert len(g._tables) > 1
+        i, j = 5, 17
+        k = g.mul(i, j)
+        table = g._tables[at]
+        table[_index_path(g, k)[at]] = table.max() if dead is None else dead
         with pytest.raises(NotAGroup, match="outside the element set"):
-            g._lookup(np.array([keys[0], key, keys[-1]]))
+            g.mul(i, j)
+        with pytest.raises(NotAGroup, match="outside the element set"):
+            g._mul_kernel(np.array([i]), np.array([j]))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "perm:(1 2 3 4 5 6);(1 2)",
-        "perm:(1 2 3 4 5 6 7);(1 2)",
-        "perm:(1 2 3 4 5 6 7 8);(1 2)",
-        "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)",
-    ],
-)
-def test_permutation_hashed_lookup_matches_a_sorted_search(spec):
-    g = build_group(spec)
-    assert len(g._slots) > 4 * g.order and g._slots[-1] == -1
-    _check_hashed_lookup(g, np.random.default_rng(g.order))
+def test_psl2_corrupt_index_entry_raises_from_kernel_and_scalar_mul():
+    _check_corrupt_index_entries("PSL2(11)")
 
 
-@pytest.mark.parametrize("multiplier", [0, 1 << 44])
-def test_permutation_hashed_lookup_on_long_probe_chains(multiplier, monkeypatch):
-    # multiplier 0 sends every key home to slot 0, one chain of all n keys;
-    # 2^44 sends the keys of S6 (below 6^6 < 2^16) home by their top bits,
-    # so runs of neighbouring keys share a home
-    monkeypatch.setattr(groups, "_HASH_MULTIPLIER", multiplier)
-    g = build_group("perm:(1 2 3 4 5 6);(1 2)")
-    filled = np.flatnonzero(g._slots >= 0)
-    assert len(filled) == g.order
-    assert (filled - g._home(g._keys[g._slots[filled]])).max() >= (g.order - 1 if multiplier == 0 else 100)
-    _check_hashed_lookup(g, np.random.default_rng(multiplier % 7))
+@pytest.mark.parametrize("level", CORRUPT_LEVELS)
+def test_permutation_corrupt_index_entry_raises_from_kernel_and_scalar_mul(level):
+    _check_corrupt_index_entries("perm:(1 2 3 4 5 6);(1 2)", [level])
 
 
-@pytest.mark.parametrize("position", ["home", "probed"])
-def test_permutation_corrupt_table_entry_raises_from_kernel_and_scalar_mul(position):
-    # the slot of an element in its home slot, or of one found further along
-    # its probe chain, is given another element; its products then miss
-    g = build_group("perm:(1 2 3 4 5 6);(1 2)")
-    filled = np.flatnonzero(g._slots >= 0)
-    probed = filled != g._home(g._keys[g._slots[filled]])
-    slot = filled[probed if position == "probed" else ~probed][0]
-    k = int(g._slots[slot])
-    j = 5
-    i = g.mul(k, g.inv(j))
-    assert g.mul(i, j) == k
-    g._slots[slot] = (k + 1) % g.order
-    with pytest.raises(NotAGroup, match="outside the element set"):
-        g.mul(i, j)
-    with pytest.raises(NotAGroup, match="outside the element set"):
-        g._mul_kernel(np.array([i]), np.array([j]))
+def test_point_image_groups_share_one_kernel():
+    # one kernel, one scalar mul and one lookup for PSL2 and permutations
+    for cls in (groups.PSL2Group, groups.PermutationGroup):
+        assert issubclass(cls, groups.PointImageGroup)
+        assert not {"_mul_kernel", "mul", "_lookup"} & set(vars(cls)), cls
 
 
 @pytest.mark.parametrize("spec", ["PSL2(11)", "perm:(1 2 3 4 5 6);(1 2)"])

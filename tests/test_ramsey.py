@@ -202,6 +202,39 @@ def test_delta_scorer_with_empty_classes():
     _assert_moves_match(z12, np.zeros(12, dtype=np.int64), 12, 4)
 
 
+@pytest.mark.parametrize("block", [1, 7, 100])
+@pytest.mark.parametrize("spec, k", [("PSL2(5)", 3), ("Z/2 x Z/2 x Z/6", 4), ("Z/12", 12)])
+def test_delta_scorer_matches_the_full_recount_across_row_blocks(monkeypatch, spec, k, block):
+    # blocks of one row, of a few rows that do not divide n, and of rows of
+    # several elements: the least move over all blocks is the oracle's
+    monkeypatch.setattr(ramsey, "PRODUCT_BLOCK", block)
+    g = build_group(spec)
+    for seed in range(2):
+        colors = np.array(Coloring.random(g, k, derive(97, seed)).color_of)
+        _assert_moves_match(g, colors, k, 3)
+    _assert_moves_match(g, np.zeros(g.order, dtype=np.int64), k, 3)
+
+
+def test_schur_step_at_k_equal_n_holds_one_n_by_k_array():
+    # A + B + Z alone takes n*k*8 = 32 MB here; the candidates are scored in
+    # row blocks of about 2^20 entries, so the step stays within twice that
+    n = k = 2000
+    g = build_group(f"Z/{n}")
+    colors = np.array(Coloring.random(g, k, 5).color_of)
+    counts = [_schur_count_of_mask(g, colors == j) for j in range(k)]
+    tracemalloc.start()
+    try:
+        move = ramsey._best_schur_move(g, colors, counts, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * k * 8, peak
+    element, new_color, after = move
+    colors[element] = new_color
+    assert after == [_schur_count_of_mask(g, colors == j) for j in range(k)]
+    assert (max(after), sum(after)) < (max(counts), sum(counts))
+
+
 def _oracle_driven_search(monkeypatch, *args, **kwargs):
     calls = []
 

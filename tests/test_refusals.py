@@ -61,6 +61,8 @@ REFUSALS = [
 IN_LIMITS = [
     (["group", "--group", "Z/200000", "--classes"], 10),
     (["group", "--group", "PSL2(73)", "--classes"], 10),
+    # A9, order 181440, close to the order cap: the largest index and images
+    (["group", "--group", "perm:(1 2 3 4 5 6 7 8 9);(1 2 3)", "--classes"], 10),
     (["quasirandom", "--group", "table:{dihedral}"], 10),
     # 177^4 tuples, just inside the mixing budget of 10^9
     (["mixing", "--group", "Z/177", "--n", "4", "--set-all", "random:0.7,1"], 10),
