@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sets", nargs="*", default=[], help="2^n-1 set specs in binary-subset order")
     p.add_argument("--set-all", dest="set_all", help="one set spec used for every subset")
-    p.add_argument("--engine", choices=("auto", "brute"), default="auto")
+    p.add_argument("--engine", choices=("auto", "brute", "fft"), default="auto")
     _add_common(p)
 
     p = sub.add_parser("quasirandom", help="character degrees and quasirandomness degree")
@@ -235,7 +235,9 @@ def _cayley_auto(engine: str) -> str:
 
 
 def _mixing_subsets(n: int) -> List[Tuple[int, ...]]:
-    """The subsets of `mixing:n`, binary order; n > 4 is refused before its 2^n - 1 subsets are listed."""
+    """The subsets of `mixing:n`, binary order; n outside 2..4 is refused before any subset is listed."""
+    if n < 2:
+        raise errors.MalformedSpec(f"mixing tuples need n >= 2, got {n}")
     if n > 4:
         raise errors.BudgetExceeded(f"mixing tuples supported for n in 2..4, got {n}")
     return all_nonempty_subsets(n)

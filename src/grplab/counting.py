@@ -1,20 +1,20 @@
 """Exact solution counting for group equations and mixing-tuple sets.
 
-The xyz, power, fiber and Schur counts, and ap3 on abelian groups, are one
-weighted pair count: the sum of weights[x*y] over x in one index array and
-y in another.  The mixing count ends in it too: ``_subproducts``, the one
-recurrence for increasing-order subproducts, enumerates a_1..a_{n-2}, and
-each such prefix adds one pair count over the last two positions.
-``_pair_count`` computes it by one of three engines that cross-check each
-other: ``BruteForce`` is a plain Python loop over the pairs,
+The xyz, power, fiber and Schur counts, ap3 on abelian groups and the
+convolution identity are one weighted pair count: the sum of weights[x*y]
+over x in one index array and y in another.  The mixing count ends in it
+too: ``_subproducts``, the one recurrence for increasing-order subproducts,
+enumerates a_1..a_{n-2}, and each such prefix adds one pair count over the
+last two positions.  ``_pair_count`` computes it by one of three engines
+that cross-check each other: ``BruteForce`` loops over the pairs in Python,
 ``CayleyConvolution`` gathers the products through the group's vectorized
 multiplication, and ``AbelianFFT`` convolves the two index histograms over
-a cyclic-product group by a real-input FFT.
-``_resolve_engine`` is the one place that turns an engine string into one
-of these.  All counts are exact integers; the FFT path rounds and is
-accepted only when both an a-priori error bound and the observed rounding
-residual stay well below 1/2, otherwise it falls back to exact integer
-convolution.
+a cyclic-product group by a real-input FFT.  ``_resolve_engine`` owns every
+engine choice, for every caller: ``auto`` is the FFT on a cyclic product
+above order 1024 and Cayley otherwise.  All counts are exact integers; the
+FFT path rounds and is accepted only when both an a-priori error bound and
+the observed rounding residual stay well below 1/2, otherwise it falls back
+to exact integer convolution.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     DomainMismatch,
     EngineUnsupported,
     GroupMismatch,
+    MalformedSpec,
     PointwiseIdentityFailed,
 )
 from .groups import FiniteGroup, _pair_blocks
@@ -100,20 +101,16 @@ def count_xy_eq_z(
     return CountReport("xyz", count, normalizer, degenerate, engine)
 
 
-def _resolve_engine(g: Optional[FiniteGroup], engine: str) -> str:
-    """The engine that ``engine`` names.  ``auto`` is the FFT on a cyclic
-    product ``g`` above order 1024 and Cayley otherwise.  A count with no FFT
-    branch (mixing) passes no group: it runs ``auto`` by Cayley and refuses
-    ``fft``."""
+def _resolve_engine(g: FiniteGroup, engine: str) -> str:
+    """The engine that ``engine`` names on ``g``.  ``auto`` is the FFT on a
+    cyclic product above order 1024 and Cayley otherwise."""
     if engine == "auto":
-        engine = "fft" if g is not None and g.cyclic_moduli is not None and g.order > 1024 else "cayley"
+        engine = "fft" if g.cyclic_moduli is not None and g.order > 1024 else "cayley"
     if engine in ("brute", ENGINE_BRUTE):
         return ENGINE_BRUTE
     if engine in ("cayley", ENGINE_CAYLEY):
         return ENGINE_CAYLEY
     if engine in ("fft", ENGINE_FFT):
-        if g is None:
-            raise EngineUnsupported("mixing supports engines brute and auto")
         if g.cyclic_moduli is None:
             raise EngineUnsupported(f"AbelianFFT needs a cyclic product group, not {g.spec_text}")
         return ENGINE_FFT
@@ -330,9 +327,10 @@ def count_fiber_equation(
             f"identity holds on {diag}/{a.card} elements, below the required fraction"
         )
 
-    count = _pair_count(g, v1, v2, np.bincount(v3, minlength=g.order), ENGINE_CAYLEY)
+    engine = _resolve_engine(g, "auto")
+    count = _pair_count(g, v1, v2, np.bincount(v3, minlength=g.order), engine)
     extras = {"fiber_bounds": [f1.fiber_bound, f2.fiber_bound, f3.fiber_bound]}
-    return CountReport("fiber", count, Fraction(a.card * a.card), diag, ENGINE_CAYLEY, extras)
+    return CountReport("fiber", count, Fraction(a.card * a.card), diag, engine, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +361,9 @@ def count_mixing_tuples(
     order.  Normalizer: prod_F |A_F| / |G|^(2^n - 1 - n).  The degenerate
     count is 1 when the all-identity tuple qualifies, else 0.
     """
-    engine = _resolve_engine(None, engine)
-    if not 2 <= n <= 4:
+    if n < 2:
+        raise MalformedSpec(f"mixing tuples need n >= 2, got {n}")
+    if n > 4:
         raise BudgetExceeded(f"mixing tuples supported for n in 2..4, got {n}")
     fams = {subset_key(k): v for k, v in sets.items()}
     want = all_nonempty_subsets(n)
@@ -372,13 +371,14 @@ def count_mixing_tuples(
     if missing:
         raise GroupMismatch(f"missing target sets for subsets {missing}")
     g = _require_same_group(*[fams[f] for f in want])
+    engine = _resolve_engine(g, engine)
     if g.order**n > budget:
         raise BudgetExceeded(f"|G|^{n} = {g.order ** n} exceeds budget {budget}")
 
     if engine == ENGINE_BRUTE:
         count = _mixing_brute(g, n, fams)
     else:
-        count = _mixing_prefix(g, n, fams)
+        count = _mixing_prefix(g, n, fams, engine)
 
     degenerate = int(all(fams[f].contains(0) for f in want))
     prod_sizes = 1
@@ -414,9 +414,9 @@ def _mixing_brute(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubse
     )
 
 
-def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubset]) -> int:
+def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubset], engine: str) -> int:
     """Enumerate a_1..a_{n-2} under their constraints, then count the last
-    two positions of each prefix with one pair count.
+    two positions of each prefix with one pair count by ``engine``.
 
     With p_F the prefix's subproducts, (a_{n-1}, a_n) = (x, y) qualifies
     when x lies in X = A_{n-1} meet p_F^-1 A_{F+(n-1)}, y in
@@ -436,7 +436,7 @@ def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubs
                 x &= masks[m + half - 1][row]
                 y &= masks[m + 2 * half - 1][row]
                 w &= masks[m + 3 * half - 1][row]
-            return _pair_count(g, np.flatnonzero(x), np.flatnonzero(y), w, ENGINE_CAYLEY)
+            return _pair_count(g, np.flatnonzero(x), np.flatnonzero(y), w, engine)
         count = 0
         for a in fams[(depth,)].indices.tolist():
             new = _subproducts(g.mul, (a,), prods)
@@ -471,19 +471,13 @@ class ConvolutionIdentityResult:
 
 
 def convolution_identity_check(x: GroupSubset, y: GroupSubset) -> ConvolutionIdentityResult:
-    """Verify |X||Y| = sum over t in XY^-1 of |X meet tY| exactly."""
+    """Verify |X||Y| = sum over t in XY^-1 of |X meet tY| exactly.
+
+    The sum counts the pairs (t, y) in XY^-1 x Y with ty in X: one pair
+    count."""
     from .sets import inverse_set, product_set
 
     g = _require_same_group(x, y)
     trans = product_set(x, inverse_set(y))
-    rhs = 0
-    for t in trans.indices.tolist():
-        rhs += int((x.mask & _translated_left_mask(g, t, y)).sum())
+    rhs = _pair_count(g, trans.indices, y.indices, x.mask, _resolve_engine(g, "auto"))
     return ConvolutionIdentityResult(x.card * y.card, rhs, trans.card)
-
-
-def _translated_left_mask(g: FiniteGroup, t: int, s: GroupSubset) -> np.ndarray:
-    """Mask of the left translate t*s."""
-    out = np.zeros(g.order, dtype=bool)
-    out[g.mul_arrays(np.full(s.card, t, dtype=np.int64), s.indices)] = True
-    return out

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .counting import ENGINE_CAYLEY, CountReport, _pair_count, _subproducts, all_nonempty_subsets
+from .counting import CountReport, _pair_count, _resolve_engine, _subproducts, all_nonempty_subsets
 from .counting import count_mixing_tuples, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec
 from .groups import PRODUCT_BLOCK, FiniteGroup, _pair_blocks
@@ -109,7 +109,7 @@ def schur_counts(coloring: Coloring, engine: str = "auto") -> SchurReport:
 
 def _schur_count_of_mask(group: FiniteGroup, mask: np.ndarray) -> int:
     idx = np.flatnonzero(mask)
-    return _pair_count(group, idx, idx, mask, ENGINE_CAYLEY)
+    return _pair_count(group, idx, idx, mask, _resolve_engine(group, "auto"))
 
 
 @dataclass(frozen=True)
@@ -449,12 +449,14 @@ def monochromatic_tuple_density(
 ) -> dict:
     """Max over colors of the density of monochromatic n-tuples.
 
-    Exact when |G|^n fits the iteration budget, otherwise a uniform sample
-    with a reported standard error.
+    Exact when n <= 4 and |G|^n fits the iteration budget, otherwise a
+    uniform sample with a reported standard error.
     """
+    if n < 1:
+        raise MalformedSpec(f"tuple length must be >= 1, got {n}")
     group = coloring.group
     total = group.order**n
-    exact = total <= max_exact_iterations
+    exact = n <= 4 and total <= max_exact_iterations
     best = {"color": -1, "density": -1.0}
     per_color = []
     for j in range(coloring.k):
@@ -464,7 +466,8 @@ def monochromatic_tuple_density(
             per_color.append(entry)
             continue
         if exact:
-            count = _count_mono_tuples_exact(group, cls_, n)
+            sets = {f: cls_ for f in all_nonempty_subsets(n)}
+            count = cls_.card if n == 1 else count_mixing_tuples(n, sets).count
             entry = {"color": j, "count": count, "density": count / total, "exact": True}
         else:
             hits = 0
@@ -488,15 +491,6 @@ def monochromatic_tuple_density(
         if entry["density"] > best["density"]:
             best = {"color": j, "density": entry["density"]}
     return {"n": n, "max_color": best["color"], "max_density": best["density"], "per_color": per_color}
-
-
-def _count_mono_tuples_exact(group: FiniteGroup, cls_: GroupSubset, n: int) -> int:
-    if 2 <= n <= 4:
-        sets = {f: cls_ for f in all_nonempty_subsets(n)}
-        return count_mixing_tuples(n, sets).count
-    if n == 1:
-        return cls_.card
-    raise BudgetExceeded(f"exact monochromatic tuple count supports n in 1..4, got {n}")
 
 
 def _count_inside(mul, mask: np.ndarray, cols: np.ndarray, prods: Optional[np.ndarray] = None) -> int:

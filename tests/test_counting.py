@@ -25,6 +25,7 @@ from grplab.errors import (
     DomainMismatch,
     EngineUnsupported,
     GroupMismatch,
+    MalformedSpec,
     PointwiseIdentityFailed,
 )
 from grplab.groups import build_group, element_order
@@ -520,11 +521,55 @@ def test_mixing_n4_sanity():
     assert count_mixing_tuples(4, sets, "brute").count == 3**4
 
 
-def test_mixing_has_no_fft_engine():
+@pytest.mark.parametrize("spec", ["Z/12", "Z/2 x Z/6", "Z/3 x Z/5"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_mixing_engines_agree_on_cyclic_products(spec, n):
+    g = build_group(spec)
+    for seed in range(3):
+        sets = {f: _random_subset(g, 0.6, derive(23, seed, n, *f)) for f in all_nonempty_subsets(n)}
+        reports = [count_mixing_tuples(n, sets, engine) for engine in ("brute", "cayley", "fft")]
+        assert [r.engine for r in reports] == ["BruteForce", "CayleyConvolution", "AbelianFFT"]
+        assert len({(r.count, r.degenerate_count, r.normalizer) for r in reports}) == 1
+
+
+def test_mixing_2_is_the_xyz_count_on_a_large_cyclic_group():
+    g = build_group("Z/2000")
+    a1, a2, a12 = (make_set(g, f"random:0.3,{seed}") for seed in (1, 2, 3))
+    rep = count_mixing_tuples(2, {(1,): a1, (2,): a2, (1, 2): a12})
+    xyz = count_xy_eq_z(a1, a2, a12)
+    assert (rep.count, rep.engine) == (xyz.count, xyz.engine) == (xyz.count, "AbelianFFT")
+    assert rep.count == count_xy_eq_z(a1, a2, a12, "cayley").count
+
+
+def test_mixing_fft_refused_off_cyclic_products():
+    g = build_group("PSL2(5)")
+    a = make_set(g, "random:0.5,3")
+    with pytest.raises(EngineUnsupported, match="AbelianFFT needs a cyclic product group, not PSL2"):
+        count_mixing_tuples(2, {f: a for f in all_nonempty_subsets(2)}, "fft")
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_mixing_refuses_n_below_two(n):
     z4 = build_group("Z/4")
-    h = GroupSubset.from_indices(z4, [0, 2])
-    with pytest.raises(EngineUnsupported, match="mixing supports engines brute and auto"):
-        count_mixing_tuples(2, {f: h for f in all_nonempty_subsets(2)}, "fft")
+    with pytest.raises(MalformedSpec, match=f"mixing tuples need n >= 2, got {n}"):
+        count_mixing_tuples(n, {(1,): GroupSubset.full(z4)})
+
+
+@pytest.mark.parametrize("spec, auto", [("Z/2000", "AbelianFFT"), ("PSL2(5)", "CayleyConvolution")])
+def test_every_pair_count_reports_the_resolved_auto_engine(spec, auto):
+    from grplab.ramsey import Coloring, schur_counts
+
+    g = build_group(spec)
+    assert counting._resolve_engine(g, "auto") == auto
+    a = make_set(g, "random:0.2,7")
+    f = FiberFunction.from_values(a, a.to_index_list())
+    engines = [
+        count_xy_eq_z(a, a, a).engine,
+        count_mixing_tuples(2, {f_: a for f_ in all_nonempty_subsets(2)}).engine,
+        count_fiber_equation(f, f, f, min_identity_fraction=0).engine,
+        *(r.engine for r in schur_counts(Coloring.random(g, 2, 5)).per_color),
+    ]
+    assert engines == [auto] * 5
 
 
 def test_mixing_budget_guard():

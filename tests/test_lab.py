@@ -257,12 +257,38 @@ def test_cli_count_ap3_and_power_fft(capsys):
         assert err == "grplab: AbelianFFT needs a cyclic product group, not PSL2(5)\n"
 
 
-def test_cli_mixing_refuses_fft(capsys):
-    code, out, err = _run_cli(
-        ["count", "--group", "Z/6", "--sets", "explicit:0,2", "--equation", "mixing:2", "--engine", "fft"],
-        capsys,
-    )
-    assert (code, out, err) == (1, "", "grplab: mixing supports engines brute and auto\n")
+@pytest.mark.parametrize("argv", [
+    ["count", "--group", "Z/6", "--sets", "explicit:0,2,3", "--equation", "mixing:3"],
+    ["mixing", "--group", "Z/6", "--n", "3", "--set-all", "explicit:0,2,3"],
+])
+def test_cli_mixing_takes_the_count_engines(argv, capsys):
+    reports = {}
+    for engine in ("auto", "brute", "fft"):
+        code, out, _ = _run_cli(argv + ["--engine", engine], capsys)
+        assert code == 0
+        reports[engine] = json.loads(out)
+    assert [r["engine"] for r in reports.values()] == ["CayleyConvolution", "BruteForce", "AbelianFFT"]
+    assert len({r["count"] for r in reports.values()}) == 1
+    on_psl2 = ["PSL2(5)" if arg == "Z/6" else arg for arg in argv]
+    code, out, err = _run_cli(on_psl2 + ["--engine", "fft"], capsys)
+    assert (code, out, err) == (1, "", "grplab: AbelianFFT needs a cyclic product group, not PSL2(5)\n")
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["mixing", "--group", "Z/4", "--n", "-3", "--set-all", "explicit:0"], -3),
+    (["mixing", "--group", "Z/4", "--n", "1", "--set-all", "explicit:0"], 1),
+    (["count", "--group", "Z/4", "--sets", "explicit:0", "--equation", "mixing:-1"], -1),
+    (["count", "--group", "Z/4", "--sets", "explicit:0", "--equation", "mixing:0"], 0),
+])
+def test_cli_refuses_mixing_below_two_before_listing_subsets(argv, n, capsys, monkeypatch):
+    import grplab.cli as cli
+
+    def listed(n):
+        raise AssertionError(f"listed the 2^{n} - 1 subsets")
+
+    monkeypatch.setattr(cli, "all_nonempty_subsets", listed)
+    code, out, err = _run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"grplab: mixing tuples need n >= 2, got {n}\n")
 
 
 def test_cli_power_on_empty_set_reports_its_engine(capsys):

@@ -278,6 +278,19 @@ def test_search_with_k_near_n_holds_o_nk_memory(monkeypatch):
     assert got == _oracle_driven_search(monkeypatch, z60, 60, iterations=2, restarts=1, seed=3)
 
 
+def test_search_on_a_large_cyclic_group_matches_a_cayley_search(monkeypatch):
+    # on Z/2000 the starting counts convolve; forcing Cayley must not move
+    # a count, a move or a byte of the result
+    z2000 = build_group("Z/2000")
+    assert _schur_count_of_mask(z2000, np.arange(2000) % 4 == 0) == 500 * 500
+    got = schur_adversarial_search(z2000, 2, iterations=1, restarts=2, seed=4).to_dict()
+    forced = []
+    with monkeypatch.context() as patch:
+        patch.setattr(ramsey, "_resolve_engine", lambda g, engine: forced.append(engine) or "CayleyConvolution")
+        assert got == schur_adversarial_search(z2000, 2, iterations=1, restarts=2, seed=4).to_dict()
+    assert forced == ["auto"] * 4  # two classes at each restart
+
+
 # --- greedy tuple recursion --------------------------------------------------
 
 
@@ -507,6 +520,21 @@ def test_cip_single_color_density_one():
     z4 = build_group("Z/4")
     out = cip_density_experiment(z4, 1, 2, trials=2, seed=0)
     assert out["min_max_density"] == 1.0
+
+
+def test_cip_above_four_samples_on_a_small_group():
+    # Z/10 at n = 5 has 10^5 tuples, inside the exact budget, but no exact
+    # count exists past n = 4: it samples as Z/100 does
+    out = cip_density_experiment(build_group("Z/10"), 2, 5, trials=2, seed=0, samples=2000)
+    entries = [e for trial in out["per_trial"] for e in trial["per_color"]]
+    assert entries and not any(e["exact"] for e in entries)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_cip_refuses_n_below_one(n):
+    col = Coloring.random(build_group("Z/10"), 2, 0)
+    with pytest.raises(MalformedSpec, match=f"tuple length must be >= 1, got {n}"):
+        monochromatic_tuple_density(col, n)
 
 
 def _mono_density_oracle(group, coloring, n):

@@ -66,6 +66,8 @@ IN_LIMITS = [
     (["quasirandom", "--group", "table:{dihedral}"], 10),
     # 177^4 tuples, just inside the mixing budget of 10^9
     (["mixing", "--group", "Z/177", "--n", "4", "--set-all", "random:0.7,1"], 10),
+    # 31622^2 pairs, the largest mixing:2 inside the budget: one convolution
+    (["mixing", "--group", "Z/31622", "--n", "2", "--set-all", "random:1,1"], 5),
     # three 14-element sets, the exact cap, with 1768, 1383 and 812 distinct
     # S S^-1 S values: about 2*10^9 triples
     (
