@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from . import errors
 from .counting import (
     CountReport,
+    _check_mixing_n,
     all_nonempty_subsets,
     count_ap3,
     count_mixing_tuples,
@@ -229,17 +230,9 @@ def _cmd_stats(args: argparse.Namespace, started: float) -> None:
     _emit(payload, args, started)
 
 
-def _cayley_auto(engine: str) -> str:
-    """The engine of an ap3 or power count: auto means cayley on every group."""
-    return "cayley" if engine == "auto" else engine
-
-
 def _mixing_subsets(n: int) -> List[Tuple[int, ...]]:
     """The subsets of `mixing:n`, binary order; n outside 2..4 is refused before any subset is listed."""
-    if n < 2:
-        raise errors.MalformedSpec(f"mixing tuples need n >= 2, got {n}")
-    if n > 4:
-        raise errors.BudgetExceeded(f"mixing tuples supported for n in 2..4, got {n}")
+    _check_mixing_n(n)
     return all_nonempty_subsets(n)
 
 
@@ -259,7 +252,7 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
     elif equation == "ap3":
         if len(sets) != 1:
             raise errors.ConfigInvalid("ap3 needs exactly one set")
-        rep = count_ap3(sets[0], _cayley_auto(args.engine))
+        rep = count_ap3(sets[0], args.engine)
     elif equation.startswith("power:"):
         if len(sets) != 1:
             raise errors.ConfigInvalid("power needs exactly one set")
@@ -267,7 +260,7 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
             n1, n2, n3 = (int(x) for x in equation[len("power:"):].split(","))
         except ValueError:
             raise errors.MalformedSpec(f"bad power equation {equation!r}") from None
-        rep = count_power_equation(sets[0], n1, n2, n3, _cayley_auto(args.engine))
+        rep = count_power_equation(sets[0], n1, n2, n3, args.engine)
     elif equation.startswith("mixing:"):
         try:
             n = int(equation[len("mixing:"):])

@@ -9,12 +9,11 @@ last two positions.  ``_pair_count`` computes it by one of three engines
 that cross-check each other: ``BruteForce`` loops over the pairs in Python,
 ``CayleyConvolution`` gathers the products through the group's vectorized
 multiplication, and ``AbelianFFT`` convolves the two index histograms over
-a cyclic-product group by a real-input FFT.  ``_resolve_engine`` owns every
-engine choice, for every caller: ``auto`` is the FFT on a cyclic product
-above order 1024 and Cayley otherwise.  All counts are exact integers; the
-FFT path rounds and is accepted only when both an a-priori error bound and
-the observed rounding residual stay well below 1/2, otherwise it falls back
-to exact integer convolution.
+a cyclic-product group by a real-input FFT.  ``_resolve_engine``, the one
+scan-or-convolve rule for every pair count and ``sets.product_set``, picks by
+the planned pairs.  All counts are exact integers; the FFT path rounds and is
+accepted only when both an a-priori error bound and the observed rounding
+residual stay well below 1/2, else it falls back to exact integer convolution.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import (
     PointwiseIdentityFailed,
 )
 from .groups import FiniteGroup, _pair_blocks
-from .sets import GroupSubset, _require_same_group
+from .sets import GroupSubset, _require_same_group, inverse_set, product_set
 
 ENGINE_BRUTE = "BruteForce"
 ENGINE_CAYLEY = "CayleyConvolution"
@@ -94,18 +93,21 @@ def count_xy_eq_z(
     the equation, else 0.
     """
     g = _require_same_group(a, b, c)
-    engine = _resolve_engine(g, engine)
+    engine = _resolve_engine(g, engine, a.card * b.card)
     count = _pair_count(g, a.indices, b.indices, c.mask, engine)
     degenerate = int(a.contains(0) and b.contains(0) and c.contains(0))
     normalizer = Fraction(a.card * b.card * c.card, g.order)
     return CountReport("xyz", count, normalizer, degenerate, engine)
 
 
-def _resolve_engine(g: FiniteGroup, engine: str) -> str:
-    """The engine that ``engine`` names on ``g``.  ``auto`` is the FFT on a
-    cyclic product above order 1024 and Cayley otherwise."""
+def _resolve_engine(g: FiniteGroup, engine: str, pairs: int) -> str:
+    """The engine that ``engine`` names on ``g`` for a scan of ``pairs`` products:
+    ``auto`` is the FFT on a cyclic product above max(8|G|, 2^16) pairs, else Cayley."""
     if engine == "auto":
-        engine = "fft" if g.cyclic_moduli is not None and g.order > 1024 else "cayley"
+        # a scan and one FFT over G cost the same near 6-12|G| pairs; under 2^16
+        # pairs either takes well under a millisecond, so small groups keep the scan
+        fft = g.cyclic_moduli is not None and pairs > max(8 * g.order, 1 << 16)
+        engine = "fft" if fft else "cayley"
     if engine in ("brute", ENGINE_BRUTE):
         return ENGINE_BRUTE
     if engine in ("cayley", ENGINE_CAYLEY):
@@ -186,7 +188,7 @@ def count_ap3(a: GroupSubset, engine: str = "auto") -> CountReport:
     Pairs with y = identity are the degenerate ones.
     """
     g = a.group
-    engine = _resolve_engine(g, engine)
+    engine = _resolve_engine(g, engine, a.card * a.card)
     if engine == ENGINE_BRUTE:
         count, degenerate = _ap3_brute(g, a)
     elif g.is_abelian:
@@ -241,7 +243,7 @@ def count_power_equation(
     if min(n1, n2, n3) < 1:
         raise ValueError("exponents must be >= 1")
     g = a.group
-    engine = _resolve_engine(g, engine)
+    engine = _resolve_engine(g, engine, a.card * a.card)
     ai = a.indices
     torsion_free = _torsion_free(g, ai, (n1, n2, n3))
     extras = {"torsion_free": torsion_free, "exponents": [n1, n2, n3]}
@@ -327,7 +329,7 @@ def count_fiber_equation(
             f"identity holds on {diag}/{a.card} elements, below the required fraction"
         )
 
-    engine = _resolve_engine(g, "auto")
+    engine = _resolve_engine(g, "auto", a.card * a.card)
     count = _pair_count(g, v1, v2, np.bincount(v3, minlength=g.order), engine)
     extras = {"fiber_bounds": [f1.fiber_bound, f2.fiber_bound, f3.fiber_bound]}
     return CountReport("fiber", count, Fraction(a.card * a.card), diag, engine, extras)
@@ -339,6 +341,14 @@ def count_fiber_equation(
 
 def subset_key(f: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted(int(i) for i in f))
+
+
+def _check_mixing_n(n: int) -> None:
+    """Refuse a mixing:n count with n outside 2..4, before any subset is listed."""
+    if n < 2:
+        raise MalformedSpec(f"mixing tuples need n >= 2, got {n}")
+    if n > 4:
+        raise BudgetExceeded(f"mixing tuples supported for n in 2..4, got {n}")
 
 
 def all_nonempty_subsets(n: int) -> List[Tuple[int, ...]]:
@@ -361,17 +371,14 @@ def count_mixing_tuples(
     order.  Normalizer: prod_F |A_F| / |G|^(2^n - 1 - n).  The degenerate
     count is 1 when the all-identity tuple qualifies, else 0.
     """
-    if n < 2:
-        raise MalformedSpec(f"mixing tuples need n >= 2, got {n}")
-    if n > 4:
-        raise BudgetExceeded(f"mixing tuples supported for n in 2..4, got {n}")
+    _check_mixing_n(n)
     fams = {subset_key(k): v for k, v in sets.items()}
     want = all_nonempty_subsets(n)
     missing = [f for f in want if f not in fams]
     if missing:
         raise GroupMismatch(f"missing target sets for subsets {missing}")
     g = _require_same_group(*[fams[f] for f in want])
-    engine = _resolve_engine(g, engine)
+    engine = _resolve_engine(g, engine, fams[(n - 1,)].card * fams[(n,)].card)
     if g.order**n > budget:
         raise BudgetExceeded(f"|G|^{n} = {g.order ** n} exceeds budget {budget}")
 
@@ -475,9 +482,7 @@ def convolution_identity_check(x: GroupSubset, y: GroupSubset) -> ConvolutionIde
 
     The sum counts the pairs (t, y) in XY^-1 x Y with ty in X: one pair
     count."""
-    from .sets import inverse_set, product_set
-
     g = _require_same_group(x, y)
     trans = product_set(x, inverse_set(y))
-    rhs = _pair_count(g, trans.indices, y.indices, x.mask, _resolve_engine(g, "auto"))
+    rhs = _pair_count(g, trans.indices, y.indices, x.mask, _resolve_engine(g, "auto", trans.card * y.card))
     return ConvolutionIdentityResult(x.card * y.card, rhs, trans.card)

@@ -109,7 +109,7 @@ def schur_counts(coloring: Coloring, engine: str = "auto") -> SchurReport:
 
 def _schur_count_of_mask(group: FiniteGroup, mask: np.ndarray) -> int:
     idx = np.flatnonzero(mask)
-    return _pair_count(group, idx, idx, mask, _resolve_engine(group, "auto"))
+    return _pair_count(group, idx, idx, mask, _resolve_engine(group, "auto", idx.size * idx.size))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Bitset-backed subsets of a finite group and exact set arithmetic.
 
 A :class:`GroupSubset` is a boolean membership mask over the element index
-space plus cached cardinality; densities are exact fractions.  Product sets
-are computed by unioning translated rows of the Cayley structure, chunked
-so memory stays bounded on large groups.
+space plus cached cardinality; densities are exact fractions.  A product set
+is the support of one FFT convolution where ``counting._resolve_engine``
+picks it, and otherwise a blocked scan of all pairs, so memory stays bounded.
 
 Set spec grammar accepted by :func:`parse_set_spec`:
 
@@ -112,18 +112,15 @@ def _require_same_group(*sets: GroupSubset) -> FiniteGroup:
 
 
 def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
-    """Exact productset {x*y : x in a, y in b}."""
-    g = _require_same_group(a, b)
-    out = np.zeros(g.order, dtype=bool)
-    ai, bi = a.indices, b.indices
-    if g.cyclic_moduli is not None and len(ai) * len(bi) > 64 * g.order:
-        # dense sets in a large abelian group: take the support of the exact
-        # integer convolution instead of enumerating all pairs
-        from .counting import cyclic_convolution
+    """Exact productset {x*y : x in a, y in b}, by convolution where the FFT is picked."""
+    from .counting import ENGINE_FFT, _resolve_engine, cyclic_convolution
 
+    g = _require_same_group(a, b)
+    if _resolve_engine(g, "auto", a.card * b.card) == ENGINE_FFT:
         conv = cyclic_convolution(g, a.mask.astype(np.int64), b.mask.astype(np.int64))
         return GroupSubset(g, conv > 0)
-    for block in _pair_blocks(g.mul_arrays, ai, bi):
+    out = np.zeros(g.order, dtype=bool)
+    for block in _pair_blocks(g.mul_arrays, a.indices, b.indices):
         out[block] = True
         del block
     return GroupSubset(g, out)
@@ -190,7 +187,11 @@ def growth_profile(a: GroupSubset, m_max: int) -> List[Fraction]:
 
 
 def is_product_free(a: GroupSubset) -> bool:
-    """True iff no x, y in a have x*y in a."""
+    """True iff no x, y in a have x*y in a; a scan stops at the first such x*y."""
+    from .counting import ENGINE_FFT, _resolve_engine
+
+    if _resolve_engine(a.group, "auto", a.card * a.card) == ENGINE_FFT:
+        return not product_set(a, a).mask[a.mask].any()
     for block in _pair_blocks(a.group.mul_arrays, a.indices, a.indices):
         if a.mask[block].any():
             return False

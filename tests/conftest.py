@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
 import pytest
 
 from grplab.groups import build_group
+from grplab.sets import GroupSubset
 
 # spec strings for the standard test fleet, smallest first
 FLEET_SPECS = [
@@ -34,6 +36,27 @@ def fleet_group(spec: str):
 @pytest.fixture(params=FLEET_SPECS, ids=lambda s: s.replace(" ", ""))
 def any_fleet_group(request):
     return fleet_group(request.param)
+
+
+# groups where |A|^2 can and cannot cross the scan-or-convolve line
+# max(8|G|, 2^16) of ``counting._resolve_engine``
+RULE_GROUPS = ["Z/6 x Z/4", "Z/177", "Z/2000", "Z/20011", "Z/2 x Z/1000", "Z/400 x Z/500", "PSL2(5)"]
+
+
+def pair_rule(g, pairs):
+    """The engine ``auto`` must pick for a scan of ``pairs`` products on g."""
+    if g.cyclic_moduli is not None and pairs > max(8 * g.order, 1 << 16):
+        return "AbelianFFT"
+    return "CayleyConvolution"
+
+
+def rule_sets(spec, step, count=3):
+    """``count`` seeded sets of one size: step 0 puts |A|^2 at or just below
+    the line, step 1 just above it (both capped at |G|)."""
+    g = fleet_group(spec)
+    card = min(math.isqrt(max(8 * g.order, 1 << 16)) + step, g.order)
+    rngs = (np.random.default_rng(seed) for seed in range(1, count + 1))
+    return g, card, [GroupSubset.from_indices(g, rng.choice(g.order, card, replace=False)) for rng in rngs]
 
 
 @pytest.fixture()

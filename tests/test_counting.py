@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import FLEET_SPECS, fleet_group
+from conftest import FLEET_SPECS, RULE_GROUPS, fleet_group, pair_rule, rule_sets
 from grplab import counting
 from grplab.counting import (
     FiberFunction,
@@ -337,14 +338,6 @@ def test_ap3_and_power_engines_agree(spec, density, exponents):
             assert len({(r.count, r.degenerate_count, r.extras["torsion_free"]) for r in reports}) == 1
 
 
-def test_auto_engine_is_fft_on_cyclic_products_above_1024():
-    a = make_set(build_group("Z/2 x Z/1000"), "random:0.05,3")
-    assert count_ap3(a).engine == count_power_equation(a, 1, 1, 2).engine == "AbelianFFT"
-    b = make_set(build_group("Z/1024"), "random:0.05,3")
-    assert count_ap3(b).engine == count_power_equation(b, 1, 1, 2).engine == "CayleyConvolution"
-    assert count_ap3(make_set(build_group("PSL2(5)"), "random:0.5,3")).engine == "CayleyConvolution"
-
-
 def test_ap3_and_power_fft_refused_off_cyclic_products(s3):
     full = GroupSubset.full(s3)
     with pytest.raises(EngineUnsupported, match="AbelianFFT needs a cyclic product group"):
@@ -555,21 +548,49 @@ def test_mixing_refuses_n_below_two(n):
         count_mixing_tuples(n, {(1,): GroupSubset.full(z4)})
 
 
-@pytest.mark.parametrize("spec, auto", [("Z/2000", "AbelianFFT"), ("PSL2(5)", "CayleyConvolution")])
-def test_every_pair_count_reports_the_resolved_auto_engine(spec, auto):
-    from grplab.ramsey import Coloring, schur_counts
+@pytest.mark.parametrize("step", [0, 1], ids=["below", "above"])
+@pytest.mark.parametrize("spec", RULE_GROUPS)
+def test_every_auto_pair_count_follows_the_pair_rule(spec, step, monkeypatch, capsys):
+    from grplab.cli import main
+    from grplab.ramsey import Coloring, _schur_count_of_mask, schur_counts
 
-    g = build_group(spec)
-    assert counting._resolve_engine(g, "auto") == auto
-    a = make_set(g, "random:0.2,7")
-    f = FiberFunction.from_values(a, a.to_index_list())
-    engines = [
-        count_xy_eq_z(a, a, a).engine,
-        count_mixing_tuples(2, {f_: a for f_ in all_nonempty_subsets(2)}).engine,
-        count_fiber_equation(f, f, f, min_identity_fraction=0).engine,
-        *(r.engine for r in schur_counts(Coloring.random(g, 2, 5)).per_color),
-    ]
-    assert engines == [auto] * 5
+    g, card, (a, b, c) = rule_sets(spec, step)
+    want = pair_rule(g, card * card)
+    assert counting._resolve_engine(g, "auto", card * card) == want
+    # the brute engine only where its Python loop stays short
+    engines = ("auto", "cayley", "brute") if card * card <= 200_000 else ("auto", "cayley")
+    xyz = [count_xy_eq_z(a, b, c, e) for e in engines]
+    power = [count_power_equation(a, 1, 1, 2, e) for e in engines]
+    ap3 = [count_ap3(a, e) for e in engines if e != "brute" or g.order <= 2000]
+    for reports in (xyz, power, ap3):
+        assert reports[0].engine == want
+        assert len({(r.count, r.degenerate_count) for r in reports}) == 1
+
+    # f1(x) f2(x) = f3(x) with f1 = f2 the identity and f3 the square is x*y = z^2
+    f, sq = (FiberFunction.from_values(a, v) for v in (a.indices, g.pow_arrays(a.indices, 2)))
+    fiber = count_fiber_equation(f, f, sq)
+    assert (fiber.engine, fiber.count) == (want, power[1].count)
+
+    if g.order**2 <= counting.MIXING_BUDGET:
+        mixing = count_mixing_tuples(2, {(1,): a, (2,): b, (1, 2): c})
+        assert (mixing.engine, mixing.count) == (want, xyz[1].count)
+
+    coloring = Coloring(g, np.where(a.mask, 0, 1), 2)
+    per_color = schur_counts(coloring).per_color
+    assert [r.engine for r in per_color] == [want, pair_rule(g, (g.order - card) ** 2)]
+    assert per_color[0].count == _schur_count_of_mask(g, a.mask) == count_xy_eq_z(a, a, a, "cayley").count
+
+    ran = []
+    pair_count = counting._pair_count
+    monkeypatch.setattr(counting, "_pair_count", lambda *args: ran.append(args[-1]) or pair_count(*args))
+    identity = convolution_identity_check(a, b)
+    assert identity.ok and ran == [pair_rule(g, identity.translate_count * card)]
+
+    explicit = "explicit:" + ",".join(map(str, a.indices.tolist()))
+    for equation, report in (("ap3", ap3[1]), ("power:1,1,2", power[1])):
+        assert main(["count", "--group", spec, "--sets", explicit, "--equation", equation]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["engine"], out["count"]) == (want, report.count)
 
 
 def test_mixing_budget_guard():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import time
 import tracemalloc
 
@@ -286,9 +287,15 @@ def test_search_on_a_large_cyclic_group_matches_a_cayley_search(monkeypatch):
     got = schur_adversarial_search(z2000, 2, iterations=1, restarts=2, seed=4).to_dict()
     forced = []
     with monkeypatch.context() as patch:
-        patch.setattr(ramsey, "_resolve_engine", lambda g, engine: forced.append(engine) or "CayleyConvolution")
+        patch.setattr(
+            ramsey, "_resolve_engine", lambda g, engine, pairs: forced.append((engine, pairs)) or "CayleyConvolution"
+        )
         assert got == schur_adversarial_search(z2000, 2, iterations=1, restarts=2, seed=4).to_dict()
-    assert forced == ["auto"] * 4  # two classes at each restart
+    # two classes at each restart, each planned at |C|^2 pairs
+    sizes = [math.isqrt(pairs) for _, pairs in forced]
+    assert [engine for engine, _ in forced] == ["auto"] * 4
+    assert [size * size for size in sizes] == [pairs for _, pairs in forced]
+    assert sizes[0] + sizes[1] == sizes[2] + sizes[3] == 2000
 
 
 # --- greedy tuple recursion --------------------------------------------------

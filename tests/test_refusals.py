@@ -57,17 +57,22 @@ REFUSALS = [
 ]
 
 
-# argv ({dihedral} is a CSV of D_597, with 300 classes: the class cap), seconds
+# argv ({dihedral} is a CSV of D_597, with 300 classes: the class cap), seconds,
+# and a fragment the report must hold (None: any report)
 IN_LIMITS = [
-    (["group", "--group", "Z/200000", "--classes"], 10),
-    (["group", "--group", "PSL2(73)", "--classes"], 10),
+    (["group", "--group", "Z/200000", "--classes"], 10, None),
+    (["group", "--group", "PSL2(73)", "--classes"], 10, None),
     # A9, order 181440, close to the order cap: the largest index and images
-    (["group", "--group", "perm:(1 2 3 4 5 6 7 8 9);(1 2 3)", "--classes"], 10),
-    (["quasirandom", "--group", "table:{dihedral}"], 10),
+    (["group", "--group", "perm:(1 2 3 4 5 6 7 8 9);(1 2 3)", "--classes"], 10, None),
+    (["quasirandom", "--group", "table:{dihedral}"], 10, None),
     # 177^4 tuples, just inside the mixing budget of 10^9
-    (["mixing", "--group", "Z/177", "--n", "4", "--set-all", "random:0.7,1"], 10),
+    (["mixing", "--group", "Z/177", "--n", "4", "--set-all", "random:0.7,1"], 10, None),
     # 31622^2 pairs, the largest mixing:2 inside the budget: one convolution
-    (["mixing", "--group", "Z/31622", "--n", "2", "--set-all", "random:1,1"], 5),
+    (["mixing", "--group", "Z/31622", "--n", "2", "--set-all", "random:1,1"], 5, None),
+    # 10^10 pairs of a dense set in the largest cyclic group: one convolution
+    (["count", "--group", "Z/200000", "--sets", "random:0.5,1", "--equation", "ap3"], 5, '"count":4924907515'),
+    # a sum-free interval of 66666 elements: 4.4*10^9 pairs, none inside
+    (["stats", "--group", "Z/200000", "--set", "interval:66668,66666", "--m-max", "2"], 5, '"product_free":true'),
     # three 14-element sets, the exact cap, with 1768, 1383 and 812 distinct
     # S S^-1 S values: about 2*10^9 triples
     (
@@ -83,6 +88,7 @@ IN_LIMITS = [
             "explicit:1,6,15,17,22,27,31,35,41,48,49,50,56,57",
         ],
         15,
+        None,
     ),
 ]
 
@@ -121,8 +127,9 @@ def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table):
     assert elapsed < seconds
 
 
-@pytest.mark.parametrize("argv, seconds", IN_LIMITS, ids=[" ".join(row[0]) for row in IN_LIMITS])
-def test_input_inside_the_limits_finishes_in_time(argv, seconds, d597_table):
+@pytest.mark.parametrize("argv, seconds, fragment", IN_LIMITS, ids=[" ".join(row[0]) for row in IN_LIMITS])
+def test_input_inside_the_limits_finishes_in_time(argv, seconds, fragment, d597_table):
     done, elapsed = _run_cli([arg.format(dihedral=d597_table) for arg in argv])
     assert done.returncode == 0, done.stderr
+    assert fragment is None or fragment in done.stdout, done.stdout
     assert elapsed < seconds

@@ -3,10 +3,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from grplab import counting
+from grplab.counting import count_xy_eq_z
 from grplab.errors import EmptySet, GroupMismatch, KindUnsupportedForGroup, MalformedSpec
 from grplab.groups import build_group
 from grplab.rng import SplitMix64
@@ -24,7 +27,7 @@ from grplab.sets import (
     tripling_constant,
 )
 
-from conftest import fleet_group
+from conftest import RULE_GROUPS, fleet_group, rule_sets
 
 settings.register_profile("suite", settings(max_examples=60, deadline=None))
 settings.load_profile("suite")
@@ -67,14 +70,43 @@ def test_product_with_identity_singleton(any_fleet_group):
 
 
 def test_product_set_dense_convolution_path():
-    # dense sets on a larger cyclic group route through the convolution
-    # support; must match the pairwise definition exactly
+    # dense sets on a cyclic group route through the convolution support;
+    # must match the pairwise definition exactly
     g = build_group("Z/300")
-    a = make_set(g, "random:0.5,1")
-    b = make_set(g, "random:0.5,2")
-    assert a.card * b.card > 64 * g.order  # the convolution path triggers
+    a = make_set(g, "random:0.9,1")
+    b = make_set(g, "random:0.9,2")
+    assert counting._resolve_engine(g, "auto", a.card * b.card) == "AbelianFFT"
     fast = product_set(a, b)
     assert set(fast.to_index_list()) == _product_oracle(a, b)
+
+
+def _sum_free_set(g, card):
+    """Up to ``card`` seeded elements whose coordinate in the largest cyclic
+    factor Z/m lies strictly between m/3 and 2m/3: a sum-free set."""
+    m = max(g.cyclic_moduli)
+    coords = np.unravel_index(np.arange(g.order), g.cyclic_moduli)[list(g.cyclic_moduli).index(m)]
+    pool = np.flatnonzero((3 * coords > m) & (3 * coords < 2 * m))
+    pick = np.random.default_rng(4).choice(pool, min(card, pool.size), replace=False)
+    return GroupSubset.from_indices(g, pick)
+
+
+@pytest.mark.parametrize("step", [0, 1], ids=["below", "above"])
+@pytest.mark.parametrize("spec", RULE_GROUPS)
+def test_product_set_and_product_free_agree_on_both_paths(spec, step, monkeypatch):
+    g, card, (a, b) = rule_sets(spec, step, 2)
+    cyclic = g.cyclic_moduli is not None
+    free = _sum_free_set(g, card) if cyclic else a
+
+    def run():
+        return product_set(a, b).to_index_list(), is_product_free(a), is_product_free(free)
+
+    auto = run()
+    assert auto[1] == (count_xy_eq_z(a, a, a, "cayley").count == 0)
+    assert auto[2] == (count_xy_eq_z(free, free, free, "cayley").count == 0) == cyclic
+    for engine in ["CayleyConvolution"] + ["AbelianFFT"] * cyclic:
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_resolve_engine", lambda *_: engine)
+            assert run() == auto
 
 
 def test_group_mismatch():
