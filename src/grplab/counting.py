@@ -1,19 +1,18 @@
 """Exact solution counting for group equations and mixing-tuple sets.
 
-The xyz, power, fiber and Schur counts, ap3 on abelian groups and the
-convolution identity are one weighted pair count: the sum of weights[x*y]
-over x in one index array and y in another.  The mixing count ends in it
-too: ``_subproducts``, the one recurrence for increasing-order subproducts,
-enumerates a_1..a_{n-2}, and each such prefix adds one pair count over the
-last two positions.  ``_pair_count`` computes it by one of three engines
-that cross-check each other: ``BruteForce`` loops over the pairs in Python,
-``CayleyConvolution`` gathers the products through the group's vectorized
-multiplication, and ``AbelianFFT`` convolves the two index histograms over
-a cyclic-product group by a real-input FFT.  ``_resolve_engine``, the one
-scan-or-convolve rule for every pair count and ``sets.product_set``, picks by
-the planned pairs.  All counts are exact integers; the FFT path rounds and is
-accepted only when both an a-priori error bound and the observed rounding
-residual stay well below 1/2, else it falls back to exact integer convolution.
+Every two-set product reads the product counts r(z) = #{(x, y) in L x R :
+xy = z} of ``_product_counts``.  The xyz, power, fiber and Schur counts, ap3
+on abelian groups and the convolution identity are r against weights
+(``_pair_count``); the mixing count adds one such count per prefix
+a_1..a_{n-2}, enumerated by ``_subproducts``, the one recurrence for
+increasing-order subproducts; product sets and the Schur and Hindman searches
+read r too.  Three engines cross-check: ``BruteForce`` loops over the pairs in
+Python, ``CayleyConvolution`` bincounts the products gathered through the
+group's vectorized multiplication, and ``AbelianFFT`` convolves the two index
+histograms over a cyclic product by a real-input FFT; ``_resolve_engine``,
+the one scan-or-convolve rule, picks by the planned pairs.  The FFT result is
+rounded and kept only when an a-priori error bound and the observed rounding
+residual stay well below 1/2, else exact integer convolution runs instead.
 """
 
 from __future__ import annotations
@@ -119,23 +118,29 @@ def _resolve_engine(g: FiniteGroup, engine: str, pairs: int) -> str:
     raise EngineUnsupported(f"unknown engine {engine!r}")
 
 
-def _pair_count(
-    g: FiniteGroup, left: np.ndarray, right: np.ndarray, weights: np.ndarray, engine: str
-) -> int:
-    """Sum of weights[x*y] over x in ``left`` and y in ``right`` (index
-    arrays, repeats allowed), by the resolved ``engine``."""
+def _pair_count(g: FiniteGroup, left: np.ndarray, right: np.ndarray, weights: np.ndarray, engine: str = "auto") -> int:
+    """Sum of weights[x*y] over x in ``left`` and y in ``right``: the product
+    counts of :func:`_product_counts` against ``weights``."""
+    return int(np.dot(_product_counts(g, left, right, engine), weights))
+
+
+def _product_counts(g: FiniteGroup, left: np.ndarray, right: np.ndarray, engine: str = "auto") -> np.ndarray:
+    """r[z] = #{(x, y) : x in ``left``, y in ``right``, x*y = z} as an int64
+    array of length |G|, over index arrays with repeats allowed, by ``engine``
+    resolved for len(left) * len(right) pairs."""
+    n = g.order
+    engine = _resolve_engine(g, engine, len(left) * len(right))
     if engine == ENGINE_BRUTE:
         mul = g.mul
-        return sum(int(weights[mul(x, y)]) for x in left.tolist() for y in right.tolist())
+        products = [mul(x, y) for x in left.tolist() for y in right.tolist()]
+        return np.bincount(np.asarray(products, dtype=np.int64), minlength=n)
     if engine == ENGINE_FFT:
-        n = g.order
-        conv = cyclic_convolution(g, np.bincount(left, minlength=n), np.bincount(right, minlength=n))
-        return int(np.dot(conv, weights))
-    count = 0
+        return cyclic_convolution(g, np.bincount(left, minlength=n), np.bincount(right, minlength=n))
+    counts = np.zeros(n, dtype=np.int64)
     for block in _pair_blocks(g.mul_arrays, left, right):
-        count += int(weights[block].sum())
+        counts += np.bincount(block.ravel(), minlength=n)
         del block
-    return count
+    return counts
 
 
 def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -484,5 +489,5 @@ def convolution_identity_check(x: GroupSubset, y: GroupSubset) -> ConvolutionIde
     count."""
     g = _require_same_group(x, y)
     trans = product_set(x, inverse_set(y))
-    rhs = _pair_count(g, trans.indices, y.indices, x.mask, _resolve_engine(g, "auto", trans.card * y.card))
+    rhs = _pair_count(g, trans.indices, y.indices, x.mask)
     return ConvolutionIdentityResult(x.card * y.card, rhs, trans.card)

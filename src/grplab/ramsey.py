@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .counting import CountReport, _pair_count, _resolve_engine, _subproducts, all_nonempty_subsets
+from .counting import CountReport, _pair_count, _product_counts, _subproducts, all_nonempty_subsets
 from .counting import count_mixing_tuples, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec
-from .groups import PRODUCT_BLOCK, FiniteGroup, _pair_blocks
+from .groups import PRODUCT_BLOCK, FiniteGroup
 from .rng import SplitMix64, derive
 from .sets import GroupSubset
 
@@ -59,7 +59,12 @@ class Coloring:
     @classmethod
     def from_json(cls, group: FiniteGroup, text: str) -> "Coloring":
         data = json.loads(text)
-        return cls(group, np.asarray(data["colors"], dtype=np.int64), int(data["k"]))
+        k, colors = (data.get(key) if isinstance(data, dict) else None for key in ("k", "colors"))
+        # exact ints only: a float colour would truncate, and a huge one overflow int64
+        shaped = type(k) is int and isinstance(colors, list)
+        if not (shaped and all(type(c) is int and 0 <= c < k for c in colors)):
+            raise MalformedSpec('a coloring file must hold {"k": <int>, "colors": [<int in 0..k-1>, ...]}')
+        return cls(group, np.asarray(colors, dtype=np.int64), k)
 
     @classmethod
     def random(cls, group: FiniteGroup, k: int, seed: int) -> "Coloring":
@@ -109,7 +114,7 @@ def schur_counts(coloring: Coloring, engine: str = "auto") -> SchurReport:
 
 def _schur_count_of_mask(group: FiniteGroup, mask: np.ndarray) -> int:
     idx = np.flatnonzero(mask)
-    return _pair_count(group, idx, idx, mask, _resolve_engine(group, "auto", idx.size * idx.size))
+    return _pair_count(group, idx, idx, mask)
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,8 @@ def _best_schur_move(
     Adding e to C (e not in C) raises its count by
     A + B + Z + 2[1 in C] + [e^2 in C] + [e = 1]; taking e out of C
     (e in C) lowers it by A + B + Z - 2[1 in C] - [e^2 in C] + [e = 1].
-    A + B + Z is one bincount of the products z y^-1, x^-1 z and x y over
-    C x C, so a step takes 3 sum |C|^2 <= 3n^2 products plus the n squares.
+    A + B + Z sums the product counts of C C^-1, C^-1 C and C C: a step takes
+    3 sum |C|^2 <= 3n^2 products or three convolutions a class, plus n squares.
     The candidates are scored in row blocks of about PRODUCT_BLOCK entries,
     so A + B + Z is the only (n, k) array a step holds.
     """
@@ -190,9 +195,7 @@ def _best_schur_move(
     for j in range(k):
         idx = np.flatnonzero(colors == j)
         for left, right in ((idx, inv[idx]), (inv[idx], idx), (idx, idx)):
-            for block in _pair_blocks(group.mul_arrays, left, right):
-                abz[:, j] += np.bincount(block.ravel(), minlength=n)
-                del block
+            abz[:, j] += _product_counts(group, left, right)
     elements = np.arange(n)
     palette = np.arange(k)
     identity_color = colors[0]
@@ -327,8 +330,8 @@ def hindman_greedy(a: GroupSubset, n: int) -> Union[TupleWitness, FailureTrace]:
     Step i picks a_i maximizing |B_i meet a^-1 B_i| over a in B_i (ties to
     the least index) and shrinks B_{i+1} = B_i meet a_i^-1 B_i; the run
     succeeds when n elements are chosen with every survivor set nonempty.
-    One pair scan of B_i x B_i scores every candidate a at once, as the
-    number of y in B_i with a*y in B_i: |B_i|^2 products per step.
+    One product count scores every candidate a at once: the number of y in
+    B_i with a*y in B_i is the number of (z, y) in B_i^2 with z*y^-1 = a.
     Successful witnesses are re-validated against the raw definition.
     """
     if n < 1:
@@ -341,9 +344,7 @@ def hindman_greedy(a: GroupSubset, n: int) -> Union[TupleWitness, FailureTrace]:
         members = np.flatnonzero(current)
         if len(members) == 0:
             return FailureTrace(tuple(chosen), tuple(sizes), step)
-        scores = np.concatenate(
-            [current[block].sum(axis=1) for block in _pair_blocks(group.mul_arrays, members, members)]
-        )
+        scores = _product_counts(group, members, group.inverse_table[members].astype(np.int64))[members]
         best = int(np.argmax(scores))  # the first maximum: ties to the least index
         best_elem, best_size = int(members[best]), int(scores[best])
         chosen.append(best_elem)

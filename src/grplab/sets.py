@@ -2,8 +2,8 @@
 
 A :class:`GroupSubset` is a boolean membership mask over the element index
 space plus cached cardinality; densities are exact fractions.  A product set
-is the support of one FFT convolution where ``counting._resolve_engine``
-picks it, and otherwise a blocked scan of all pairs, so memory stays bounded.
+is the support of the product counts ``counting._product_counts``: one FFT
+convolution or a blocked scan of all pairs, so memory stays bounded.
 
 Set spec grammar accepted by :func:`parse_set_spec`:
 
@@ -112,18 +112,11 @@ def _require_same_group(*sets: GroupSubset) -> FiniteGroup:
 
 
 def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
-    """Exact productset {x*y : x in a, y in b}, by convolution where the FFT is picked."""
-    from .counting import ENGINE_FFT, _resolve_engine, cyclic_convolution
+    """Exact productset {x*y : x in a, y in b}: the support of the product counts."""
+    from .counting import _product_counts
 
     g = _require_same_group(a, b)
-    if _resolve_engine(g, "auto", a.card * b.card) == ENGINE_FFT:
-        conv = cyclic_convolution(g, a.mask.astype(np.int64), b.mask.astype(np.int64))
-        return GroupSubset(g, conv > 0)
-    out = np.zeros(g.order, dtype=bool)
-    for block in _pair_blocks(g.mul_arrays, a.indices, b.indices):
-        out[block] = True
-        del block
-    return GroupSubset(g, out)
+    return GroupSubset(g, _product_counts(g, a.indices, b.indices) > 0)
 
 
 def inverse_set(a: GroupSubset) -> GroupSubset:
@@ -188,9 +181,9 @@ def growth_profile(a: GroupSubset, m_max: int) -> List[Fraction]:
 
 def is_product_free(a: GroupSubset) -> bool:
     """True iff no x, y in a have x*y in a; a scan stops at the first such x*y."""
-    from .counting import ENGINE_FFT, _resolve_engine
+    from .counting import ENGINE_CAYLEY, _resolve_engine
 
-    if _resolve_engine(a.group, "auto", a.card * a.card) == ENGINE_FFT:
+    if _resolve_engine(a.group, "auto", a.card * a.card) != ENGINE_CAYLEY:
         return not product_set(a, a).mask[a.mask].any()
     for block in _pair_blocks(a.group.mul_arrays, a.indices, a.indices):
         if a.mask[block].any():

@@ -580,11 +580,12 @@ def test_every_auto_pair_count_follows_the_pair_rule(spec, step, monkeypatch, ca
     assert [r.engine for r in per_color] == [want, pair_rule(g, (g.order - card) ** 2)]
     assert per_color[0].count == _schur_count_of_mask(g, a.mask) == count_xy_eq_z(a, a, a, "cayley").count
 
-    ran = []
-    pair_count = counting._pair_count
-    monkeypatch.setattr(counting, "_pair_count", lambda *args: ran.append(args[-1]) or pair_count(*args))
+    asked = []
+    resolve = counting._resolve_engine
+    monkeypatch.setattr(counting, "_resolve_engine", lambda *args: asked.append(args[1:]) or resolve(*args))
     identity = convolution_identity_check(a, b)
-    assert identity.ok and ran == [pair_rule(g, identity.translate_count * card)]
+    # the product set X Y^-1, then the pairs (t, y) in X Y^-1 x Y
+    assert identity.ok and asked == [("auto", card * card), ("auto", identity.translate_count * card)]
 
     explicit = "explicit:" + ",".join(map(str, a.indices.tolist()))
     for equation, report in (("ap3", ap3[1]), ("power:1,1,2", power[1])):

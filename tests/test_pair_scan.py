@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from grplab import groups
-from grplab.counting import FiberFunction, count_ap3, count_fiber_equation, count_power_equation, count_xy_eq_z
+from grplab.counting import (
+    FiberFunction,
+    _product_counts,
+    count_ap3,
+    count_fiber_equation,
+    count_power_equation,
+    count_xy_eq_z,
+)
 from grplab.errors import NotAGroup
 from grplab.groups import TableGroup, _pair_blocks, _require_associative, build_group
 from grplab.sets import GroupSubset, is_product_free, make_set, product_set
@@ -88,6 +95,26 @@ def test_every_pair_scan_matches_its_oracle_in_small_blocks(spec, small_blocks):
         closure = grown
     spec_text = "subgroup:" + ",".join(str(x) for x in gens)
     assert set(make_set(g, spec_text).to_index_list()) == closure
+
+
+@pytest.mark.parametrize("spec", FLEET_SPECS)
+def test_product_counts_agree_on_every_engine_in_small_blocks(spec, small_blocks):
+    g = build_group(spec)
+    n = g.order
+    sides = [
+        np.random.default_rng(n).integers(0, n, 7),  # repeats likely
+        np.array([n - 1, n - 1, 0, n - 1], dtype=np.int64),
+        np.arange(n),
+        np.array([], dtype=np.int64),
+    ]
+    engines = ["brute", "cayley"] + ["fft"] * (g.cyclic_moduli is not None)
+    for left in sides:
+        for right in sides:
+            brute, *others = (_product_counts(g, left, right, engine) for engine in engines)
+            assert brute.shape == (n,) and brute.dtype == np.int64
+            assert int(brute.sum()) == len(left) * len(right)
+            for counts in others:
+                assert counts.dtype == np.int64 and np.array_equal(counts, brute), (left, right)
 
 
 def test_light_test_rejects_a_loop_in_small_blocks(small_blocks):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grplab import ramsey
+from grplab import counting, ramsey
 from grplab.counting import _subproducts, all_nonempty_subsets
 from grplab.errors import MalformedSpec
 from grplab.groups import build_group
@@ -279,23 +279,64 @@ def test_search_with_k_near_n_holds_o_nk_memory(monkeypatch):
     assert got == _oracle_driven_search(monkeypatch, z60, 60, iterations=2, restarts=1, seed=3)
 
 
+def _forced_cayley(patch, asked):
+    """Force Cayley on every product count, noting what each one asks."""
+
+    def resolve(g, engine, pairs):
+        asked.append((engine, pairs))
+        return "CayleyConvolution"
+
+    patch.setattr(counting, "_resolve_engine", resolve)
+
+
 def test_search_on_a_large_cyclic_group_matches_a_cayley_search(monkeypatch):
-    # on Z/2000 the starting counts convolve; forcing Cayley must not move
-    # a count, a move or a byte of the result
+    # on Z/2000 the starting counts and the scorer's product counts convolve;
+    # forcing Cayley must not move a count, a move or a byte of the result
     z2000 = build_group("Z/2000")
     assert _schur_count_of_mask(z2000, np.arange(2000) % 4 == 0) == 500 * 500
     got = schur_adversarial_search(z2000, 2, iterations=1, restarts=2, seed=4).to_dict()
     forced = []
     with monkeypatch.context() as patch:
-        patch.setattr(
-            ramsey, "_resolve_engine", lambda g, engine, pairs: forced.append((engine, pairs)) or "CayleyConvolution"
-        )
+        _forced_cayley(patch, forced)
         assert got == schur_adversarial_search(z2000, 2, iterations=1, restarts=2, seed=4).to_dict()
-    # two classes at each restart, each planned at |C|^2 pairs
+    # per restart: the two starting counts, then the step's three product
+    # counts per class, each planned at |C|^2 pairs
+    assert [engine for engine, _ in forced] == ["auto"] * 16
     sizes = [math.isqrt(pairs) for _, pairs in forced]
-    assert [engine for engine, _ in forced] == ["auto"] * 4
     assert [size * size for size in sizes] == [pairs for _, pairs in forced]
-    assert sizes[0] + sizes[1] == sizes[2] + sizes[3] == 2000
+    for c0, c1, *step in (sizes[:8], sizes[8:]):
+        assert c0 + c1 == 2000 and step == [c0] * 3 + [c1] * 3
+    assert {counting._resolve_engine(z2000, "auto", pairs) for _, pairs in forced} == {"AbelianFFT"}
+
+
+@pytest.mark.parametrize("spec", ["Z/2000", "Z/2 x Z/1000"])
+def test_greedy_on_a_large_cyclic_group_matches_a_cayley_greedy(monkeypatch, spec):
+    # the first steps score about 10^6 pairs by convolution, the last ones
+    # fewer than 2^16 by a scan; forcing Cayley throughout moves no choice
+    g = build_group(spec)
+    classes = Coloring.random(g, 2, 11).classes()
+    runs = [(cls_, n) for cls_ in classes for n in (3, 12)]
+    got = [hindman_greedy(cls_, n) for cls_, n in runs]
+    assert {type(result) for result in got} == {TupleWitness, FailureTrace}
+    forced = []
+    with monkeypatch.context() as patch:
+        _forced_cayley(patch, forced)
+        assert got == [hindman_greedy(cls_, n) for cls_, n in runs]
+    # one product count of B_i x B_i^-1 per step, planned at |B_i|^2 pairs
+    sizes = [size for (cls_, _), result in zip(runs, got) for size in _greedy_step_sizes(cls_, result)]
+    assert forced == [("auto", size * size) for size in sizes]
+    engines = [counting._resolve_engine(g, "auto", pairs) for _, pairs in forced]
+    assert {"AbelianFFT", "CayleyConvolution"} <= set(engines)
+
+
+def _greedy_step_sizes(a, result):
+    """|B_i| at each step the greedy scored: one step per chosen element."""
+    chosen = result.elements if isinstance(result, TupleWitness) else result.chosen
+    current, sizes = a.mask.copy(), []
+    for elem in chosen:
+        sizes.append(int(current.sum()))
+        current &= current[a.group.mul_arrays(elem, np.arange(a.group.order))]
+    return sizes
 
 
 # --- greedy tuple recursion --------------------------------------------------

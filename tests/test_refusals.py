@@ -25,7 +25,10 @@ from conftest import _dihedral_table
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 BUDGET = "grplab: budget exceeded: "
 
-# argv ({table} is a CSV of S3 x Z/200), exit code, stderr prefix, seconds
+COLORING_FILE = 'grplab: a coloring file must hold {"k": <int>, "colors": [<int in 0..k-1>, ...]}'
+
+# argv ({table} is a CSV of S3 x Z/200, {no_keys}, {bare_list} and {fraction}
+# the coloring files of ``BAD_COLORINGS``), exit code, stderr prefix, seconds
 REFUSALS = [
     (["group", "--group", "perm:(1 2000000)"], 3, BUDGET + "permutation degree 2000000 too large to index", 5),
     (["group", "--group", "perm:(1 20000000)"], 3, BUDGET + "permutation degree 20000000 too large to index", 5),
@@ -54,7 +57,12 @@ REFUSALS = [
         "grplab: a coloring needs k >= 1 colors, got -2",
         5,
     ),
+    (["schur", "--group", "Z/5", "--coloring", "{no_keys}"], 1, COLORING_FILE, 5),
+    (["schur", "--group", "Z/5", "--coloring", "{bare_list}"], 1, COLORING_FILE, 5),
+    (["schur", "--group", "Z/5", "--coloring", "{fraction}"], 1, COLORING_FILE, 5),
 ]
+
+BAD_COLORINGS = {"no_keys": "{}", "bare_list": "[1,2]", "fraction": '{"k": 2, "colors": [0, 1, 1.5, 0, 1]}'}
 
 
 # argv ({dihedral} is a CSV of D_597, with 300 classes: the class cap), seconds,
@@ -73,6 +81,10 @@ IN_LIMITS = [
     (["count", "--group", "Z/200000", "--sets", "random:0.5,1", "--equation", "ap3"], 5, '"count":4924907515'),
     # a sum-free interval of 66666 elements: 4.4*10^9 pairs, none inside
     (["stats", "--group", "Z/200000", "--set", "interval:66668,66666", "--m-max", "2"], 5, '"product_free":true'),
+    # each greedy step and each Schur step scores about 10^10 pairs of a
+    # colour class: convolutions, not scans
+    (["hindman", "--group", "Z/200000", "--coloring", "random:2,1", "--n", "3"], 5, '"elements":[0,0,0]'),
+    (["schur", "--group", "Z/200000", "--search", "--k", "2", "--iterations", "1", "--restarts", "1"], 5, None),
     # three 14-element sets, the exact cap, with 1768, 1383 and 812 distinct
     # S S^-1 S values: about 2*10^9 triples
     (
@@ -103,6 +115,14 @@ def s3_z200_table(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def coloring_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("colorings")
+    for name, text in BAD_COLORINGS.items():
+        (folder / f"{name}.json").write_text(text)
+    return {name: str(folder / f"{name}.json") for name in BAD_COLORINGS}
+
+
+@pytest.fixture(scope="module")
 def d597_table(tmp_path_factory):
     path = tmp_path_factory.mktemp("in_limits") / "d597.csv"
     np.savetxt(path, _dihedral_table(597), fmt="%d", delimiter=",")
@@ -120,8 +140,8 @@ def _run_cli(argv):
 
 
 @pytest.mark.parametrize("argv, code, prefix, seconds", REFUSALS, ids=[" ".join(row[0]) for row in REFUSALS])
-def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table):
-    done, elapsed = _run_cli([arg.format(table=s3_z200_table) for arg in argv])
+def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table, coloring_files):
+    done, elapsed = _run_cli([arg.format(table=s3_z200_table, **coloring_files) for arg in argv])
     assert (done.returncode, done.stdout) == (code, ""), done.stderr
     assert done.stderr.startswith(prefix), done.stderr
     assert elapsed < seconds

@@ -9,19 +9,25 @@ xy = z}:
   m (nN - |X||Y||Z|)^2 <= n^3 |X||Y||Z|;
 - Nikolov and Pyber: m |A||B||C| > n^3 forces ABC = G;
 - x^n1 x^n2 = x^n3 for every x when n1 + n2 = n3, so a power count's
-  diagonal is all of A.
+  diagonal is all of A;
+- Gowers: a product-free A has m |A|^3 <= n^3;
+- Cauchy-Schwarz on the product counts r(z) = #{(a, b) in A^2 : ab = z}:
+  the energy E(A) = sum r(z)^2 has E(A) |AA| >= |A|^4;
+- Ruzsa's triangle inequality |X| |YZ^-1| <= |YX^-1| |XZ^-1|, in any group;
+- Pluennecke-Ruzsa, in an abelian group: |A|^2 |3A| <= |2A|^3.
 
 Every side is a Python integer; nothing is rounded.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from grplab.counting import count_power_equation, count_xy_eq_z
+from grplab.counting import _product_counts, count_power_equation, count_xy_eq_z
 from grplab.groups import build_group
 from grplab.rng import derive
-from grplab.sets import GroupSubset, make_set, product_set
+from grplab.sets import GroupSubset, inverse_set, is_product_free, make_set, product_set
 from grplab.spectral import quasirandomness_degree
 
 GROUPS = ["PSL2(7)", "PSL2(11)", "PSL2(13)", "perm:(1 2 3 4 5);(1 2 3)"]
@@ -71,3 +77,66 @@ def test_power_diagonal_is_the_whole_set(quasirandom, exponents):
     for i, density in enumerate(DENSITIES):
         a = make_set(g, f"random:{density},{derive(37, i)}")
         assert count_power_equation(a, *exponents).degenerate_count == a.card
+
+
+# the groups of the additive-combinatorics invariants: three quasirandom
+# groups and two odd cyclic ones (m = 1)
+INVARIANT_GROUPS = ["PSL2(7)", "PSL2(11)", "perm:(1 2 3 4 5);(1 2 3)", "Z/101", "Z/255"]
+SPARSE = ["0.01", "0.03", "0.1", "0.3", "0.6"]
+
+
+@pytest.fixture(scope="module", params=INVARIANT_GROUPS)
+def invariant_group(request):
+    g = build_group(request.param)
+    return g, quasirandomness_degree(g)
+
+
+def _seeded_sets(g, tag, count=1):
+    for i, density in enumerate(SPARSE):
+        for trial in range(2):
+            yield tuple(make_set(g, f"random:{density},{derive(tag, i, trial, k)}") for k in range(count))
+
+
+def _greedy_product_free(g, seed):
+    """A maximal product-free set, grown over the elements in a seeded order."""
+    mask = np.zeros(g.order, dtype=bool)
+    for x in np.random.default_rng(seed).permutation(g.order).tolist():
+        mask[x] = True
+        mask[x] = is_product_free(GroupSubset(g, mask.copy()))
+    return GroupSubset(g, mask)
+
+
+def test_gowers_product_free_sets_are_small(invariant_group):
+    g, m = invariant_group
+    for seed in range(2):
+        a = _greedy_product_free(g, seed)
+        assert a.card and count_xy_eq_z(a, a, a).count == 0
+        assert m * a.card**3 <= g.order**3, (g.spec_text, a.card)
+
+
+def test_energy_times_product_set_bounds_the_fourth_power(invariant_group):
+    g, _ = invariant_group
+    for (a,) in _seeded_sets(g, 41):
+        r = _product_counts(g, a.indices, a.indices)
+        assert int(r.sum()) == a.card**2
+        energy = int(np.dot(r, r))
+        assert energy * product_set(a, a).card >= a.card**4, (g.spec_text, a.card)
+
+
+def test_ruzsa_triangle_inequality(invariant_group):
+    g, _ = invariant_group
+    for x, y, z in _seeded_sets(g, 43, 3):
+        if not x.card:
+            continue
+        yz, yx, xz = (product_set(s, inverse_set(t)) for s, t in ((y, z), (y, x), (x, z)))
+        assert x.card * yz.card <= yx.card * xz.card, (g.spec_text, x.card, y.card, z.card)
+
+
+@pytest.mark.parametrize("spec", [s for s in INVARIANT_GROUPS if s.startswith("Z/")])
+def test_pluennecke_tripling_on_abelian_groups(spec):
+    g = build_group(spec)
+    structured = [make_set(g, text) for text in ("interval:0,7", "interval:5,30", "gap:0;1,6;50,4")]
+    for a in structured + [s for (s,) in _seeded_sets(g, 47)]:
+        two = product_set(a, a)
+        three = product_set(two, a)
+        assert a.card**2 * three.card <= two.card**3, (spec, a.card)
