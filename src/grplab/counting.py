@@ -4,11 +4,12 @@ Every two-set product reads the product counts r(z) = #{(x, y) in L x R :
 xy = z} of ``_product_counts``.  The xyz, power, fiber and Schur counts, ap3
 on abelian groups and the convolution identity are r against weights
 (``_pair_count``); the mixing count adds one such count per prefix
-a_1..a_{n-2}, enumerated by ``_subproducts``, the one recurrence for
-increasing-order subproducts; product sets and the Schur and Hindman searches
-read r too.  Three engines cross-check: ``BruteForce`` loops over the pairs in
-Python, ``CayleyConvolution`` bincounts the products gathered through the
-group's vectorized multiplication, and ``AbelianFFT`` convolves the two index
+a_1..a_{n-2}, walked by ``_prefixes``, the one depth-first walk over
+``_subproducts``, the one recurrence for increasing-order subproducts;
+product sets and the Schur and Hindman searches read r too.  Three engines
+cross-check: ``BruteForce`` loops over the pairs in Python,
+``CayleyConvolution`` bincounts the products gathered through the group's
+vectorized multiplication, and ``AbelianFFT`` convolves the two index
 histograms over a cyclic product by a real-input FFT; ``_resolve_engine``,
 the one scan-or-convolve rule, picks by the planned pairs.  The FFT result is
 rounded and kept only when an a-priori error bound and the observed rounding
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -344,10 +345,6 @@ def count_fiber_equation(
 # mixing tuples: every increasing-order subproduct lands in its target set
 
 
-def subset_key(f: Iterable[int]) -> Tuple[int, ...]:
-    return tuple(sorted(int(i) for i in f))
-
-
 def _check_mixing_n(n: int) -> None:
     """Refuse a mixing:n count with n outside 2..4, before any subset is listed."""
     if n < 2:
@@ -366,36 +363,35 @@ def all_nonempty_subsets(n: int) -> List[Tuple[int, ...]]:
 
 def count_mixing_tuples(
     n: int,
-    sets: Mapping[Union[Tuple[int, ...], frozenset], GroupSubset],
+    sets: Mapping[Tuple[int, ...], GroupSubset],
     engine: str = "auto",
-    budget: int = MIXING_BUDGET,
 ) -> CountReport:
     """|{(a_1..a_n) : a_F in A_F for every nonempty F}| for n in 2..4.
 
     a_F is the product of the a_i with i in F, taken in increasing index
-    order.  Normalizer: prod_F |A_F| / |G|^(2^n - 1 - n).  The degenerate
-    count is 1 when the all-identity tuple qualifies, else 0.
+    order; ``sets`` is keyed by the tuples of ``all_nonempty_subsets(n)``.
+    Normalizer: prod_F |A_F| / |G|^(2^n - 1 - n).  The degenerate count is
+    1 when the all-identity tuple qualifies, else 0.
     """
     _check_mixing_n(n)
-    fams = {subset_key(k): v for k, v in sets.items()}
     want = all_nonempty_subsets(n)
-    missing = [f for f in want if f not in fams]
+    missing = [f for f in want if f not in sets]
     if missing:
         raise GroupMismatch(f"missing target sets for subsets {missing}")
-    g = _require_same_group(*[fams[f] for f in want])
-    engine = _resolve_engine(g, engine, fams[(n - 1,)].card * fams[(n,)].card)
-    if g.order**n > budget:
-        raise BudgetExceeded(f"|G|^{n} = {g.order ** n} exceeds budget {budget}")
+    g = _require_same_group(*[sets[f] for f in want])
+    engine = _resolve_engine(g, engine, sets[(n - 1,)].card * sets[(n,)].card)
+    if g.order**n > MIXING_BUDGET:
+        raise BudgetExceeded(f"|G|^{n} = {g.order ** n} exceeds budget {MIXING_BUDGET}")
 
     if engine == ENGINE_BRUTE:
-        count = _mixing_brute(g, n, fams)
+        count = _mixing_brute(g, n, sets)
     else:
-        count = _mixing_prefix(g, n, fams, engine)
+        count = _mixing_prefix(g, n, sets, engine)
 
-    degenerate = int(all(fams[f].contains(0) for f in want))
+    degenerate = int(all(sets[f].contains(0) for f in want))
     prod_sizes = 1
     for f in want:
-        prod_sizes *= fams[f].card
+        prod_sizes *= sets[f].card
     normalizer = Fraction(prod_sizes, g.order ** (2**n - 1 - n))
     extras = {"n": n}
     return CountReport(f"mixing:{n}", count, normalizer, degenerate, engine, extras)
@@ -426,9 +422,26 @@ def _mixing_brute(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubse
     )
 
 
+def _prefixes(mul, choices, inside, length, prefix=(), prods=()):
+    """Depth-first walk over the tuples that extend ``prefix`` to ``length``.
+
+    a_i is drawn from ``choices(i)``, in its order; a tuple is kept when
+    each of its subproducts a_F passes ``inside(k, a_F)``, with k the
+    position of F in ``all_nonempty_subsets`` order, and a prefix is dropped
+    at its first failing subproduct.  Yields (prefix, prods) for every kept
+    tuple, lexicographically in the order of the choices."""
+    if len(prefix) == length:
+        yield prefix, prods
+        return
+    for a in choices(len(prefix) + 1):
+        new = _subproducts(mul, (a,), prods)
+        if all(inside(k, new[k]) for k in range(len(prods), len(new))):
+            yield from _prefixes(mul, choices, inside, length, prefix + (a,), new)
+
+
 def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubset], engine: str) -> int:
-    """Enumerate a_1..a_{n-2} under their constraints, then count the last
-    two positions of each prefix with one pair count by ``engine``.
+    """Walk a_1..a_{n-2} under their constraints, then count the last two
+    positions of each prefix with one pair count by ``engine``.
 
     With p_F the prefix's subproducts, (a_{n-1}, a_n) = (x, y) qualifies
     when x lies in X = A_{n-1} meet p_F^-1 A_{F+(n-1)}, y in
@@ -439,24 +452,17 @@ def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubs
     masks = [fams[f].mask for f in all_nonempty_subsets(n)]
     half = 1 << (n - 2)  # the code of {n-1}; {n} is 2*half
     elements = np.arange(g.order, dtype=np.int64)
-
-    def recurse(depth: int, prods: List[int]) -> int:
-        if depth == n - 1:
-            x, y, w = (masks[k * half - 1].copy() for k in (1, 2, 3))
-            for m, p in enumerate(prods, 1):
-                row = g.mul_arrays(p, elements)
-                x &= masks[m + half - 1][row]
-                y &= masks[m + 2 * half - 1][row]
-                w &= masks[m + 3 * half - 1][row]
-            return _pair_count(g, np.flatnonzero(x), np.flatnonzero(y), w, engine)
-        count = 0
-        for a in fams[(depth,)].indices.tolist():
-            new = _subproducts(g.mul, (a,), prods)
-            if all(masks[i][new[i]] for i in range(len(prods), len(new))):
-                count += recurse(depth + 1, new)
-        return count
-
-    return recurse(1, [])
+    count = 0
+    walk = _prefixes(g.mul, lambda i: fams[(i,)].indices.tolist(), lambda k, v: masks[k][v], n - 2)
+    for _, prods in walk:
+        x, y, w = (masks[k * half - 1].copy() for k in (1, 2, 3))
+        for m, p in enumerate(prods, 1):
+            row = g.mul_arrays(p, elements)
+            x &= masks[m + half - 1][row]
+            y &= masks[m + 2 * half - 1][row]
+            w &= masks[m + 3 * half - 1][row]
+        count += _pair_count(g, np.flatnonzero(x), np.flatnonzero(y), w, engine)
+    return count
 
 
 # ---------------------------------------------------------------------------

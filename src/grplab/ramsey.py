@@ -6,9 +6,10 @@ B_{i+1} = B_i meet a_i^-1 B_i: while every B_i stays nonempty, the chosen
 elements a_1..a_n have all of their increasing-order subproducts inside B_0.
 Greedy element choice (argmax of the surviving set, ties to the least
 index) makes the run deterministic; a backtracking search with prefix
-pruning covers the colorings the greedy misses.  Every subproduct here,
-in a witness, a backtracking prefix or a block of sampled tuples, comes
-from the one recurrence ``counting._subproducts``.
+pruning covers the colorings the greedy misses; it is the first tuple of
+the one prefix walk ``counting._prefixes``.  Every subproduct here, in a
+witness, a backtracking prefix or a block of sampled tuples, comes from the
+one recurrence ``counting._subproducts``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .counting import CountReport, _pair_count, _product_counts, _subproducts, all_nonempty_subsets
+from .counting import CountReport, _pair_count, _prefixes, _product_counts, _subproducts, all_nonempty_subsets
 from .counting import count_mixing_tuples, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec
 from .groups import PRODUCT_BLOCK, FiniteGroup
@@ -28,6 +29,7 @@ from .rng import SplitMix64, derive
 from .sets import GroupSubset
 
 DEFAULT_NODE_BUDGET = 10**7
+MAX_EXACT_ITERATIONS = 10**8
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,13 @@ class Coloring:
 
     @classmethod
     def from_json(cls, group: FiniteGroup, text: str) -> "Coloring":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            data = None  # nested past the parser's depth: no coloring
         k, colors = (data.get(key) if isinstance(data, dict) else None for key in ("k", "colors"))
-        # exact ints only: a float colour would truncate, and a huge one overflow int64
-        shaped = type(k) is int and isinstance(colors, list)
+        # exact ints below 2^63 only: a float colour would truncate, and a huge one overflow int64
+        shaped = type(k) is int and k < 2**63 and isinstance(colors, list)
         if not (shaped and all(type(c) is int and 0 <= c < k for c in colors)):
             raise MalformedSpec('a coloring file must hold {"k": <int>, "colors": [<int in 0..k-1>, ...]}')
         return cls(group, np.asarray(colors, dtype=np.int64), k)
@@ -386,10 +391,7 @@ def monochromatic_tuple_search(
             if j == identity_color and not isinstance(result, TupleWitness):
                 raise AssertionError("greedy must succeed on the identity's color class")
             if isinstance(result, TupleWitness):
-                witness = TupleWitness(result.elements, j, result.products)
-                if not validate_witness(group, witness, cls_):
-                    raise AssertionError("witness failed re-validation")
-                return witness
+                return TupleWitness(result.elements, j, result.products)
         # nontrivial mode drops the identity from the targets, not the candidates
         target = GroupSubset(group, cls_.mask & (np.arange(group.order) != 0)) if nontrivial else cls_
         found, hit = _backtrack_tuple(group, cls_.indices.tolist(), target.mask, n, budget)
@@ -410,30 +412,20 @@ def _backtrack_tuple(
     budget: int,
 ) -> Tuple[Optional[Tuple[int, ...]], bool]:
     """Depth-first search over ``candidates`` for a tuple whose every
-    subproduct lies in ``mask``; each candidate tried is one node."""
+    subproduct lies in ``mask``; each candidate tried is one node, and the
+    candidates run out once the nodes pass ``budget``."""
     nodes = 0
 
-    def extend(prefix: List[int], prods: List[int]) -> Optional[Tuple[int, ...]]:
-        # prods holds a_F for all nonempty F of the prefix, in binary order
+    def choices(_: int):
         nonlocal nodes
-        if len(prefix) == n:
-            return tuple(prefix)
         for cand in candidates:
             nodes += 1
             if nodes > budget:
-                return None
-            new = _subproducts(group.mul, (cand,), prods)
-            if any(not mask[v] for v in new[len(prods):]):
-                continue
-            result = extend(prefix + [cand], new)
-            if result is not None:
-                return result
-            if nodes > budget:
-                return None
-        return None
+                return
+            yield cand
 
-    found = extend([], [])
-    return found, nodes > budget
+    found = next(_prefixes(group.mul, choices, lambda _, v: mask[v], n), None)
+    return (None if found is None else found[0]), nodes > budget
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +436,19 @@ def monochromatic_tuple_density(
     coloring: Coloring,
     n: int,
     *,
-    max_exact_iterations: int = 10**8,
     samples: int = 100_000,
     seed: int = 0,
 ) -> dict:
     """Max over colors of the density of monochromatic n-tuples.
 
-    Exact when n <= 4 and |G|^n fits the iteration budget, otherwise a
-    uniform sample with a reported standard error.
+    Exact when n <= 4 and |G|^n is at most ``MAX_EXACT_ITERATIONS``,
+    otherwise a uniform sample with a reported standard error.
     """
     if n < 1:
         raise MalformedSpec(f"tuple length must be >= 1, got {n}")
     group = coloring.group
     total = group.order**n
-    exact = n <= 4 and total <= max_exact_iterations
+    exact = n <= 4 and total <= MAX_EXACT_ITERATIONS
     best = {"color": -1, "density": -1.0}
     per_color = []
     for j in range(coloring.k):
@@ -530,7 +521,6 @@ def cip_density_experiment(
     trials: int,
     seed: int,
     *,
-    max_exact_iterations: int = 10**8,
     samples: int = 100_000,
 ) -> dict:
     """Observed max monochromatic n-tuple densities over seeded random colorings.
@@ -543,9 +533,7 @@ def cip_density_experiment(
     per_trial = []
     for t in range(trials):
         coloring = Coloring.random(group, k, derive(seed, t))
-        result = monochromatic_tuple_density(
-            coloring, n, max_exact_iterations=max_exact_iterations, samples=samples, seed=derive(seed, t, 1)
-        )
+        result = monochromatic_tuple_density(coloring, n, samples=samples, seed=derive(seed, t, 1))
         per_trial.append(result)
     maxima = sorted(r["max_density"] for r in per_trial)
     return {

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from fractions import Fraction
@@ -458,6 +459,38 @@ def test_mixing_n4_nonabelian_matches_brute():
     fast = count_mixing_tuples(4, sets)
     brute = count_mixing_tuples(4, sets, "brute")
     assert fast.count == brute.count
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3])
+def test_prefix_walk_matches_the_filtered_product(any_fleet_group, length):
+    g = any_fleet_group
+    stream = SplitMix64(derive(25, g.order, length))
+    # per position, up to six candidates in a seeded order; per subset, a mask
+    lists = [[int(a) for a in stream.randrange_array(g.order, 6)] for _ in range(length)]
+    masks = [stream.randrange_array(4, g.order) > 0 for _ in range((1 << length) - 1)]
+    tried = []
+
+    def choices(i):
+        for a in lists[i - 1]:
+            tried.append((i, a))
+            yield a
+
+    def inside(k, v):
+        return masks[k][v]
+
+    expect = []
+    for tup in itertools.product(*lists):
+        prods = counting._subproducts(g.mul, tup)
+        if all(inside(k, v) for k, v in enumerate(prods)):
+            expect.append((tup, prods))
+    walk = counting._prefixes(g.mul, choices, inside, length)
+    assert [(prefix, list(prods)) for prefix, prods in walk] == expect
+    tried.clear()
+    first = next(counting._prefixes(g.mul, choices, inside, length), None)
+    assert (None if first is None else first[0]) == (expect[0][0] if expect else None)
+    if expect and length:
+        # the walk stops at its first tuple: no later candidate is tried
+        assert tried[-1] == (length, expect[0][0][-1])
 
 
 def _mixing_family(g, n, empty):

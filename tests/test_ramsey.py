@@ -617,14 +617,15 @@ def test_cip_exact_matches_oracle_on_z3():
         assert trial["max_density"] == pytest.approx(_mono_density_oracle(z3, col, 2))
 
 
-def test_random_coloring_and_sampled_density_follow_the_scalar_stream():
+def test_random_coloring_and_sampled_density_follow_the_scalar_stream(monkeypatch):
     # 22000 triples are 66000 draws: more than one block of 2^16
+    monkeypatch.setattr(ramsey, "MAX_EXACT_ITERATIONS", 0)
     z12 = build_group("Z/12")
     col = Coloring.random(z12, 3, 4)
     colors = SplitMix64(derive(4, 0xC0105))
     assert col.color_of.tolist() == [colors.randrange(3) for _ in range(12)]
     samples = 22000
-    out = monochromatic_tuple_density(col, 3, max_exact_iterations=0, samples=samples, seed=9)
+    out = monochromatic_tuple_density(col, 3, samples=samples, seed=9)
     for j, entry in enumerate(out["per_color"]):
         mask = col.color_class(j).mask
         stream = SplitMix64(derive(9, 0xC1B, j))
@@ -661,16 +662,17 @@ def test_subproducts_match_products_from_scratch(spec):
 
 
 @pytest.mark.parametrize("spec, n", [("perm:(1 2 3 4);(1 2)", 4), ("Z/2 x Z/2", 5), ("perm:(1 2 3 4);(1 2)", 24)])
-def test_sampled_density_matches_tuples_checked_from_scratch(spec, n):
+def test_sampled_density_matches_tuples_checked_from_scratch(spec, n, monkeypatch):
     # at n = 24 a tuple has 2^24 - 1 subproducts, but each sampled tuple
     # leaves at an early position with one outside its class
+    monkeypatch.setattr(ramsey, "MAX_EXACT_ITERATIONS", 0)
     g = build_group(spec)
     col = Coloring.random(g, 2, 3)
     samples = 3000
     tracemalloc.start()
     try:
         started = time.perf_counter()
-        out = monochromatic_tuple_density(col, n, max_exact_iterations=0, samples=samples, seed=4)
+        out = monochromatic_tuple_density(col, n, samples=samples, seed=4)
         elapsed = time.perf_counter() - started
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -686,7 +688,7 @@ def test_sampled_density_matches_tuples_checked_from_scratch(spec, n):
         assert entry["density"] == hits / samples
 
 
-def test_sampled_cip_holds_at_most_a_block_of_subproducts():
+def test_sampled_cip_holds_at_most_a_block_of_subproducts(monkeypatch):
     # one colour: every one of the 6553 tuples in a block of 2^16 draws at
     # n = 10 keeps all 1023 subproducts, 53 MB of int64 at once unless the
     # survivors go on in chunks of PRODUCT_BLOCK subproducts (about 23 MB
@@ -695,9 +697,10 @@ def test_sampled_cip_holds_at_most_a_block_of_subproducts():
     s4 = fleet_group("perm:(1 2 3 4);(1 2)")
     col = Coloring(s4, np.zeros(s4.order, dtype=np.int64), 1)
     samples = (1 << 16) // 10
+    monkeypatch.setattr(ramsey, "MAX_EXACT_ITERATIONS", 0)
     tracemalloc.start()
     try:
-        out = monochromatic_tuple_density(col, 10, max_exact_iterations=0, samples=samples, seed=2)
+        out = monochromatic_tuple_density(col, 10, samples=samples, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -705,13 +708,12 @@ def test_sampled_cip_holds_at_most_a_block_of_subproducts():
     assert peak <= 32 << 20, peak
 
 
-def test_cip_sampling_close_to_exact():
+def test_cip_sampling_close_to_exact(monkeypatch):
     z12 = build_group("Z/12")
     col_seed = 13
     exact = cip_density_experiment(z12, 2, 2, trials=1, seed=col_seed)
-    sampled = cip_density_experiment(
-        z12, 2, 2, trials=1, seed=col_seed, max_exact_iterations=10, samples=20000
-    )
+    monkeypatch.setattr(ramsey, "MAX_EXACT_ITERATIONS", 10)
+    sampled = cip_density_experiment(z12, 2, 2, trials=1, seed=col_seed, samples=20000)
     for e_trial, s_trial in zip(exact["per_trial"], sampled["per_trial"]):
         for e_color, s_color in zip(e_trial["per_color"], s_trial["per_color"]):
             if not s_color["exact"] and s_color.get("stderr", 0) > 0:

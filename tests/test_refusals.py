@@ -27,8 +27,9 @@ BUDGET = "grplab: budget exceeded: "
 
 COLORING_FILE = 'grplab: a coloring file must hold {"k": <int>, "colors": [<int in 0..k-1>, ...]}'
 
-# argv ({table} is a CSV of S3 x Z/200, {no_keys}, {bare_list} and {fraction}
-# the coloring files of ``BAD_COLORINGS``), exit code, stderr prefix, seconds
+# argv ({table} is a CSV of S3 x Z/200, {no_keys}, {bare_list}, {fraction},
+# {nested} and {past_int64} the coloring files of ``BAD_COLORINGS``), exit
+# code, stderr prefix, seconds
 REFUSALS = [
     (["group", "--group", "perm:(1 2000000)"], 3, BUDGET + "permutation degree 2000000 too large to index", 5),
     (["group", "--group", "perm:(1 20000000)"], 3, BUDGET + "permutation degree 20000000 too large to index", 5),
@@ -60,9 +61,21 @@ REFUSALS = [
     (["schur", "--group", "Z/5", "--coloring", "{no_keys}"], 1, COLORING_FILE, 5),
     (["schur", "--group", "Z/5", "--coloring", "{bare_list}"], 1, COLORING_FILE, 5),
     (["schur", "--group", "Z/5", "--coloring", "{fraction}"], 1, COLORING_FILE, 5),
+    # nested past the JSON parser's recursion limit
+    (["schur", "--group", "Z/5", "--coloring", "{nested}"], 1, COLORING_FILE, 5),
+    (["hindman", "--group", "Z/5", "--coloring", "{nested}", "--n", "2"], 1, COLORING_FILE, 5),
+    # k and a colour past int64
+    (["schur", "--group", "Z/5", "--coloring", "{past_int64}"], 1, COLORING_FILE, 5),
+    (["hindman", "--group", "Z/5", "--coloring", "{past_int64}", "--n", "2"], 1, COLORING_FILE, 5),
 ]
 
-BAD_COLORINGS = {"no_keys": "{}", "bare_list": "[1,2]", "fraction": '{"k": 2, "colors": [0, 1, 1.5, 0, 1]}'}
+BAD_COLORINGS = {
+    "no_keys": "{}",
+    "bare_list": "[1,2]",
+    "fraction": '{"k": 2, "colors": [0, 1, 1.5, 0, 1]}',
+    "nested": "[" * 200000,
+    "past_int64": '{"k": %d, "colors": [%d, 0, 0, 0, 0]}' % (10**29, 10**25),
+}
 
 
 # argv ({dihedral} is a CSV of D_597, with 300 classes: the class cap), seconds,
@@ -75,6 +88,8 @@ IN_LIMITS = [
     (["quasirandom", "--group", "table:{dihedral}"], 10, None),
     # 177^4 tuples, just inside the mixing budget of 10^9
     (["mixing", "--group", "Z/177", "--n", "4", "--set-all", "random:0.7,1"], 10, None),
+    # 660^3 tuples of the full PSL2(11), inside the budget: 660 prefixes of one pair count each
+    (["mixing", "--group", "PSL2(11)", "--n", "3", "--set-all", "random:1,1"], 10, '"count":287496000'),
     # 31622^2 pairs, the largest mixing:2 inside the budget: one convolution
     (["mixing", "--group", "Z/31622", "--n", "2", "--set-all", "random:1,1"], 5, None),
     # 10^10 pairs of a dense set in the largest cyclic group: one convolution
@@ -144,7 +159,7 @@ def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table, coloring_fi
     done, elapsed = _run_cli([arg.format(table=s3_z200_table, **coloring_files) for arg in argv])
     assert (done.returncode, done.stdout) == (code, ""), done.stderr
     assert done.stderr.startswith(prefix), done.stderr
-    assert elapsed < seconds
+    assert elapsed < seconds, f"took {elapsed:.2f} s, allowed {seconds} s"
 
 
 @pytest.mark.parametrize("argv, seconds, fragment", IN_LIMITS, ids=[" ".join(row[0]) for row in IN_LIMITS])
@@ -152,4 +167,4 @@ def test_input_inside_the_limits_finishes_in_time(argv, seconds, fragment, d597_
     done, elapsed = _run_cli([arg.format(dihedral=d597_table) for arg in argv])
     assert done.returncode == 0, done.stderr
     assert fragment is None or fragment in done.stdout, done.stdout
-    assert elapsed < seconds
+    assert elapsed < seconds, f"took {elapsed:.2f} s, allowed {seconds} s"

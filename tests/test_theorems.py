@@ -14,7 +14,9 @@ xy = z}:
 - Cauchy-Schwarz on the product counts r(z) = #{(a, b) in A^2 : ab = z}:
   the energy E(A) = sum r(z)^2 has E(A) |AA| >= |A|^4;
 - Ruzsa's triangle inequality |X| |YZ^-1| <= |YX^-1| |XZ^-1|, in any group;
-- Pluennecke-Ruzsa, in an abelian group: |A|^2 |3A| <= |2A|^3.
+- Pluennecke-Ruzsa, in an abelian group: |A|^2 |3A| <= |2A|^3;
+- class sums: with a_ijk = #{(x, y) in K_i x K_j : xy = z_k} for one z_k in
+  the conjugacy class K_k, the xyz count over K_i x K_j x K_k is |K_k| a_ijk.
 
 Every side is a Python integer; nothing is rounded.
 """
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 from grplab.counting import _product_counts, count_power_equation, count_xy_eq_z
-from grplab.groups import build_group
+from grplab.groups import build_group, conjugacy_classes
 from grplab.rng import derive
 from grplab.sets import GroupSubset, inverse_set, is_product_free, make_set, product_set
 from grplab.spectral import quasirandomness_degree
@@ -140,3 +142,20 @@ def test_pluennecke_tripling_on_abelian_groups(spec):
         two = product_set(a, a)
         three = product_set(two, a)
         assert a.card**2 * three.card <= two.card**3, (spec, a.card)
+
+
+@pytest.mark.parametrize("spec", ["PSL2(7)", "PSL2(5)", "perm:(1 2 3 4);(1 2)"])
+def test_class_triple_counts_are_class_size_times_structure_constant(spec):
+    # a_ijk counted by scalar products, apart from the counting layer
+    g = build_group(spec)
+    classes = conjugacy_classes(g).partition
+    sets = [GroupSubset.from_indices(g, c) for c in classes]
+    for i, ki in enumerate(classes):
+        for j, kj in enumerate(classes):
+            hits = [0] * g.order
+            for x in ki:
+                for y in kj:
+                    hits[g.mul(x, y)] += 1
+            for k, kk in enumerate(classes):
+                count = count_xy_eq_z(sets[i], sets[j], sets[k]).count
+                assert count == len(kk) * hits[kk[0]], (spec, i, j, k)
