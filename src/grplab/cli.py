@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import errors
@@ -25,9 +24,6 @@ from .counting import (
     count_xy_eq_z,
 )
 from .groups import build_group, conjugacy_classes
-from .lab import load_config, sweep
-from .ramsey import Coloring, cip_density_experiment, monochromatic_tuple_search, schur_adversarial_search, schur_counts
-from .regularity import check_product_rich, check_regular_position
 from .reports import canonical_json, rows_to_csv, _flatten
 from .sets import (
     doubling_constant,
@@ -37,6 +33,9 @@ from .sets import (
     tripling_constant,
 )
 from .spectral import character_degrees, quasirandomness_degree
+
+# ramsey, regularity and lab are imported by the handlers that run them, so a
+# count, stats, group or quasirandom call never loads them
 
 _USAGE_ERRORS = (
     errors.MalformedSpec,
@@ -74,7 +73,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _settle_common(args: argparse.Namespace) -> None:
     """Fill unset common flags from the config file; explicit flags win."""
-    cfg = load_config(args.config) if args.config else None
+    cfg = None
+    if args.config:
+        from .lab import load_config
+
+        cfg = load_config(args.config)
     if args.seed is None:
         args.seed = cfg.seed if cfg else 0
     if args.threads is None:
@@ -166,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_coloring(group, spec: str) -> Coloring:
+def _load_coloring(group, spec: str):
+    from .ramsey import Coloring
+
     if spec.startswith("random:"):
         body = spec[len("random:"):]
         try:
@@ -305,6 +310,8 @@ def _cmd_quasirandom(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_schur(args: argparse.Namespace, started: float) -> None:
+    from .ramsey import schur_adversarial_search, schur_counts
+
     group = build_group(args.group)
     if args.search:
         result = schur_adversarial_search(
@@ -321,6 +328,8 @@ def _cmd_schur(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_hindman(args: argparse.Namespace, started: float) -> None:
+    from .ramsey import monochromatic_tuple_search
+
     group = build_group(args.group)
     coloring = _load_coloring(group, args.coloring)
     result = monochromatic_tuple_search(
@@ -337,6 +346,8 @@ def _cmd_hindman(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_cip(args: argparse.Namespace, started: float) -> None:
+    from .ramsey import cip_density_experiment
+
     group = build_group(args.group)
     payload = cip_density_experiment(
         group, args.k, args.n, trials=args.trials, seed=args.seed, samples=args.samples
@@ -345,15 +356,18 @@ def _cmd_cip(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_regular(args: argparse.Namespace, started: float) -> None:
+    from .regularity import _as_fraction, check_regular_position
+
     group = build_group(args.group)
     sets = [make_set(group, s) for s in args.sets]
+    eps = _as_fraction(args.eps)
     verdict = check_regular_position(
-        sets[0], sets[1], sets[2], Fraction(args.eps), mode=args.mode, trials=args.trials, seed=args.seed
+        sets[0], sets[1], sets[2], eps, mode=args.mode, trials=args.trials, seed=args.seed
     )
     payload = {
         "group": args.group,
         "sets": list(args.sets),
-        "eps": Fraction(args.eps),
+        "eps": eps,
         "mode": args.mode,
         **verdict.to_dict(),
     }
@@ -361,15 +375,16 @@ def _cmd_regular(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_rich(args: argparse.Namespace, started: float) -> None:
+    from .regularity import _as_fraction, check_product_rich
+
     group = build_group(args.group)
     a = make_set(group, args.set_spec)
-    verdict = check_product_rich(
-        a, Fraction(args.eps), mode=args.mode, trials=args.trials, seed=args.seed
-    )
+    eps = _as_fraction(args.eps)
+    verdict = check_product_rich(a, eps, mode=args.mode, trials=args.trials, seed=args.seed)
     payload = {
         "group": args.group,
         "set": args.set_spec,
-        "eps": Fraction(args.eps),
+        "eps": eps,
         "mode": args.mode,
         **verdict.to_dict(),
     }
@@ -379,6 +394,8 @@ def _cmd_rich(args: argparse.Namespace, started: float) -> None:
 def _cmd_sweep(args: argparse.Namespace, started: float) -> None:
     if not args.config:
         raise errors.ConfigInvalid("sweep needs --config")
+    from .lab import load_config, sweep
+
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed

@@ -65,3 +65,10 @@ class ConfigInvalid(GrplabError):
 
 class GridTooLarge(GrplabError):
     """A sweep grid exceeds the cell cap."""
+
+
+def require_nonnegative(**counts: int) -> None:
+    """Refuse, with MalformedSpec, the first of the named counts below 0; 0 is allowed."""
+    for name, value in counts.items():
+        if value < 0:
+            raise MalformedSpec(f"{name} must be >= 0, got {value}")

@@ -12,20 +12,12 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iter_product
 from typing import Any, Callable, Dict, List, Tuple
 
 from .counting import count_ap3, count_power_equation, count_xy_eq_z
 from .errors import ConfigInvalid, GridTooLarge
 from .groups import build_group
-from .ramsey import (
-    Coloring,
-    monochromatic_tuple_search,
-    schur_adversarial_search,
-    schur_counts,
-)
-from .regularity import check_product_rich, check_regular_position
 from .reports import ExperimentReport
 from .rng import derive
 from .sets import (
@@ -36,6 +28,9 @@ from .sets import (
     tripling_constant,
 )
 from .spectral import quasirandomness_degree
+
+# the recipes that run ramsey or regularity import it themselves, so a
+# config file or a counting recipe never loads them
 
 RECIPES = (
     "mixing-trend",
@@ -235,6 +230,8 @@ def _recipe_power(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _recipe_schur(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    from .ramsey import Coloring, schur_adversarial_search, schur_counts
+
     if not cfg.groups:
         raise ConfigInvalid("schur needs groups")
     k = int(_param(cfg, "k", 2))
@@ -281,6 +278,8 @@ def _recipe_schur(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _recipe_hindman(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    from .ramsey import Coloring, monochromatic_tuple_search
+
     if not cfg.groups:
         raise ConfigInvalid("hindman needs groups")
     k = int(_param(cfg, "k", 2))
@@ -311,9 +310,11 @@ def _recipe_hindman(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _recipe_regular_position(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    from .regularity import _as_fraction, check_regular_position
+
     if not cfg.groups or len(cfg.sets) != 3:
         raise ConfigInvalid("regular-position needs groups and exactly three sets")
-    eps = Fraction(_param(cfg, "eps", required=True))
+    eps = _as_fraction(_param(cfg, "eps", required=True))
     mode = _param(cfg, "mode", "exact")
     trials = int(_param(cfg, "trials", 500))
     for gi, spec in enumerate(cfg.groups):
@@ -334,9 +335,11 @@ def _recipe_regular_position(cfg: ExperimentConfig, report: ExperimentReport) ->
 
 
 def _recipe_product_rich(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    from .regularity import _as_fraction, check_product_rich
+
     if not cfg.groups or not cfg.sets:
         raise ConfigInvalid("product-rich needs groups and sets")
-    eps = Fraction(_param(cfg, "eps", required=True))
+    eps = _as_fraction(_param(cfg, "eps", required=True))
     mode = _param(cfg, "mode", "exact")
     trials = int(_param(cfg, "trials", 2000))
     for gi, spec in enumerate(cfg.groups):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .counting import CountReport, _pair_count, _prefixes, _product_counts, _subproducts, all_nonempty_subsets
 from .counting import count_mixing_tuples, count_xy_eq_z
-from .errors import BudgetExceeded, MalformedSpec
+from .errors import BudgetExceeded, MalformedSpec, require_nonnegative
 from .groups import PRODUCT_BLOCK, FiniteGroup
 from .rng import SplitMix64, derive
 from .sets import GroupSubset
@@ -152,6 +152,7 @@ def schur_adversarial_search(
     Restarts run from fresh seeded random colorings; the best local minimum
     over all restarts is returned.  Deterministic given the seed.
     """
+    require_nonnegative(iterations=iterations, restarts=restarts)
     n = group.order
     best: Optional[Tuple[int, int, np.ndarray, Tuple[int, ...]]] = None
     used = 0
@@ -161,7 +162,7 @@ def schur_adversarial_search(
         counts = [
             _schur_count_of_mask(group, colors == j) for j in range(k)
         ]
-        for _ in range(max(0, iterations)):
+        for _ in range(iterations):
             used += 1
             move = _best_schur_move(group, colors, counts, k)
             if move is None:
@@ -379,6 +380,7 @@ def monochromatic_tuple_search(
     """
     if n < 1:
         raise MalformedSpec(f"tuple length must be >= 1, got {n}")
+    require_nonnegative(budget=budget)
     group = coloring.group
     identity_color = int(coloring.color_of[0])
     budget_hit = False
@@ -449,6 +451,8 @@ def monochromatic_tuple_density(
     group = coloring.group
     total = group.order**n
     exact = n <= 4 and total <= MAX_EXACT_ITERATIONS
+    if not exact and samples < 1:
+        raise MalformedSpec(f"a sampled density needs samples >= 1, got {samples}")
     best = {"color": -1, "density": -1.0}
     per_color = []
     for j in range(coloring.k):
@@ -530,6 +534,7 @@ def cip_density_experiment(
     """
     if trials < 1:
         raise MalformedSpec("trials must be >= 1")
+    require_nonnegative(samples=samples)
     per_trial = []
     for t in range(trials):
         coloring = Coloring.random(group, k, derive(seed, t))

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ExactCapExceeded, MalformedSpec
+from .errors import ExactCapExceeded, MalformedSpec, require_nonnegative
 from .groups import _pair_blocks
 from .sets import GroupSubset, _require_same_group, inverse_set, is_product_free, product_set
 from .rng import SplitMix64, derive
@@ -55,8 +55,13 @@ class RegularityVerdict:
 
 
 def _as_fraction(eps: Union[Fraction, float, int, str]) -> Fraction:
-    frac = Fraction(eps)
-    if not 0 < frac <= 1:
+    """eps as an exact Fraction.  Anything but a number in (0, 1], "1/0" and
+    "abc" included, raises MalformedSpec."""
+    try:
+        frac = Fraction(eps)
+    except (ZeroDivisionError, OverflowError, ValueError, TypeError):
+        frac = None
+    if frac is None or not 0 < frac <= 1:
         raise MalformedSpec(f"epsilon must be in (0, 1], got {eps}")
     return frac
 
@@ -127,6 +132,7 @@ def check_product_rich(
     when shrunk; any violation witness is re-verified against the raw
     definition before returning."""
     eps = _as_fraction(eps)
+    require_nonnegative(trials=trials)
     if mode == "exact":
         if a.card > PRODUCT_RICH_EXACT_CAP:
             raise ExactCapExceeded(f"|A|={a.card} exceeds exact cap {PRODUCT_RICH_EXACT_CAP}")
@@ -266,6 +272,7 @@ def check_regular_position(
     """
     group = _require_same_group(a, b, c)
     eps = _as_fraction(eps)
+    require_nonnegative(trials=trials)
     if mode == "exact":
         for s in (a, b, c):
             if s.card > REGULAR_POSITION_EXACT_CAP:

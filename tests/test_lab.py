@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from grplab.cli import main
-from grplab.errors import ConfigInvalid, GridTooLarge
+from grplab.errors import ConfigInvalid, GridTooLarge, MalformedSpec
 from grplab.lab import ExperimentConfig, parse_config_text, run_recipe, sweep
 from grplab.reports import canonical_json, rows_to_csv
 
@@ -54,6 +54,23 @@ def test_run_recipe_growth_profile():
     inst = report.instances[0]
     assert inst["card"] == 4
     assert inst["profile"][0].numerator == 7  # symmetrize has 2*4-1 elements here
+
+
+@pytest.mark.parametrize(
+    "recipe, sets, params",
+    [
+        ("regular-position", ["explicit:1", "explicit:1", "explicit:1"], {"eps": "1/0"}),
+        ("product-rich", ["explicit:1"], {"eps": "1/0"}),
+        ("regular-position", ["explicit:1", "explicit:1", "explicit:1"], {"eps": "1/2", "mode": "sampled", "trials": -3}),
+        ("product-rich", ["explicit:1"], {"eps": "1/2", "mode": "sampled", "trials": -3}),
+        ("schur", [], {"mode": "search", "iterations": -1}),
+        ("hindman", [], {"budget": -1}),
+    ],
+)
+def test_recipes_share_the_library_refusals(recipe, sets, params):
+    cfg = ExperimentConfig.from_dict({"recipe": recipe, "groups": ["Z/5"], "sets": sets, "params": params})
+    with pytest.raises(MalformedSpec):
+        run_recipe(cfg)
 
 
 def test_run_recipe_embeds_config_and_seed():
@@ -488,18 +505,66 @@ def test_cli_runs_without_numpy_ma(argv):
     assert json.loads(done.stdout)["group"] == argv[2]
 
 
-def test_cli_import_leaves_out_concurrent_futures():
-    # only a threaded sweep imports the thread pool; every grplab module
-    # still loads with the CLI
+def _loaded_after(code: str, *argv: str) -> list:
+    """The grplab and concurrent modules, sorted, loaded after running ``code`` in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import json, sys, grplab.cli\n"
+    code += (
+        "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'grplab'))))"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
-    assert not [m for m in loaded if m.startswith("concurrent")]
-    assert {"grplab.lab", "grplab.ramsey", "grplab.regularity", "grplab.spectral", "grplab.counting"} <= set(loaded)
+    return json.loads(done.stdout)
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # only a threaded sweep imports the thread pool
+    assert not [m for m in _loaded_after("import grplab.cli") if m.startswith("concurrent")]
+
+
+CLI_MODULES = ["grplab"] + [
+    f"grplab.{m}" for m in ("cli", "errors", "groups", "gf", "rng", "sets", "counting", "spectral", "reports")
+]
+
+RUN_MAIN = (
+    "import contextlib, io, sys\n"
+    "from grplab.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(sys.argv[1:]) == 0\n"
+)
+
+SCHUR_CONFIG = """
+recipe = "schur"
+groups = ["Z/12"]
+[params]
+seeds = 1
+"""
+
+
+def test_import_grplab_loads_no_submodule():
+    assert _loaded_after("import grplab") == ["grplab"]
+
+
+def test_cli_import_loads_only_the_core_modules():
+    assert _loaded_after("import grplab.cli") == sorted(CLI_MODULES)
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["count", "--group", "Z/12", "--sets", "random:0.5,1", "random:0.5,2", "random:0.5,3", "--equation", "xyz"], []),
+        (["hindman", "--group", "Z/12", "--coloring", "random:2,1", "--n", "2"], ["grplab.ramsey"]),
+        (["rich", "--group", "Z/12", "--set", "explicit:1,2,3", "--eps", "1/2"], ["grplab.regularity"]),
+        (["sweep", "--config", "{growth}"], ["grplab.lab"]),
+        (["sweep", "--config", "{schur}"], ["grplab.lab", "grplab.ramsey"]),
+    ],
+    ids=["count-xyz", "hindman", "rich", "sweep-growth-profile", "sweep-schur"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
+    paths = {"growth": tmp_path / "growth.cfg", "schur": tmp_path / "schur.cfg"}
+    paths["growth"].write_text(CONFIG_TEXT)
+    paths["schur"].write_text(SCHUR_CONFIG)
+    argv = [arg.format(**paths) for arg in argv]
+    assert _loaded_after(RUN_MAIN, *argv) == sorted(CLI_MODULES + extra)

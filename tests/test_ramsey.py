@@ -585,6 +585,36 @@ def test_cip_refuses_n_below_one(n):
         monochromatic_tuple_density(col, n)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: cip_density_experiment(g, 2, 2, trials=1, seed=0, samples=-1), "samples must be >= 0, got -1"),
+        (lambda g: cip_density_experiment(g, 2, 5, trials=1, seed=0, samples=0), "needs samples >= 1, got 0"),
+        (
+            lambda g: monochromatic_tuple_search(Coloring.random(g, 2, 1), 2, budget=-1),
+            "budget must be >= 0, got -1",
+        ),
+        (lambda g: schur_adversarial_search(g, 2, -1, 1, 0), "iterations must be >= 0, got -1"),
+        (lambda g: schur_adversarial_search(g, 2, 1, -5, 0), "restarts must be >= 0, got -5"),
+    ],
+    ids=["cip-samples", "cip-sampled-zero", "hindman-budget", "schur-iterations", "schur-restarts"],
+)
+def test_negative_counts_are_refused(call, message):
+    with pytest.raises(MalformedSpec, match=message):
+        call(build_group("Z/10"))
+
+
+def test_zero_counts_keep_their_meaning():
+    g = build_group("Z/10")
+    # no restarts still runs one, with no descent step
+    result = schur_adversarial_search(g, 2, 0, 0, 0)
+    assert (result.restarts, result.iterations_used) == (1, 0)
+    # an exact density reads no samples
+    assert cip_density_experiment(g, 2, 2, trials=1, seed=0, samples=0)["per_trial"][0]["per_color"][0]["exact"]
+    # a zero budget leaves the greedy witness in trivial mode
+    assert isinstance(monochromatic_tuple_search(Coloring.random(g, 2, 1), 2, budget=0), TupleWitness)
+
+
 def _mono_density_oracle(group, coloring, n):
     # literal enumeration over all tuples and all subproducts
     best = 0.0

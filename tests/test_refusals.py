@@ -67,6 +67,57 @@ REFUSALS = [
     # k and a colour past int64
     (["schur", "--group", "Z/5", "--coloring", "{past_int64}"], 1, COLORING_FILE, 5),
     (["hindman", "--group", "Z/5", "--coloring", "{past_int64}", "--n", "2"], 1, COLORING_FILE, 5),
+    # eps is parsed once, and a zero denominator is a malformed eps
+    (
+        ["regular", "--group", "Z/5", "--sets", "explicit:1", "explicit:1", "explicit:1", "--eps", "1/0"],
+        1,
+        "grplab: epsilon must be in (0, 1], got 1/0",
+        5,
+    ),
+    (["rich", "--group", "Z/5", "--set", "explicit:1", "--eps", "1/0"], 1, "grplab: epsilon must be in (0, 1], got 1/0", 5),
+    # counts below 0 are refused; 0 keeps its meaning
+    (["cip", "--group", "Z/5", "--k", "2", "--n", "2", "--samples", "-1"], 1, "grplab: samples must be >= 0, got -1", 5),
+    # Z/5 at n = 5 is sampled, and a sampled density needs a sample
+    (
+        ["cip", "--group", "Z/5", "--k", "2", "--n", "5", "--samples", "0"],
+        1,
+        "grplab: a sampled density needs samples >= 1, got 0",
+        5,
+    ),
+    (
+        [
+            "regular",
+            "--group",
+            "Z/5",
+            "--sets",
+            "explicit:1",
+            "explicit:1",
+            "explicit:1",
+            "--eps",
+            "1/2",
+            "--mode",
+            "sampled",
+            "--trials",
+            "-3",
+        ],
+        1,
+        "grplab: trials must be >= 0, got -3",
+        5,
+    ),
+    (
+        ["rich", "--group", "Z/5", "--set", "explicit:1", "--eps", "1/2", "--mode", "sampled", "--trials", "-3"],
+        1,
+        "grplab: trials must be >= 0, got -3",
+        5,
+    ),
+    (
+        ["hindman", "--group", "Z/5", "--coloring", "random:2,1", "--n", "2", "--budget", "-1"],
+        1,
+        "grplab: budget must be >= 0, got -1",
+        5,
+    ),
+    (["schur", "--group", "Z/5", "--search", "--iterations", "-1"], 1, "grplab: iterations must be >= 0, got -1", 5),
+    (["schur", "--group", "Z/5", "--search", "--restarts", "-5"], 1, "grplab: restarts must be >= 0, got -5", 5),
 ]
 
 BAD_COLORINGS = {

@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grplab.errors import ExactCapExceeded
+from grplab.errors import ExactCapExceeded, MalformedSpec
 from grplab.groups import build_group
 from grplab.regularity import (
     NO_VIOLATION_FOUND,
     VERIFIED_EXACT,
     VIOLATED,
+    _as_fraction,
     check_product_rich,
     check_regular_position,
 )
@@ -422,3 +423,18 @@ def test_sampled_regular_position_on_slow_growing_sets_stays_small():
     assert got.to_dict() == {"status": NO_VIOLATION_FOUND, "samples": 3}
     assert time.monotonic() - start < 10
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("eps", ["1/0", "abc", "", None, [1], float("inf"), float("nan"), 0, "3/2", -1])
+def test_a_malformed_or_out_of_range_eps_is_refused(eps):
+    with pytest.raises(MalformedSpec, match=r"epsilon must be in \(0, 1\]"):
+        _as_fraction(eps)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_negative_trials_are_refused(mode):
+    a = make_set(build_group("Z/7"), "explicit:1,2")
+    with pytest.raises(MalformedSpec, match="trials must be >= 0, got -3"):
+        check_product_rich(a, "1/2", mode, trials=-3)
+    with pytest.raises(MalformedSpec, match="trials must be >= 0, got -3"):
+        check_regular_position(a, a, a, "1/2", mode, trials=-3)
