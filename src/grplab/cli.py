@@ -25,13 +25,7 @@ from .counting import (
 )
 from .groups import build_group, conjugacy_classes
 from .reports import canonical_json, rows_to_csv, _flatten
-from .sets import (
-    doubling_constant,
-    growth_profile,
-    is_product_free,
-    make_set,
-    tripling_constant,
-)
+from .sets import make_set, set_statistics
 from .spectral import character_degrees, quasirandomness_degree
 
 # ramsey, regularity and lab are imported by the handlers that run them, so a
@@ -226,11 +220,7 @@ def _cmd_stats(args: argparse.Namespace, started: float) -> None:
         "set": args.set_spec,
         "card": a.card,
         "density": a.density,
-        "doubling": doubling_constant(a) if a.card else None,
-        "tripling_aaa": tripling_constant(a, "aaa") if a.card else None,
-        "tripling_aia": tripling_constant(a, "aia") if a.card else None,
-        "growth_profile": growth_profile(a, args.m_max) if a.card else [],
-        "product_free": is_product_free(a),
+        **set_statistics(a, args.m_max)._asdict(),
     }
     _emit(payload, args, started)
 

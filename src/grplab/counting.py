@@ -10,8 +10,10 @@ product sets and the Schur and Hindman searches read r too.  Three engines
 cross-check: ``BruteForce`` loops over the pairs in Python,
 ``CayleyConvolution`` bincounts the products gathered through the group's
 vectorized multiplication, and ``AbelianFFT`` convolves the two index
-histograms over a cyclic product by a real-input FFT; ``_resolve_engine``,
-the one scan-or-convolve rule, picks by the planned pairs.  The FFT result is
+histograms over a cyclic product by a real-input FFT, each side a
+``_Factor`` that keeps its spectrum, so a set in several products is
+transformed once; ``_resolve_engine``, the one scan-or-convolve rule, picks
+by the planned pairs.  The FFT result is
 rounded and kept only when an a-priori error bound and the observed rounding
 residual stay well below 1/2, else exact integer convolution runs instead.
 """
@@ -125,28 +127,81 @@ def _pair_count(g: FiniteGroup, left: np.ndarray, right: np.ndarray, weights: np
     return int(np.dot(_product_counts(g, left, right, engine), weights))
 
 
-def _product_counts(g: FiniteGroup, left: np.ndarray, right: np.ndarray, engine: str = "auto") -> np.ndarray:
+def _product_counts(g: FiniteGroup, left, right, engine: str = "auto") -> np.ndarray:
     """r[z] = #{(x, y) : x in ``left``, y in ``right``, x*y = z} as an int64
-    array of length |G|, over index arrays with repeats allowed, by ``engine``
-    resolved for len(left) * len(right) pairs."""
+    array of length |G|, over index arrays with repeats allowed (or their
+    ``_Factor``s, whose spectra are then reused), by ``engine`` resolved for
+    len(left) * len(right) pairs."""
     n = g.order
-    engine = _resolve_engine(g, engine, len(left) * len(right))
+    left, right = _factor(g, left), _factor(g, right)
+    engine = _resolve_engine(g, engine, len(left.indices) * len(right.indices))
     if engine == ENGINE_BRUTE:
         mul = g.mul
-        products = [mul(x, y) for x in left.tolist() for y in right.tolist()]
+        products = [mul(x, y) for x in left.indices.tolist() for y in right.indices.tolist()]
         return np.bincount(np.asarray(products, dtype=np.int64), minlength=n)
     if engine == ENGINE_FFT:
-        return cyclic_convolution(g, np.bincount(left, minlength=n), np.bincount(right, minlength=n))
+        return cyclic_convolution(g, left, right)
     counts = np.zeros(n, dtype=np.int64)
-    for block in _pair_blocks(g.mul_arrays, left, right):
+    for block in _pair_blocks(g.mul_arrays, left.indices, right.indices):
         counts += np.bincount(block.ravel(), minlength=n)
         del block
     return counts
 
 
-def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+class _Factor:
+    """One side of a product: an index array (repeats allowed, or None when
+    only the histogram is known), its histogram f over G and, on a cyclic
+    product, the rfftn spectrum of f.  The histogram and the spectrum are
+    formed on first use and freed with the factor, so a factor that takes
+    part in several products is transformed once."""
+
+    __slots__ = ("g", "indices", "_hist", "_spectrum", "_mirror")
+
+    def __init__(
+        self,
+        g: FiniteGroup,
+        indices: Optional[np.ndarray] = None,
+        hist: Optional[np.ndarray] = None,
+        mirror: Optional["_Factor"] = None,
+    ) -> None:
+        self.g = g
+        self.indices = indices
+        self._hist = hist
+        self._spectrum: Optional[np.ndarray] = None
+        self._mirror = mirror  # the factor this one inverts
+
+    def hist(self) -> np.ndarray:
+        if self._hist is None:
+            if self._mirror is not None:
+                self._hist = self._mirror.hist()[self.g.inverse_table]
+            else:
+                self._hist = np.bincount(self.indices, minlength=self.g.order)
+        return self._hist
+
+    def spectrum(self) -> np.ndarray:
+        if self._spectrum is None:
+            if self._mirror is not None:
+                self._spectrum = np.conj(self._mirror.spectrum())
+            else:
+                self._spectrum = np.fft.rfftn(self.hist().reshape(tuple(self.g.cyclic_moduli)).astype(np.float64))
+        return self._spectrum
+
+    def inverse(self) -> "_Factor":
+        """The factor of the inverses: histogram f(x^-1), and for real f the
+        spectrum of f(x^-1) is the complex conjugate of f's, pointwise, so
+        also on the half-spectrum that rfftn keeps; no transform of its own."""
+        indices = None if self.indices is None else self.g.inverse_table[self.indices].astype(np.int64)
+        return _Factor(self.g, indices, mirror=self)
+
+
+def _factor(g: FiniteGroup, side) -> _Factor:
+    return side if isinstance(side, _Factor) else _Factor(g, side)
+
+
+def cyclic_convolution(g: FiniteGroup, fa, fb) -> np.ndarray:
     """Exact integer group convolution fa * fb over a cyclic product group,
-    for nonnegative integer vectors fa and fb.
+    for nonnegative integer vectors fa and fb, or ``_Factor``s whose
+    histograms and spectra are reused.
 
     Fast path: multidimensional real-input FFT (``rfftn``/``irfftn``, which
     keep only the nonnegative frequencies of the last axis), rounded,
@@ -156,9 +211,9 @@ def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.nda
     """
     moduli = g.cyclic_moduli
     assert moduli is not None
+    x, y = (side if isinstance(side, _Factor) else _Factor(g, hist=side) for side in (fa, fb))
+    fa, fb = x.hist(), y.hist()
     shape = tuple(moduli)
-    A = fa.reshape(shape).astype(np.float64)
-    B = fb.reshape(shape).astype(np.float64)
     axes = tuple(range(len(shape)))
     n = g.order
     # no output entry exceeds sum(fa) * max(fb) or sum(fb) * max(fa)
@@ -167,7 +222,7 @@ def cyclic_convolution(g: FiniteGroup, fa: np.ndarray, fb: np.ndarray) -> np.nda
     bound = 1e-15 * max(1.0, max_out) * n * max(1.0, math.log2(max(2, n)))
     if bound < 0.4:
         # ``s`` keeps an odd last axis whole; ``axes`` goes with it
-        conv = np.fft.irfftn(np.fft.rfftn(A) * np.fft.rfftn(B), s=shape, axes=axes)
+        conv = np.fft.irfftn(x.spectrum() * y.spectrum(), s=shape, axes=axes)
         rounded = np.rint(conv)
         residual = float(np.abs(conv - rounded).max()) if conv.size else 0.0
         if residual < _FFT_RESIDUAL_LIMIT:

@@ -16,17 +16,11 @@ from itertools import product as iter_product
 from typing import Any, Callable, Dict, List, Tuple
 
 from .counting import count_ap3, count_power_equation, count_xy_eq_z
-from .errors import ConfigInvalid, GridTooLarge
+from .errors import ConfigInvalid, EmptySet, GridTooLarge
 from .groups import build_group
 from .reports import ExperimentReport
 from .rng import derive
-from .sets import (
-    doubling_constant,
-    growth_profile,
-    is_product_free,
-    make_set,
-    tripling_constant,
-)
+from .sets import doubling_constant, make_set, set_statistics
 from .spectral import quasirandomness_degree
 
 # the recipes that run ramsey or regularity import it themselves, so a
@@ -369,17 +363,19 @@ def _recipe_growth_profile(cfg: ExperimentConfig, report: ExperimentReport) -> N
         group = build_group(spec)
         for sspec in cfg.sets:
             a = make_set(group, sspec)
-            profile = growth_profile(a, m_max)
+            if a.card == 0:
+                raise EmptySet("growth profile of the empty set")
+            stats = set_statistics(a, m_max)
             report.instances.append(
                 {
                     "group": spec,
                     "set": sspec,
                     "card": a.card,
-                    "profile": profile,
-                    "doubling": doubling_constant(a),
-                    "tripling_aaa": tripling_constant(a, "aaa"),
-                    "tripling_aia": tripling_constant(a, "aia"),
-                    "product_free": is_product_free(a),
+                    "profile": stats.growth_profile,
+                    "doubling": stats.doubling,
+                    "tripling_aaa": stats.tripling_aaa,
+                    "tripling_aia": stats.tripling_aia,
+                    "product_free": stats.product_free,
                 }
             )
 

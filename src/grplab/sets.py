@@ -4,6 +4,8 @@ A :class:`GroupSubset` is a boolean membership mask over the element index
 space plus cached cardinality; densities are exact fractions.  A product set
 is the support of the product counts ``counting._product_counts``: one FFT
 convolution or a blocked scan of all pairs, so memory stays bounded.
+``set_statistics`` reads the doubling, tripling, growth and product-free
+figures of one set in one pass.
 
 Set spec grammar accepted by :func:`parse_set_spec`:
 
@@ -19,12 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import EmptySet, GroupMismatch, KindUnsupportedForGroup, MalformedSpec
-from .groups import FiniteGroup, _distinct, _pair_blocks, _subgroup_closure, same_group
+from .groups import FiniteGroup, _pair_blocks, _subgroup_closure, same_group
 from .rng import SplitMix64
 
 
@@ -113,10 +115,21 @@ def _require_same_group(*sets: GroupSubset) -> FiniteGroup:
 
 def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     """Exact productset {x*y : x in a, y in b}: the support of the product counts."""
+    return _product(_require_same_group(a, b), a.indices, b.indices)
+
+
+def _product(g: FiniteGroup, left, right) -> GroupSubset:
+    """The support of ``counting._product_counts`` of two index arrays or
+    ``counting._Factor``s, a factor's spectrum reused across its products."""
     from .counting import _product_counts
 
-    g = _require_same_group(a, b)
-    return GroupSubset(g, _product_counts(g, a.indices, b.indices) > 0)
+    return GroupSubset(g, _product_counts(g, left, right) > 0)
+
+
+def _factor(a: GroupSubset):
+    from .counting import _Factor
+
+    return _Factor(a.group, a.indices)
 
 
 def inverse_set(a: GroupSubset) -> GroupSubset:
@@ -133,14 +146,31 @@ def symmetrize(a: GroupSubset) -> GroupSubset:
     return GroupSubset(a.group, out)
 
 
+def _symmetric_powers(a: GroupSubset, m_max: int):
+    """S, S^2, ... up to S^m_max for S = symmetrize(a), each S^m S formed
+    against one factor of S.  S holds the identity, so S^m lies in S^(m+1);
+    once S^m S = S^m or S^m = G, S^m is a subgroup that every later power
+    equals, and the walk stops there."""
+    g = a.group
+    acc = symmetrize(a)
+    base = left = _factor(acc)
+    yield acc
+    for _ in range(m_max - 1):
+        if acc.card == g.order:
+            return
+        nxt = _product(g, left, base)
+        if nxt.card == acc.card:
+            return
+        acc, left = nxt, nxt.indices
+        yield acc
+
+
 def iterated_product(a: GroupSubset, m: int) -> GroupSubset:
     """m-fold productset of symmetrize(a); m=1 gives symmetrize(a) itself."""
     if m < 1:
         raise MalformedSpec(f"iteration count must be >= 1, got {m}")
-    base = symmetrize(a)
-    acc = base
-    for _ in range(m - 1):
-        acc = product_set(acc, base)
+    for acc in _symmetric_powers(a, m):
+        pass
     return acc
 
 
@@ -155,28 +185,31 @@ def tripling_constant(a: GroupSubset, variant: str = "aaa") -> Fraction:
     """|a*a*a|/|a| ("aaa") or |a*a^-1*a|/|a| ("aia")."""
     if a.card == 0:
         raise EmptySet("tripling constant of the empty set")
-    if variant == "aaa":
-        triple = product_set(product_set(a, a), a)
-    elif variant == "aia":
-        triple = product_set(product_set(a, inverse_set(a)), a)
-    else:
+    if variant not in ("aaa", "aia"):
         raise MalformedSpec(f"unknown tripling variant {variant!r}")
-    return Fraction(triple.card, a.card)
+    f = _factor(a)
+    return Fraction(_times(_product(a.group, f, f if variant == "aaa" else f.inverse()), f), a.card)
+
+
+def _times(x: GroupSubset, f) -> int:
+    """|X F| for a nonempty factor F: |G| when X is all of G, else one product."""
+    return x.card if x.card == x.group.order else _product(x.group, x.indices, f).card
 
 
 def growth_profile(a: GroupSubset, m_max: int) -> List[Fraction]:
     """Sizes of the iterated symmetrized products, normalized by |a|."""
     if a.card == 0:
         raise EmptySet("growth profile of the empty set")
+    return _profile(a, m_max)
+
+
+def _profile(a: GroupSubset, m_max: int) -> List[Fraction]:
+    """|S^m| / |a| for m = 1..m_max; the powers past the walk's stop repeat
+    its last size."""
     if m_max < 1:
         raise MalformedSpec(f"m_max must be >= 1, got {m_max}")
-    base = symmetrize(a)
-    acc = base
-    profile = [Fraction(acc.card, a.card)]
-    for _ in range(m_max - 1):
-        acc = product_set(acc, base)
-        profile.append(Fraction(acc.card, a.card))
-    return profile
+    sizes = [Fraction(p.card, a.card) for p in _symmetric_powers(a, m_max)]
+    return sizes + sizes[-1:] * (m_max - len(sizes))
 
 
 def is_product_free(a: GroupSubset) -> bool:
@@ -190,6 +223,43 @@ def is_product_free(a: GroupSubset) -> bool:
             return False
         del block
     return True
+
+
+class SetStatistics(NamedTuple):
+    """The small-doubling and small-tripling figures of one set: None, None,
+    None, [] and True for the empty set."""
+
+    doubling: Optional[Fraction]
+    tripling_aaa: Optional[Fraction]
+    tripling_aia: Optional[Fraction]
+    growth_profile: List[Fraction]
+    product_free: bool
+
+
+def set_statistics(a: GroupSubset, m_max: int) -> SetStatistics:
+    """|AA|/|A|, |AAA|/|A|, |AA^-1A|/|A|, the growth profile up to m_max and
+    whether A is product-free, in one pass.
+
+    A*A is formed once and gives the doubling, the product A*A*A and
+    product-freeness (A*A misses A); a product of all of G with A is G, so
+    it is not formed.  On a cyclic product each set is transformed once:
+    A's spectrum serves A*A, A*A*A and A*A^-1*A, and A^-1's is its
+    conjugate.  The same values as ``doubling_constant``,
+    ``tripling_constant``, ``growth_profile`` and ``is_product_free``."""
+    if a.card == 0:
+        return SetStatistics(None, None, None, [], True)
+    g = a.group
+    profile = _profile(a, m_max)
+    f = _factor(a)
+    aa = _product(g, f, f)
+    doubling, free, aaa = aa.card, not aa.mask[a.mask].any(), _times(aa, f)
+    # A*A and its index array, up to |G| entries, go before the next
+    # product, whose temporaries would otherwise stack on top of them
+    del aa
+    aia = _times(_product(g, f, f.inverse()), f)
+    return SetStatistics(
+        Fraction(doubling, a.card), Fraction(aaa, a.card), Fraction(aia, a.card), profile, free
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +350,17 @@ def parse_set_spec(text: str) -> SetSpec:
     raise MalformedSpec(f"unknown set kind in {text!r}")
 
 
+def _powers(group: FiniteGroup, step: int, length: int) -> List[int]:
+    """step^k for k = 0 .. length-1, cut at the order of ``step``: the
+    powers repeat with that period, so the cut keeps the same set."""
+    out = [0]
+    power = step
+    while len(out) < length and power != 0:
+        out.append(power)
+        power = group.mul(power, step)
+    return out
+
+
 def make_set(group: FiniteGroup, spec: Union[SetSpec, str]) -> GroupSubset:
     """Build a deterministic subset from a set spec (object or string)."""
     if isinstance(spec, str):
@@ -297,11 +378,10 @@ def make_set(group: FiniteGroup, spec: Union[SetSpec, str]) -> GroupSubset:
             raise KindUnsupportedForGroup("gap sets need a cyclic product group")
         if len(spec.steps) != len(spec.lens) or any(l < 1 for l in spec.lens):
             raise MalformedSpec(f"bad gap dimensions {spec}")
-        cur = np.array([spec.base % n], dtype=np.int64)
+        cur = GroupSubset.from_indices(group, [spec.base % n])
         for step, ln in zip(spec.steps, spec.lens):
-            powers = np.array([group.pow(step % n, k) for k in range(ln)], dtype=np.int64)
-            cur = _distinct(group.mul_arrays(cur[:, None], powers[None, :]))
-        return GroupSubset.from_indices(group, cur)
+            cur = product_set(cur, GroupSubset.from_indices(group, _powers(group, step % n, ln)))
+        return cur
     if isinstance(spec, RandomSet):
         if not 0.0 <= spec.density <= 1.0:
             raise MalformedSpec(f"density {spec.density} outside [0,1]")

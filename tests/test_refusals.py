@@ -147,6 +147,13 @@ IN_LIMITS = [
     (["count", "--group", "Z/200000", "--sets", "random:0.5,1", "--equation", "ap3"], 5, '"count":4924907515'),
     # a sum-free interval of 66666 elements: 4.4*10^9 pairs, none inside
     (["stats", "--group", "Z/200000", "--set", "interval:66668,66666", "--m-max", "2"], 5, '"product_free":true'),
+    # a gap length is cut at the order of its step, and the dimensions are
+    # summed as product sets: ten elements, and the whole group by one convolution
+    (["stats", "--group", "Z/10", "--set", "gap:0;1,1000000"], 2, '"card":10,'),
+    (["stats", "--group", "Z/10", "--set", "gap:0;1,100000000"], 5, '"card":10,'),
+    (["stats", "--group", "Z/200000", "--set", "gap:0;1,200000;1,200000", "--m-max", "1"], 5, '"card":200000,'),
+    # the growth walk stops at G = S^2; the rest of the profile repeats it
+    (["stats", "--group", "Z/10", "--set", "interval:0,5", "--m-max", "1000000"], 10, '"card":5,'),
     # each greedy step and each Schur step scores about 10^10 pairs of a
     # colour class: convolutions, not scans
     (["hindman", "--group", "Z/200000", "--coloring", "random:2,1", "--n", "3"], 5, '"elements":[0,0,0]'),
