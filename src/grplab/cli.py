@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import errors
 from .counting import (
@@ -76,90 +76,105 @@ def _settle_common(args: argparse.Namespace) -> None:
         args.seed = cfg.seed if cfg else 0
     if args.threads is None:
         args.threads = cfg.threads if cfg else 1
+    errors.require_nonnegative(threads=args.threads)
     if args.format is None:
         args.format = cfg.format if cfg and cfg.format in ("json", "csv") else "json"
     if cfg and cfg.timing:
         args.timing = True
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="grplab", description="finite-group counting laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", help="group construction info")
+def _args_group(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--classes", action="store_true", help="include the conjugacy partition")
-    _add_common(p)
 
-    p = sub.add_parser("stats", help="subset growth statistics")
+
+def _args_stats(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--set", required=True, dest="set_spec")
     p.add_argument("--m-max", type=int, default=5)
-    _add_common(p)
 
-    p = sub.add_parser("count", help="count solutions of an equation")
+
+def _args_count(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--sets", nargs="+", required=True)
     p.add_argument("--equation", required=True, help="xyz | ap3 | power:n1,n2,n3 | mixing:n")
     p.add_argument("--engine", choices=("auto", "brute", "fft"), default="auto")
-    _add_common(p)
 
-    p = sub.add_parser("mixing", help="count mixing tuples (all subproducts constrained)")
+
+def _args_mixing(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sets", nargs="*", default=[], help="2^n-1 set specs in binary-subset order")
     p.add_argument("--set-all", dest="set_all", help="one set spec used for every subset")
     p.add_argument("--engine", choices=("auto", "brute", "fft"), default="auto")
-    _add_common(p)
 
-    p = sub.add_parser("quasirandom", help="character degrees and quasirandomness degree")
+
+def _args_quasirandom(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("schur", help="per-color product-triple counts")
+
+def _args_schur(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--coloring", help="coloring file or random:k,seed")
     p.add_argument("--search", action="store_true", help="adversarial minimizing search")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--restarts", type=int, default=10)
-    _add_common(p)
 
-    p = sub.add_parser("hindman", help="monochromatic product-tuple search")
+
+def _args_hindman(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--coloring", required=True, help="coloring file or random:k,seed")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nontrivial", action="store_true")
     p.add_argument("--budget", type=int, default=10**7)
-    _add_common(p)
 
-    p = sub.add_parser("cip", help="monochromatic tuple densities over random colorings")
+
+def _args_cip(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--samples", type=int, default=100_000)
-    _add_common(p)
 
-    p = sub.add_parser("regular", help="regular-position check for three sets")
+
+def _args_check(p: argparse.ArgumentParser, trials: int) -> None:
+    """The options after the sets of ``regular`` and ``rich``."""
+    p.add_argument("--eps", required=True)
+    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    p.add_argument("--trials", type=int, default=trials)
+
+
+def _args_regular(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--sets", nargs=3, required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--trials", type=int, default=500)
-    _add_common(p)
+    _args_check(p, trials=500)
 
-    p = sub.add_parser("rich", help="product-richness check for one set")
+
+def _args_rich(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--set", required=True, dest="set_spec")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--trials", type=int, default=2000)
-    _add_common(p)
+    _args_check(p, trials=2000)
 
-    p = sub.add_parser("sweep", help="run a recipe config over its grid")
-    _add_common(p)
 
+def _args_sweep(p: argparse.ArgumentParser) -> None:
+    pass  # the recipe, its sets and its grid come from --config
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command is listed with its help, but
+    only the command that ``argv`` runs gets its arguments.  The top-level
+    parser has only ``-h``, so argparse runs the first argument that is not
+    an option as the command, and that argument picks the command here."""
+    parser = _Parser(prog="grplab", description="finite-group counting laboratory")
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, command in _COMMANDS.items():
+        # a command that argv does not run never parses, so it needs no -h
+        p = sub.add_parser(name, help=command.help, add_help=name == chosen)
+        if name == chosen:
+            command.add_arguments(p)
+            _add_common(p)
     return parser
 
 
@@ -390,6 +405,7 @@ def _cmd_sweep(args: argparse.Namespace, started: float) -> None:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.threads is not None:
+        errors.require_nonnegative(threads=args.threads)
         cfg.threads = args.threads
     if args.format is not None:
         cfg.format = args.format
@@ -403,23 +419,32 @@ def _cmd_sweep(args: argparse.Namespace, started: float) -> None:
     _write_report(text, args.out)
 
 
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace, float], None]
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+
+
 _COMMANDS = {
-    "group": _cmd_group,
-    "stats": _cmd_stats,
-    "count": _cmd_count,
-    "mixing": _cmd_mixing,
-    "quasirandom": _cmd_quasirandom,
-    "schur": _cmd_schur,
-    "hindman": _cmd_hindman,
-    "cip": _cmd_cip,
-    "regular": _cmd_regular,
-    "rich": _cmd_rich,
-    "sweep": _cmd_sweep,
+    "group": _Command(_cmd_group, "group construction info", _args_group),
+    "stats": _Command(_cmd_stats, "subset growth statistics", _args_stats),
+    "count": _Command(_cmd_count, "count solutions of an equation", _args_count),
+    "mixing": _Command(_cmd_mixing, "count mixing tuples (all subproducts constrained)", _args_mixing),
+    "quasirandom": _Command(
+        _cmd_quasirandom, "character degrees and quasirandomness degree", _args_quasirandom
+    ),
+    "schur": _Command(_cmd_schur, "per-color product-triple counts", _args_schur),
+    "hindman": _Command(_cmd_hindman, "monochromatic product-tuple search", _args_hindman),
+    "cip": _Command(_cmd_cip, "monochromatic tuple densities over random colorings", _args_cip),
+    "regular": _Command(_cmd_regular, "regular-position check for three sets", _args_regular),
+    "rich": _Command(_cmd_rich, "product-richness check for one set", _args_rich),
+    "sweep": _Command(_cmd_sweep, "run a recipe config over its grid", _args_sweep),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -432,7 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command != "sweep":
             _settle_common(args)
-        _COMMANDS[args.command](args, started)
+        _COMMANDS[args.command].run(args, started)
     except _USAGE_ERRORS as exc:
         print(f"grplab: {exc}", file=sys.stderr)
         return 1

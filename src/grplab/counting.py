@@ -21,9 +21,8 @@ residual stay well below 1/2, else exact integer convolution runs instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,14 +45,14 @@ MIXING_BUDGET = 10**9
 _FFT_RESIDUAL_LIMIT = 0.25
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Exact count of solutions plus the reference normalizer.
 
     ``ratio`` is count/normalizer as a float, or None (JSON null) when the
     normalizer is 0, as for an empty set; ``degenerate_count`` follows
     each operation's convention for trivial solutions (documented on the
-    operation).  ``extras`` carries operation-specific diagnostics.
+    operation).  ``extras`` carries operation-specific diagnostics; its
+    default is one shared empty dict, which no report changes.
     """
 
     equation: str
@@ -61,7 +60,7 @@ class CountReport:
     normalizer: Fraction
     degenerate_count: int
     engine: str
-    extras: dict = field(default_factory=dict)
+    extras: dict = {}
 
     @property
     def ratio(self) -> Optional[float]:
@@ -325,8 +324,7 @@ def _torsion_free(g: FiniteGroup, indices: np.ndarray, exponents: Tuple[int, ...
 # fiber-function equations f1(a1) * f2(a2) = f3(a3)
 
 
-@dataclass(frozen=True)
-class FiberFunction:
+class FiberFunction(NamedTuple):
     """A map from a subset A into the group with bounded fibers.
 
     ``mapping[t]`` is the image of the t-th element of ``domain`` in index
@@ -524,8 +522,7 @@ def _mixing_prefix(g: FiniteGroup, n: int, fams: Dict[Tuple[int, ...], GroupSubs
 # the |X x Y| = sum over x in XY^-1 of |X meet xY| identity
 
 
-@dataclass(frozen=True)
-class ConvolutionIdentityResult:
+class ConvolutionIdentityResult(NamedTuple):
     lhs: int
     rhs: int
     translate_count: int

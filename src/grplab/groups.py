@@ -51,9 +51,8 @@ Spec grammar accepted by :func:`parse_group_spec`:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, prod
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,32 +120,33 @@ def _cyclic_mul(digits: Tuple[Tuple[int, int], ...], n: int, a, b) -> np.ndarray
 # specifications
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class Cyclic(NamedTuple):
+    """Z/n.  The spec records are NamedTuples, which cost a fraction of a
+    dataclass to define at import; they compare as plain tuples, so
+    ``Cyclic(5) == PSL2(5)``.  Nothing keys on spec records, and
+    ``parse_group_spec("Z/5") == Cyclic(5)`` holds."""
+
     n: int
 
     def __str__(self) -> str:
         return f"Z/{self.n}"
 
 
-@dataclass(frozen=True)
-class DirectProduct:
+class DirectProduct(NamedTuple):
     factors: Tuple["GroupSpec", ...]
 
     def __str__(self) -> str:
         return " x ".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
-class PSL2:
+class PSL2(NamedTuple):
     q: int
 
     def __str__(self) -> str:
         return f"PSL2({self.q})"
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple):
     generators: Tuple[Tuple[Tuple[int, ...], ...], ...]
     """Each generator is a tuple of cycles; cycle points are 1-based."""
 
@@ -157,8 +157,7 @@ class Permutation:
         return "perm:" + ";".join(gens)
 
 
-@dataclass(frozen=True)
-class TableSource:
+class TableSource(NamedTuple):
     path: str
 
     def __str__(self) -> str:
@@ -898,8 +897,7 @@ def verify_group_axioms(group: FiniteGroup, *, seed: int = 0) -> None:
 # conjugacy and element orders
 
 
-@dataclass(frozen=True)
-class ConjugacyClasses:
+class ConjugacyClasses(NamedTuple):
     """Partition of the element indices into conjugacy classes.
 
     Class 0 is the singleton {identity}; classes are sorted by least member.

@@ -9,16 +9,14 @@ results do not depend on scheduling and any instance can be re-run alone.
 from __future__ import annotations
 
 import json
-import statistics
 import time
-from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .counting import count_ap3, count_power_equation, count_xy_eq_z
-from .errors import ConfigInvalid, EmptySet, GridTooLarge
+from .errors import ConfigInvalid, EmptySet, GridTooLarge, require_nonnegative
 from .groups import build_group
-from .reports import ExperimentReport
+from .reports import ExperimentReport, PlainRecord
 from .rng import derive
 from .sets import doubling_constant, make_set, set_statistics
 from .spectral import quasirandomness_degree
@@ -40,17 +38,33 @@ RECIPES = (
 GRID_CELL_CAP = 10_000
 
 
-@dataclass
-class ExperimentConfig:
-    recipe: str
-    groups: List[str] = field(default_factory=list)
-    sets: List[str] = field(default_factory=list)
-    params: Dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    threads: int = 1
-    format: str = "json"
-    timing: bool = False
-    grid: Dict[str, List[Any]] = field(default_factory=dict)
+class ExperimentConfig(PlainRecord):
+    """One recipe run: a plain class, since the CLI's explicit flags
+    overwrite its fields after it is read."""
+
+    _fields = ("recipe", "groups", "sets", "params", "seed", "threads", "format", "timing", "grid")
+
+    def __init__(
+        self,
+        recipe: str,
+        groups: Optional[List[str]] = None,
+        sets: Optional[List[str]] = None,
+        params: Optional[Dict[str, Any]] = None,
+        seed: int = 0,
+        threads: int = 1,
+        format: str = "json",
+        timing: bool = False,
+        grid: Optional[Dict[str, List[Any]]] = None,
+    ) -> None:
+        self.recipe = recipe
+        self.groups = [] if groups is None else groups
+        self.sets = [] if sets is None else sets
+        self.params = {} if params is None else params
+        self.seed = seed
+        self.threads = threads
+        self.format = format
+        self.timing = timing
+        self.grid = {} if grid is None else grid
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -67,8 +81,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigInvalid(f"unknown config keys {sorted(unknown)}")
         if "recipe" not in data:
@@ -79,6 +92,7 @@ class ExperimentConfig:
         cfg.params = dict(data.get("params", {}))
         cfg.seed = int(data.get("seed", 0))
         cfg.threads = int(data.get("threads", 1))
+        require_nonnegative(threads=cfg.threads)
         cfg.format = str(data.get("format", "json"))
         cfg.timing = bool(data.get("timing", False))
         grid = data.get("grid", {})
@@ -138,6 +152,8 @@ def _param(cfg: ExperimentConfig, key: str, default: Any = None, required: bool 
 
 
 def _recipe_mixing_trend(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    from statistics import median  # only this recipe takes a median
+
     groups = cfg.groups or [f"PSL2({q})" for q in _param(cfg, "qs", [5, 7, 11, 13])]
     density = float(_param(cfg, "density", 0.3))
     seeds = int(_param(cfg, "seeds", 5))
@@ -169,7 +185,7 @@ def _recipe_mixing_trend(cfg: ExperimentConfig, report: ExperimentReport) -> Non
                     "engine": rep.engine,
                 }
             )
-        medians[spec] = {"median_deviation": statistics.median(deviations), "quasirandomness_degree": qdeg}
+        medians[spec] = {"median_deviation": median(deviations), "quasirandomness_degree": qdeg}
     report.aggregates["per_group"] = medians
 
 

@@ -15,9 +15,7 @@ one recurrence ``counting._subproducts``.
 from __future__ import annotations
 
 import json
-import statistics
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +23,7 @@ from .counting import CountReport, _pair_count, _prefixes, _product_counts, _sub
 from .counting import count_mixing_tuples, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec, require_nonnegative
 from .groups import PRODUCT_BLOCK, FiniteGroup
+from .reports import PlainRecord
 from .rng import SplitMix64, derive
 from .sets import GroupSubset
 
@@ -32,22 +31,25 @@ DEFAULT_NODE_BUDGET = 10**7
 MAX_EXACT_ITERATIONS = 10**8
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Assignment of one of k colors to every element index."""
+class Coloring(PlainRecord):
+    """Assignment of one of k colors to every element index.  A plain class,
+    since construction checks the colors and makes ``color_of`` read-only;
+    no field can be reassigned afterwards."""
 
-    group: FiniteGroup
-    color_of: np.ndarray
-    k: int
+    _fields = ("group", "color_of", "k")
 
-    def __post_init__(self) -> None:
-        colors = np.asarray(self.color_of, dtype=np.int64)
-        if colors.shape != (self.group.order,):
+    def __init__(self, group: FiniteGroup, color_of: np.ndarray, k: int) -> None:
+        colors = np.asarray(color_of, dtype=np.int64)
+        if colors.shape != (group.order,):
             raise MalformedSpec("coloring length must equal the group order")
-        if self.k < 1 or (len(colors) and (colors.min() < 0 or colors.max() >= self.k)):
+        if k < 1 or (len(colors) and (colors.min() < 0 or colors.max() >= k)):
             raise MalformedSpec("colors must lie in 0..k-1")
-        object.__setattr__(self, "color_of", colors)
-        self.color_of.setflags(write=False)
+        colors.setflags(write=False)
+        for name, value in zip(self._fields, (group, colors, k)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def color_class(self, j: int) -> GroupSubset:
         return GroupSubset(self.group, self.color_of == j)
@@ -83,8 +85,7 @@ class Coloring:
 # Schur triples
 
 
-@dataclass(frozen=True)
-class SchurReport:
+class SchurReport(NamedTuple):
     per_color: Tuple[CountReport, ...]
     max_color: int
 
@@ -122,8 +123,7 @@ def _schur_count_of_mask(group: FiniteGroup, mask: np.ndarray) -> int:
     return _pair_count(group, idx, idx, mask)
 
 
-@dataclass(frozen=True)
-class AdversarialSearchResult:
+class AdversarialSearchResult(NamedTuple):
     coloring: Coloring
     max_count: int
     counts: Tuple[int, ...]
@@ -273,8 +273,7 @@ def exhaustive_schur_minimum(group: FiniteGroup, k: int) -> int:
 # monochromatic product tuples
 
 
-@dataclass(frozen=True)
-class TupleWitness:
+class TupleWitness(NamedTuple):
     """A tuple whose increasing-order subproducts all lie in one set.
 
     ``products`` maps each nonempty index subset F (sorted tuple of 1-based
@@ -293,8 +292,7 @@ class TupleWitness:
         }
 
 
-@dataclass(frozen=True)
-class FailureTrace:
+class FailureTrace(NamedTuple):
     """Trace of the shrinking sets when the greedy recursion dies out."""
 
     chosen: Tuple[int, ...]
@@ -309,8 +307,7 @@ class FailureTrace:
         }
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     budget_hit: bool
 
     def to_dict(self) -> dict:
@@ -532,6 +529,8 @@ def cip_density_experiment(
     Reports per-trial maxima and their min/median/max; makes no claim about
     any conjectured lower bound, it only measures.
     """
+    from statistics import median  # only this experiment takes a median
+
     if trials < 1:
         raise MalformedSpec("trials must be >= 1")
     require_nonnegative(samples=samples)
@@ -548,7 +547,7 @@ def cip_density_experiment(
         "trials": trials,
         "seed": seed,
         "min_max_density": maxima[0],
-        "median_max_density": statistics.median(maxima),
+        "median_max_density": median(maxima),
         "max_max_density": maxima[-1],
         "per_trial": per_trial,
     }

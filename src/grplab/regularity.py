@@ -14,9 +14,8 @@ builds each S S^-1 S on the set layer, which also re-checks every witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,8 +32,7 @@ NO_VIOLATION_FOUND = "no_violation_found"
 VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(NamedTuple):
     """Outcome of a regularity check.
 
     ``witness`` holds the violating subset(s) as sorted element-index lists:

@@ -8,12 +8,9 @@ unless timing capture is explicitly enabled.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 TOOL_VERSION = "0.1.0"
 
@@ -23,10 +20,11 @@ def _jsonable(value: Any) -> Any:
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+    # before the tuple test: a NamedTuple record serialises through its to_dict
     if hasattr(value, "to_dict"):
         return _jsonable(value.to_dict())
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if hasattr(value, "tolist"):
         return _jsonable(value.tolist())
     if isinstance(value, (bool, int, float, str)) or value is None:
@@ -38,19 +36,54 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-@dataclass
-class ExperimentReport:
+class PlainRecord:
+    """``repr`` and ``==`` over the names in ``_fields``, as a dataclass
+    writes them, for the records that are not NamedTuples: those that check
+    their fields or change after construction.  Both cost a fraction of a
+    dataclass to define at import."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    __hash__ = None  # equal records may differ later, as with a mutable dataclass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class ExperimentReport(PlainRecord):
     """One experiment: the config that produced it, per-instance records,
     and aggregate statistics.  Everything needed to re-run any single
-    instance (group spec, set specs, derived seed) lives in its record."""
+    instance (group spec, set specs, derived seed) lives in its record.
+    A plain class: recipes fill its instances and aggregates in place."""
 
-    recipe: str
-    config: Dict[str, Any]
-    instances: List[Dict[str, Any]] = field(default_factory=list)
-    aggregates: Dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    elapsed_ms: int = 0
-    tool_version: str = TOOL_VERSION
+    _fields = ("recipe", "config", "instances", "aggregates", "seed", "elapsed_ms", "tool_version")
+
+    def __init__(
+        self,
+        recipe: str,
+        config: Dict[str, Any],
+        instances: Optional[List[Dict[str, Any]]] = None,
+        aggregates: Optional[Dict[str, Any]] = None,
+        seed: int = 0,
+        elapsed_ms: int = 0,
+        tool_version: str = TOOL_VERSION,
+    ) -> None:
+        self.recipe = recipe
+        self.config = config
+        self.instances = [] if instances is None else instances
+        self.aggregates = {} if aggregates is None else aggregates
+        self.seed = seed
+        self.elapsed_ms = elapsed_ms
+        self.tool_version = tool_version
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -88,6 +121,9 @@ def _flatten(record: Dict[str, Any], prefix: str = "") -> Dict[str, Any]:
 def rows_to_csv(rows: Sequence[Dict[str, Any]]) -> str:
     """Render rows as CSV; columns are the sorted union of keys, so output
     is stable for a fixed schema."""
+    import csv  # only CSV output loads the csv module
+    import io
+
     columns = sorted({key for row in rows for key in row})
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n")

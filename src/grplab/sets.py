@@ -19,7 +19,6 @@ Set spec grammar accepted by :func:`parse_set_spec`:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -266,8 +265,10 @@ def set_statistics(a: GroupSubset, m_max: int) -> SetStatistics:
 # structured set constructors
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
+    """interval:lo,len.  Like the group specs, the set specs are NamedTuples
+    and compare as plain tuples: ``Interval(0, 5) == RandomSet(0, 5)``."""
+
     lo: int
     length: int
 
@@ -275,8 +276,7 @@ class Interval:
         return f"interval:{self.lo},{self.length}"
 
 
-@dataclass(frozen=True)
-class GapSet:
+class GapSet(NamedTuple):
     """Generalized arithmetic progression {base + sum k_i * step_i}."""
 
     base: int
@@ -288,8 +288,7 @@ class GapSet:
         return f"gap:{self.base};{dims}"
 
 
-@dataclass(frozen=True)
-class RandomSet:
+class RandomSet(NamedTuple):
     density: float
     seed: int
 
@@ -297,16 +296,14 @@ class RandomSet:
         return f"random:{self.density},{self.seed}"
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
+class SubgroupSet(NamedTuple):
     generators: Tuple[int, ...]
 
     def __str__(self) -> str:
         return "subgroup:" + ",".join(str(g) for g in self.generators)
 
 
-@dataclass(frozen=True)
-class ExplicitSet:
+class ExplicitSet(NamedTuple):
     indices: Tuple[int, ...]
 
     def __str__(self) -> str:

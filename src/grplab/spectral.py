@@ -20,8 +20,7 @@ algebra element; the two paths must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ _RETRY_SEEDS = 3
 _REGULAR_MAX_ORDER = 24
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Multiset of irreducible character degrees plus its validation data."""
 
     degrees: Tuple[int, ...]

@@ -427,7 +427,7 @@ def test_cli_maps_memory_error_to_budget_exit(capsys, monkeypatch):
     def exhausted(args, started):
         raise MemoryError
 
-    monkeypatch.setitem(cli._COMMANDS, "group", exhausted)
+    monkeypatch.setitem(cli._COMMANDS, "group", cli._COMMANDS["group"]._replace(run=exhausted))
     code, out, err = _run_cli(["group", "--group", "Z/6"], capsys)
     assert code == 3
     assert out == ""
@@ -506,13 +506,16 @@ def test_cli_runs_without_numpy_ma(argv):
 
 
 def _loaded_after(code: str, *argv: str) -> list:
-    """The grplab and concurrent modules, sorted, loaded after running ``code`` in a fresh interpreter."""
+    """The grplab and concurrent modules, and the stdlib modules that only some
+    paths use (``dataclasses``, ``csv``, ``statistics``), sorted, loaded after
+    running ``code`` in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code += (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'grplab'))))"
+        "watched = ('concurrent', 'grplab', 'dataclasses', 'csv', 'statistics')\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in watched)))"
     )
     done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -559,8 +562,10 @@ def test_cli_import_loads_only_the_core_modules():
         (["rich", "--group", "Z/12", "--set", "explicit:1,2,3", "--eps", "1/2"], ["grplab.regularity"]),
         (["sweep", "--config", "{growth}"], ["grplab.lab"]),
         (["sweep", "--config", "{schur}"], ["grplab.lab", "grplab.ramsey"]),
+        (["stats", "--group", "Z/12", "--set", "interval:0,3", "--format", "csv"], ["csv"]),
+        (["cip", "--group", "Z/12", "--k", "2", "--n", "2", "--trials", "1"], ["grplab.ramsey", "statistics"]),
     ],
-    ids=["count-xyz", "hindman", "rich", "sweep-growth-profile", "sweep-schur"],
+    ids=["count-xyz", "hindman", "rich", "sweep-growth-profile", "sweep-schur", "stats-csv", "cip"],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
     paths = {"growth": tmp_path / "growth.cfg", "schur": tmp_path / "schur.cfg"}

@@ -28,8 +28,9 @@ BUDGET = "grplab: budget exceeded: "
 COLORING_FILE = 'grplab: a coloring file must hold {"k": <int>, "colors": [<int in 0..k-1>, ...]}'
 
 # argv ({table} is a CSV of S3 x Z/200, {no_keys}, {bare_list}, {fraction},
-# {nested} and {past_int64} the coloring files of ``BAD_COLORINGS``), exit
-# code, stderr prefix, seconds
+# {nested} and {past_int64} the coloring files of ``BAD_COLORINGS``, {growth}
+# and {negative_threads} the config files of ``CONFIGS``), exit code, stderr
+# prefix, seconds
 REFUSALS = [
     (["group", "--group", "perm:(1 2000000)"], 3, BUDGET + "permutation degree 2000000 too large to index", 5),
     (["group", "--group", "perm:(1 20000000)"], 3, BUDGET + "permutation degree 20000000 too large to index", 5),
@@ -118,7 +119,24 @@ REFUSALS = [
     ),
     (["schur", "--group", "Z/5", "--search", "--iterations", "-1"], 1, "grplab: iterations must be >= 0, got -1", 5),
     (["schur", "--group", "Z/5", "--search", "--restarts", "-5"], 1, "grplab: restarts must be >= 0, got -5", 5),
+    (
+        ["count", "--group", "Z/5", "--sets", "interval:0,2", "interval:0,2", "interval:0,2", "--equation", "xyz",
+         "--threads", "-4"],
+        1,
+        "grplab: threads must be >= 0, got -4",
+        5,
+    ),
+    (["sweep", "--config", "{growth}", "--threads", "-4"], 1, "grplab: threads must be >= 0, got -4", 5),
+    (["sweep", "--config", "{negative_threads}"], 1, "grplab: threads must be >= 0, got -2", 5),
+    (["stats", "--group", "Z/5", "--set", "interval:0,2", "--config", "{negative_threads}"], 1,
+     "grplab: threads must be >= 0, got -2", 5),
 ]
+
+# {growth} is a valid recipe config, {negative_threads} one with threads = -2
+CONFIGS = {
+    "growth": 'recipe = "growth-profile"\ngroups = ["Z/12"]\nsets = ["interval:0,3"]\n',
+    "negative_threads": 'recipe = "growth-profile"\nthreads = -2\n',
+}
 
 BAD_COLORINGS = {
     "no_keys": "{}",
@@ -188,11 +206,16 @@ def s3_z200_table(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def coloring_files(tmp_path_factory):
-    folder = tmp_path_factory.mktemp("colorings")
+def input_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
     for name, text in BAD_COLORINGS.items():
         (folder / f"{name}.json").write_text(text)
-    return {name: str(folder / f"{name}.json") for name in BAD_COLORINGS}
+    for name, text in CONFIGS.items():
+        (folder / f"{name}.cfg").write_text(text)
+    return {
+        **{name: str(folder / f"{name}.json") for name in BAD_COLORINGS},
+        **{name: str(folder / f"{name}.cfg") for name in CONFIGS},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +236,8 @@ def _run_cli(argv):
 
 
 @pytest.mark.parametrize("argv, code, prefix, seconds", REFUSALS, ids=[" ".join(row[0]) for row in REFUSALS])
-def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table, coloring_files):
-    done, elapsed = _run_cli([arg.format(table=s3_z200_table, **coloring_files) for arg in argv])
+def test_refusal_is_fast(argv, code, prefix, seconds, s3_z200_table, input_files):
+    done, elapsed = _run_cli([arg.format(table=s3_z200_table, **input_files) for arg in argv])
     assert (done.returncode, done.stdout) == (code, ""), done.stderr
     assert done.stderr.startswith(prefix), done.stderr
     assert elapsed < seconds, f"took {elapsed:.2f} s, allowed {seconds} s"
