@@ -59,7 +59,12 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file supplying seed/threads/format defaults")
     p.add_argument("--seed", type=int, default=None, help="base seed (64-bit)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker threads for sweep's grid (0 or 1: one); other commands ignore it",
+    )
     p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--timing", action="store_true", help="record wall-clock in reports")

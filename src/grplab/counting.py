@@ -221,9 +221,12 @@ def cyclic_convolution(g: FiniteGroup, fa, fb) -> np.ndarray:
     bound = 1e-15 * max(1.0, max_out) * n * max(1.0, math.log2(max(2, n)))
     if bound < 0.4:
         # ``s`` keeps an odd last axis whole; ``axes`` goes with it
+        # the spectrum product is freed as irfftn returns, and the residual
+        # is taken in place: no n-sized array beyond conv and rounded
         conv = np.fft.irfftn(x.spectrum() * y.spectrum(), s=shape, axes=axes)
         rounded = np.rint(conv)
-        residual = float(np.abs(conv - rounded).max()) if conv.size else 0.0
+        conv -= rounded
+        residual = float(np.abs(conv, out=conv).max()) if conv.size else 0.0
         if residual < _FFT_RESIDUAL_LIMIT:
             return rounded.astype(np.int64).reshape(-1)
     # exact fallback: accumulate the other side shifted by each support point

@@ -31,7 +31,10 @@ same indexing.
 
 Every "all x in one index array times all y in another" scan, here and in
 the counting and set layers, goes through :func:`_pair_blocks`, at most
-PRODUCT_BLOCK products per block.
+PRODUCT_BLOCK products per block; the passes over every element (the check
+that each build runs, a direct product's inverse table) go through
+:func:`_index_blocks`, PRODUCT_BLOCK indices per block.  At 2^16 a kernel
+block peaks near 1.3 MB traced, so its temporaries fit a 2 MB L2 cache.
 
 A ``table:`` CSV is validated exactly at every order: it must be a Latin
 square with a two-sided identity and pass Light's associativity test on a
@@ -62,7 +65,7 @@ from .rng import SplitMix64, derive
 
 TABLE_CAP = 4096
 DEFAULT_ORDER_CAP = 200_000
-PRODUCT_BLOCK = 1 << 20
+PRODUCT_BLOCK = 1 << 16
 _ASSOC_SAMPLE_CAP = 50_000_000
 
 
@@ -85,6 +88,13 @@ def _pair_blocks(mul, left: np.ndarray, right: np.ndarray):
         rows = max(1, PRODUCT_BLOCK // len(right))
         for lo in range(0, len(left), rows):
             yield mul(left[lo:lo + rows, None], right[None, :])
+
+
+def _index_blocks(n: int):
+    """Yield the indices 0..n-1 as consecutive int64 ranges of at most
+    PRODUCT_BLOCK each."""
+    for lo in range(0, n, PRODUCT_BLOCK):
+        yield np.arange(lo, min(lo + PRODUCT_BLOCK, n), dtype=np.int64)
 
 
 def _cyclic_digits(moduli: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
@@ -646,12 +656,12 @@ class GeneralDirectProductGroup(FiniteGroup):
             self.cyclic_moduli = tuple(m for g in self.components for m in g.cyclic_moduli)
             self._digits = _cyclic_digits(self.cyclic_moduli)
 
-        idx = np.arange(self.order, dtype=np.int64)
-        parts = [
-            g.inverse_table[(idx // s) % g.order].astype(np.int64)
-            for g, s in zip(self.components, self._strides)
-        ]
-        self.inverse_table = sum(p * s for p, s in zip(parts, self._strides)).astype(np.int32)
+        self.inverse_table = np.empty(self.order, dtype=np.int32)
+        for idx in _index_blocks(self.order):
+            self.inverse_table[idx] = sum(
+                g.inverse_table[(idx // s) % g.order].astype(np.int64) * s
+                for g, s in zip(self.components, self._strides)
+            )
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._digits is not None:
@@ -843,15 +853,23 @@ def _require_associative(group: FiniteGroup) -> None:
 
 
 def _validate_identity_and_inverses(group: FiniteGroup) -> None:
-    n = group.order
-    idx = np.arange(n, dtype=np.int64)
-    if not np.array_equal(group.mul_arrays(np.zeros(n, dtype=np.int64), idx), idx):
-        raise NotAGroup("identity fails on the left")
-    if not np.array_equal(group.mul_arrays(idx, np.zeros(n, dtype=np.int64)), idx):
-        raise NotAGroup("identity fails on the right")
-    inv = group.inverse_table.astype(np.int64)
-    if np.any(group.mul_arrays(idx, inv) != 0) or np.any(group.mul_arrays(inv, idx) != 0):
-        raise NotAGroup("inverse table is wrong")
+    """0 is a two-sided identity and ``inverse_table`` holds inverses.  The
+    three checks run in turn, each over blocks of PRODUCT_BLOCK indices with
+    the identity as a scalar operand."""
+    mul = group.mul_arrays
+
+    def inverts(idx: np.ndarray) -> bool:
+        inv = group.inverse_table[idx].astype(np.int64)
+        return not (np.any(mul(idx, inv) != 0) or np.any(mul(inv, idx) != 0))
+
+    checks = (
+        ("identity fails on the left", lambda idx: np.array_equal(mul(0, idx), idx)),
+        ("identity fails on the right", lambda idx: np.array_equal(mul(idx, 0), idx)),
+        ("inverse table is wrong", inverts),
+    )
+    for message, holds in checks:
+        if not all(holds(idx) for idx in _index_blocks(group.order)):
+            raise NotAGroup(message)
 
 
 def verify_group_axioms(group: FiniteGroup, *, seed: int = 0) -> None:
@@ -905,6 +923,16 @@ class ConjugacyClasses(NamedTuple):
 
     partition: Tuple[Tuple[int, ...], ...]
     class_of: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        # tuple equality would ask an array of ``class_of`` for one truth value
+        if not isinstance(other, ConjugacyClasses):
+            return NotImplemented
+        return self.partition == other.partition and np.array_equal(self.class_of, other.class_of)
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     @property
     def count(self) -> int:

@@ -492,8 +492,8 @@ def _count_inside(mul, mask: np.ndarray, cols: np.ndarray, prods: Optional[np.nd
     positions as rows, in the order of ``all_nonempty_subsets``.  A tuple
     leaves at its first position with a subproduct outside ``mask``.
     Survivors whose next rows would pass PRODUCT_BLOCK go on in chunks sized
-    for all 2^n - 1 rows; only a lone tuple whose first 2^20 subproducts lie
-    in ``mask`` holds more."""
+    for all 2^n - 1 rows; only a lone tuple whose first PRODUCT_BLOCK
+    (2^16) subproducts lie in ``mask`` holds more."""
     if prods is None:
         prods = np.empty((0, cols.shape[1]), dtype=np.int64)
     while len(cols) and cols.shape[1]:

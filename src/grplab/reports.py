@@ -56,7 +56,19 @@ class PlainRecord:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_field_equal, self._values(), other._values()))
+
+
+def _field_equal(a: Any, b: Any) -> bool:
+    """Tuple equality of one field: ``a is b or a == b``, except that numpy
+    arrays, whose ``==`` gives an array, compare by shape and entries."""
+    if a is b:
+        return True
+    if hasattr(a, "__array__") or hasattr(b, "__array__"):
+        import numpy as np  # already loaded by whatever built the array
+
+        return bool(np.array_equal(a, b))
+    return bool(a == b)
 
 
 class ExperimentReport(PlainRecord):

@@ -5,7 +5,9 @@ lists every other command by name and help alone.  These sha256 digests of
 (exit code, stdout, stderr), recorded with ``COLUMNS=80`` when every command
 got its arguments on every call, fail if that text drifts: the top-level
 help, each command's help, a missing required argument, an unknown command,
-a command after ``--`` and an unknown option before the command.
+a command after ``--`` and an unknown option before the command.  The eleven
+command helps were recorded again when ``--threads`` got its help line,
+their only change.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from grplab import cli
 # argv, and the sha256 of the JSON list [exit code, stdout, stderr]
 CLI_TEXT = [
     (['--help'], "4b5cd2813f14b655817e288a902a83dc61f5e57e47acf469feae73452004233b"),
-    (['group', '--help'], "58d69007f6771ddeac0a1328a43e68666e52861b42e675f3ae3fe9b70ab8f341"),
-    (['stats', '--help'], "c253b1b194070729f63a07b19809b7ebed04217030f21c4ef2cb5dee9b5f5db0"),
-    (['count', '--help'], "ba03baadc9f343c6302e39c8cdd72dce81df48e25cb1d70371777d3a59653b88"),
-    (['mixing', '--help'], "11cf30c64e4c666a0b328bff28bcac4b94977b3dc3b965d21fd803ff53616177"),
-    (['quasirandom', '--help'], "487d935059fda12445a971b05cbd699311e919d35ac012d9f2f0cfe916cb6239"),
-    (['schur', '--help'], "a81e19e150ae5e8fcac5b3558c5a3597e983db163434e7aba07c079d31a175f4"),
-    (['hindman', '--help'], "9285313ed6b71d213b62cb97f03b9a05593405b0e712a43bf10a0813e7cb0885"),
-    (['cip', '--help'], "3f2c3549c66edc9eaf986a27ebbdaef591859f2ae9b1f0355514d47aa9de7f4a"),
-    (['regular', '--help'], "808d1d21909e37f897c8c999ab7c7387c954ac8f53e1eb6e084b69173608c9e6"),
-    (['rich', '--help'], "bb51429eeb89b245c00ae127b006d8eae8a6cdc7fa48915469406e20f0c2419f"),
-    (['sweep', '--help'], "cac758dae0ea6bd8483788c2d62a38fce4c97d1d599697df50aa1d44965c04cd"),
+    (['group', '--help'], "5b4bbbb75301459013022242c15009136d1180a549db7ffa58da7f9a7b4fca6e"),
+    (['stats', '--help'], "0cc4b6d25bcb3d29714403474bbe3df078d8cd6935c3ca76d4ed28f5f43a38a3"),
+    (['count', '--help'], "d2643991bcafffd571e3d09b88ba95c4e25e1185863324b728ca7df85d089145"),
+    (['mixing', '--help'], "7622eb6c4467d4ef8302abd5fd3c4bad1ecbb744de5d82a9d8063a45a9b30dbd"),
+    (['quasirandom', '--help'], "1b23dae2c58112348f34fc16e838587b6f8a2ca649714db1b35966fbc4d546cf"),
+    (['schur', '--help'], "3f0853d00de059abd96aaff27e743863a38407e478b818930403675ff2dc5315"),
+    (['hindman', '--help'], "960e7360e4f55f91ccc3ab9274ad597b77540f1708bcb7e367b59a822cb435da"),
+    (['cip', '--help'], "608c1b534f282f39ffdd0828ae316c5057437e95a70bd89a2180f18c8430eca3"),
+    (['regular', '--help'], "5f316e638275c6ee08cf4c5c52593d92843be4c9fdfa9becd3676478b89a2ddd"),
+    (['rich', '--help'], "1b94bfc0844a34f819b8f88fe9eb45bb83abdd001a74e45dd7fe95203b5615c4"),
+    (['sweep', '--help'], "4873f62c7fb84705e52c26926e2c4ae5fb0eca1ae357822389ce1ede13a1e04b"),
     (['count', '--group', 'Z/5'], "2e1b52532b2ca1b2063d16906bd23388ecde1083c11aa778505702afda7bd603"),
     (['bogus'], "9f24c6878f3d203582ea9796f018ecae62cccf59063cd8af78326e9d955345f3"),
     (['--', 'count', '--group', 'Z/5'], "ed07665f87f729f7b4f1172949b5dc03751075e7279ac6f5ba8c40b3a2f02b7b"),

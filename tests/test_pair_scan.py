@@ -3,14 +3,16 @@ blocks small enough that each scan runs in several blocks."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from grplab import groups
+from grplab import groups, ramsey
 from grplab.counting import (
     FiberFunction,
+    _ap3_fast,
     _product_counts,
     count_ap3,
     count_fiber_equation,
@@ -18,7 +20,15 @@ from grplab.counting import (
     count_xy_eq_z,
 )
 from grplab.errors import NotAGroup
-from grplab.groups import TableGroup, _pair_blocks, _require_associative, build_group
+from grplab.groups import (
+    TableGroup,
+    _pair_blocks,
+    _require_associative,
+    _validate_identity_and_inverses,
+    build_group,
+    conjugacy_classes,
+)
+from grplab.ramsey import Coloring
 from grplab.sets import GroupSubset, is_product_free, make_set, product_set
 
 from conftest import FLEET_SPECS
@@ -131,10 +141,10 @@ def test_light_test_rejects_a_loop_in_small_blocks(small_blocks):
 
 def _kernel_block_peak(spec):
     """Traced peak bytes of a full block of PRODUCT_BLOCK products straight
-    through the kernel: the product array (8 MB) plus the kernel's
-    temporaries."""
+    through the kernel: the product array (512 KB at 2^16) plus the
+    kernel's temporaries."""
     g = build_group(spec)
-    side = 1 << 10
+    side = math.isqrt(groups.PRODUCT_BLOCK)
     assert side * side == groups.PRODUCT_BLOCK
     rng = np.random.default_rng(0)
     left, right = rng.integers(0, g.order, side), rng.integers(0, g.order, side)
@@ -152,10 +162,109 @@ def _kernel_block_peak(spec):
     "spec", ["perm:(1 2 3 4 5 6 7);(1 2)", "PSL2(29)", "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)"]
 )
 def test_one_kernel_pair_block_stays_within_its_memory_budget(spec):
-    assert _kernel_block_peak(spec) < 40 * 2**20
+    # 1.32 MB at 2^16 (2 vCPUs, numpy 2.4)
+    assert _kernel_block_peak(spec) < 3 * 2**20
 
 
 @pytest.mark.parametrize("spec", ["Z/2 x Z/2 x Z/50000", "Z/400 x Z/500", "Z/200000"])
 def test_one_cyclic_pair_block_stays_within_its_memory_budget(spec):
-    # the product, one carry mask and one correction: no per-digit int64 pair
-    assert _kernel_block_peak(spec) < 20 * 2**20
+    # the product, one carry mask and one correction: no per-digit int64
+    # pair; 1.13 MB at 2^16
+    assert _kernel_block_peak(spec) < 2 * 2**20
+
+
+# results must not depend on the block size: one product per block, blocks
+# that divide no order here, the default and the size before it
+BLOCK_SIZES = [1, 7, 1 << 16, 1 << 20]
+
+
+def _s4_table_file(tmp_path):
+    s4 = build_group("perm:(1 2 3 4);(1 2)")
+    path = tmp_path / "s4.csv"
+    path.write_text("\n".join(",".join(map(str, row)) for row in s4.table.tolist()) + "\n")
+    return f"table:{path}"
+
+
+def _results_in_blocks(spec):
+    """Everything a build and the blocked scans give on ``spec``, in order:
+    the inverse table and the point images from the build (which runs the
+    blocked check), the product counts and ap3 through the kernel, the
+    Cayley table, the conjugacy classes, one Schur step and a sampled
+    monochromatic density."""
+    g = build_group(spec)
+    n = g.order
+    rng = np.random.default_rng(n)
+    left, right = rng.integers(0, n, 9), rng.integers(0, n, 11)
+    a = GroupSubset.from_indices(g, rng.integers(0, n, max(2, n // 3)).tolist())
+    coloring = Coloring.random(g, 3, 5)
+    colors = np.array(coloring.color_of)
+    counts = [ramsey._schur_count_of_mask(g, colors == j) for j in range(3)]
+    return [
+        g.inverse_table.copy(),
+        getattr(g, "images", None),
+        _product_counts(g, left, right, "brute"),
+        _product_counts(g, left, right, "cayley"),
+        _product_counts(g, a.indices, a.indices),
+        _ap3_fast(g, a),
+        g.table.copy(),
+        conjugacy_classes(g),
+        ramsey._best_schur_move(g, colors, counts, 3),
+        ramsey.monochromatic_tuple_density(coloring, 3, samples=40, seed=1),
+    ]
+
+
+@pytest.mark.parametrize("spec", ["PSL2(7)", "perm:(1 2 3 4 5);(1 2)", "Z/6 x Z/4", "table"])
+def test_results_do_not_depend_on_the_block_size(spec, monkeypatch, tmp_path):
+    if spec == "table":
+        spec = _s4_table_file(tmp_path)
+    monkeypatch.setattr(ramsey, "MAX_EXACT_ITERATIONS", 0)  # the density samples
+    runs = []
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(groups, "PRODUCT_BLOCK", block)
+        monkeypatch.setattr(ramsey, "PRODUCT_BLOCK", block)  # bound at import
+        runs.append(_results_in_blocks(spec))
+    for block, run in zip(BLOCK_SIZES[1:], runs[1:]):
+        for k, (want, got) in enumerate(zip(runs[0], run)):
+            same = np.array_equal(want, got) if isinstance(want, np.ndarray) else want == got
+            assert same, (block, k)
+
+
+def test_the_build_check_holds_one_block_at_a_time():
+    # 10.7 MB traced with n-sized operands, 3.5 MB in blocks of 2^16
+    g = build_group("Z/2 x Z/2 x Z/50000")
+    tracemalloc.start()
+    try:
+        _validate_identity_and_inverses(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+
+
+def _broken(g, bad):
+    """``g`` with its kernel's product of the index pair ``bad`` made 1."""
+    kernel = g._mul_kernel
+
+    def mul(a, b):
+        out = kernel(a, b)
+        return np.where((np.asarray(a) == bad[0]) & (np.asarray(b) == bad[1]), 1, out)
+
+    g._mul_kernel = mul
+    return g
+
+
+@pytest.mark.parametrize(
+    "spec, block", [("Z/50", 7), ("PSL2(13)", 7), ("perm:(1 2 3 4 5);(1 2)", 7), ("Z/2 x Z/2 x Z/50000", 1 << 16)]
+)
+def test_the_blocked_build_check_refuses_each_fault(spec, block, monkeypatch):
+    monkeypatch.setattr(groups, "PRODUCT_BLOCK", block)
+    last = build_group(spec).order - 1  # in the last block
+    with pytest.raises(NotAGroup, match="^identity fails on the left$"):
+        _validate_identity_and_inverses(_broken(build_group(spec), (0, last)))
+    with pytest.raises(NotAGroup, match="^identity fails on the right$"):
+        _validate_identity_and_inverses(_broken(build_group(spec), (last, 0)))
+    for i in (1, last):
+        g = build_group(spec)
+        g.inverse_table[i] = 0  # only the identity inverts to 0
+        with pytest.raises(NotAGroup, match="^inverse table is wrong$"):
+            _validate_identity_and_inverses(g)

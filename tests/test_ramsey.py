@@ -218,7 +218,8 @@ def test_delta_scorer_matches_the_full_recount_across_row_blocks(monkeypatch, sp
 
 def test_schur_step_at_k_equal_n_holds_one_n_by_k_array():
     # A + B + Z alone takes n*k*8 = 32 MB here; the candidates are scored in
-    # row blocks of about 2^20 entries, so the step stays within twice that
+    # row blocks of about PRODUCT_BLOCK (2^16) entries, so the step stays
+    # within twice that (32 MB traced; 50 MB with blocks of 2^20)
     n = k = 2000
     g = build_group(f"Z/{n}")
     colors = np.array(Coloring.random(g, k, 5).color_of)
@@ -721,9 +722,9 @@ def test_sampled_density_matches_tuples_checked_from_scratch(spec, n, monkeypatc
 def test_sampled_cip_holds_at_most_a_block_of_subproducts(monkeypatch):
     # one colour: every one of the 6553 tuples in a block of 2^16 draws at
     # n = 10 keeps all 1023 subproducts, 53 MB of int64 at once unless the
-    # survivors go on in chunks of PRODUCT_BLOCK subproducts (about 23 MB
-    # traced with chunks: the block's rows so far and one chunk's stack;
-    # 108 MB without)
+    # survivors go on in chunks of PRODUCT_BLOCK subproducts (about 1.9 MB
+    # traced with chunks of 2^16: the block's rows so far and one chunk's
+    # stack; 23 MB with chunks of 2^20, 108 MB without)
     s4 = fleet_group("perm:(1 2 3 4);(1 2)")
     col = Coloring(s4, np.zeros(s4.order, dtype=np.int64), 1)
     samples = (1 << 16) // 10

@@ -269,3 +269,28 @@ def test_coloring_checks_and_freezes_its_colors():
         Coloring(Z5, colors[:4], 2)
     with pytest.raises(MalformedSpec, match="0..k-1"):
         Coloring(Z5, colors, 1)
+
+
+def test_records_holding_arrays_compare_their_entries():
+    # equal fields in distinct arrays: == and != give one truth value each
+    a, b = Coloring(Z5, COLORS, 2), Coloring(Z5, COLORS.copy(), 2)
+    assert a == b and not a != b
+    assert Coloring(Z5, COLORS, 2) != Coloring(Z5, 1 - COLORS, 2)
+    assert Coloring(Z5, COLORS, 2) != Coloring(Z5, COLORS, 3)
+    assert Coloring(Z5, COLORS, 2) != Coloring(build_group("Z/6"), np.append(COLORS, 0), 2)
+    result = AdversarialSearchResult(a, 3, (3, 1), 2, 40)
+    assert result == AdversarialSearchResult(b, 3, (3, 1), 2, 40)
+    assert result != AdversarialSearchResult(Coloring(Z5, 1 - COLORS, 2), 3, (3, 1), 2, 40)
+
+
+def test_conjugacy_classes_compare_their_entries():
+    from grplab.groups import conjugacy_classes
+
+    s3 = build_group("perm:(1 2 3);(1 2)")
+    assert conjugacy_classes(s3) == conjugacy_classes(s3)
+    assert not conjugacy_classes(s3) != conjugacy_classes(s3)
+    assert conjugacy_classes(s3) != conjugacy_classes(build_group("Z/6"))
+    same = ConjugacyClasses(((0,), (1, 2)), CLASS_OF.copy())
+    assert ConjugacyClasses(((0,), (1, 2)), CLASS_OF) == same
+    assert ConjugacyClasses(((0,), (1, 2)), CLASS_OF[::-1].copy()) != same
+    assert ConjugacyClasses(((0,), (1,)), CLASS_OF) != same
