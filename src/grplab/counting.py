@@ -11,11 +11,11 @@ cross-check: ``BruteForce`` loops over the pairs in Python,
 ``CayleyConvolution`` bincounts the products gathered through the group's
 vectorized multiplication, and ``AbelianFFT`` convolves the two index
 histograms over a cyclic product by a real-input FFT, each side a
-``_Factor`` that keeps its spectrum, so a set in several products is
-transformed once; ``_resolve_engine``, the one scan-or-convolve rule, picks
-by the planned pairs.  The FFT result is
-rounded and kept only when an a-priori error bound and the observed rounding
-residual stay well below 1/2, else exact integer convolution runs instead.
+``_Factor`` whose n-sized arrays live only until they are spent;
+``_resolve_engine``, the one scan-or-convolve rule, picks by the planned
+pairs.  The FFT result is rounded and kept only when an a-priori error
+bound and the observed rounding residual stay well below 1/2, else exact
+integer convolution runs instead.
 """
 
 from __future__ import annotations
@@ -122,26 +122,30 @@ def _resolve_engine(g: FiniteGroup, engine: str, pairs: int) -> str:
 
 def _pair_count(g: FiniteGroup, left: np.ndarray, right: np.ndarray, weights: np.ndarray, engine: str = "auto") -> int:
     """Sum of weights[x*y] over x in ``left`` and y in ``right``: the product
-    counts of :func:`_product_counts` against ``weights``."""
-    return int(np.dot(_product_counts(g, left, right, engine), weights))
+    counts of :func:`_product_counts` against ``weights``.  ``einsum`` casts
+    a bool mask in small buffers, where ``np.dot`` would copy it whole to
+    int64."""
+    return int(np.einsum("i,i", _product_counts(g, left, right, engine), weights))
 
 
 def _product_counts(g: FiniteGroup, left, right, engine: str = "auto") -> np.ndarray:
     """r[z] = #{(x, y) : x in ``left``, y in ``right``, x*y = z} as an int64
     array of length |G|, over index arrays with repeats allowed (or their
-    ``_Factor``s, whose spectra are then reused), by ``engine`` resolved for
-    len(left) * len(right) pairs."""
+    ``_Factor``s, whose spectra are then kept for reuse), by ``engine``
+    resolved for len(left) * len(right) pairs.  The same array or factor on
+    both sides is one factor."""
     n = g.order
-    left, right = _factor(g, left), _factor(g, right)
-    engine = _resolve_engine(g, engine, len(left.indices) * len(right.indices))
+    x = _factor(g, left)
+    y = x if right is left else _factor(g, right)
+    engine = _resolve_engine(g, engine, len(x.indices) * len(y.indices))
     if engine == ENGINE_BRUTE:
         mul = g.mul
-        products = [mul(x, y) for x in left.indices.tolist() for y in right.indices.tolist()]
+        products = [mul(i, j) for i in x.indices.tolist() for j in y.indices.tolist()]
         return np.bincount(np.asarray(products, dtype=np.int64), minlength=n)
     if engine == ENGINE_FFT:
-        return cyclic_convolution(g, left, right)
+        return cyclic_convolution(g, x, y)
     counts = np.zeros(n, dtype=np.int64)
-    for block in _pair_blocks(g.mul_arrays, left.indices, right.indices):
+    for block in _pair_blocks(g.mul_arrays, x.indices, y.indices):
         counts += np.bincount(block.ravel(), minlength=n)
         del block
     return counts
@@ -150,11 +154,14 @@ def _product_counts(g: FiniteGroup, left, right, engine: str = "auto") -> np.nda
 class _Factor:
     """One side of a product: an index array (repeats allowed, or None when
     only the histogram is known), its histogram f over G and, on a cyclic
-    product, the rfftn spectrum of f.  The histogram and the spectrum are
-    formed on first use and freed with the factor, so a factor that takes
-    part in several products is transformed once."""
+    product, the rfftn spectrum of f.  f is kept only until the spectrum
+    exists (its sum and max, all the error bound reads, stay) and is rebuilt
+    from the indices or the mirror if the exact fallback runs.  A caller's
+    factor keeps its spectrum, so a set in several products is transformed
+    once; a ``once`` factor, made by ``_product_counts`` from an index
+    array, hands its spectrum to its one product to overwrite."""
 
-    __slots__ = ("g", "indices", "_hist", "_spectrum", "_mirror")
+    __slots__ = ("g", "indices", "once", "_norms", "_hist", "_spectrum", "_mirror")
 
     def __init__(
         self,
@@ -162,28 +169,55 @@ class _Factor:
         indices: Optional[np.ndarray] = None,
         hist: Optional[np.ndarray] = None,
         mirror: Optional["_Factor"] = None,
+        once: bool = False,
     ) -> None:
         self.g = g
         self.indices = indices
+        self.once = once
+        self._norms: Optional[Tuple[int, int]] = None
         self._hist = hist
         self._spectrum: Optional[np.ndarray] = None
         self._mirror = mirror  # the factor this one inverts
 
     def hist(self) -> np.ndarray:
-        if self._hist is None:
+        if self._hist is not None:
+            return self._hist
+        if self._mirror is not None:
+            h = self._mirror.hist()[self.g.inverse_table]
+        else:
+            h = np.bincount(self.indices, minlength=self.g.order)
+        if self._spectrum is None:
+            self._hist = h
+        return h
+
+    def norms(self) -> Tuple[int, int]:
+        """(sum f, max f); a mirror's are its inverse's."""
+        if self._norms is None:
             if self._mirror is not None:
-                self._hist = self._mirror.hist()[self.g.inverse_table]
+                self._norms = self._mirror.norms()
             else:
-                self._hist = np.bincount(self.indices, minlength=self.g.order)
-        return self._hist
+                h = self.hist()
+                self._norms = (int(h.sum()), int(h.max()))
+        return self._norms
 
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
             if self._mirror is not None:
                 self._spectrum = np.conj(self._mirror.spectrum())
             else:
-                self._spectrum = np.fft.rfftn(self.hist().reshape(tuple(self.g.cyclic_moduli)).astype(np.float64))
+                self.norms()  # taken before the histogram goes
+                f = self.hist().reshape(tuple(self.g.cyclic_moduli)).astype(np.float64)
+                if self.indices is not None:
+                    self._hist = None
+                self._spectrum = np.fft.rfftn(f)
         return self._spectrum
+
+    def spend(self) -> np.ndarray:
+        """The spectrum for one product, which a ``once`` factor forgets."""
+        s = self.spectrum()
+        if self.once:
+            self._spectrum = None
+        return s
 
     def inverse(self) -> "_Factor":
         """The factor of the inverses: histogram f(x^-1), and for real f the
@@ -194,43 +228,59 @@ class _Factor:
 
 
 def _factor(g: FiniteGroup, side) -> _Factor:
-    return side if isinstance(side, _Factor) else _Factor(g, side)
+    return side if isinstance(side, _Factor) else _Factor(g, side, once=True)
+
+
+def _spectrum_product(x: _Factor, y: _Factor) -> np.ndarray:
+    """x's spectrum times y's, written over a ``once`` factor's spectrum
+    where there is one; a ``once`` spectrum not written over is freed as
+    this returns."""
+    sx = x.spend()
+    sy = sx if y is x else y.spend()
+    out = sx if x.once else sy if y.once else None
+    return np.multiply(sx, sy, out=out)
 
 
 def cyclic_convolution(g: FiniteGroup, fa, fb) -> np.ndarray:
     """Exact integer group convolution fa * fb over a cyclic product group,
-    for nonnegative integer vectors fa and fb, or ``_Factor``s whose
-    histograms and spectra are reused.
+    for nonnegative integer vectors fa and fb (the same vector on both sides
+    is transformed once), or ``_Factor``s.
 
     Fast path: multidimensional real-input FFT (``rfftn``/``irfftn``, which
     keep only the nonnegative frequencies of the last axis), rounded,
     accepted only when the a-priori float error bound and the observed
     residual are both < 1/2.  Fallback: exact integer accumulation of
     weighted rolled arrays over the smaller support.
+
+    Two one-use sides hold at most three n-sized arrays at once (4.6 MiB
+    traced at Z/200000), a self-product two; the float result is freed
+    before the int64 cast.
     """
     moduli = g.cyclic_moduli
     assert moduli is not None
-    x, y = (side if isinstance(side, _Factor) else _Factor(g, hist=side) for side in (fa, fb))
-    fa, fb = x.hist(), y.hist()
+    x = fa if isinstance(fa, _Factor) else _Factor(g, hist=fa, once=True)
+    y = x if fb is fa else (fb if isinstance(fb, _Factor) else _Factor(g, hist=fb, once=True))
     shape = tuple(moduli)
     axes = tuple(range(len(shape)))
     n = g.order
+    (sum_x, max_x), (sum_y, max_y) = x.norms(), y.norms()
     # no output entry exceeds sum(fa) * max(fb) or sum(fb) * max(fa)
-    max_out = float(min(fa.sum() * fb.max(), fb.sum() * fa.max()))
+    max_out = float(min(sum_x * max_y, sum_y * max_x))
     # conservative a-priori bound on FFT rounding error
     bound = 1e-15 * max(1.0, max_out) * n * max(1.0, math.log2(max(2, n)))
     if bound < 0.4:
         # ``s`` keeps an odd last axis whole; ``axes`` goes with it
-        # the spectrum product is freed as irfftn returns, and the residual
-        # is taken in place: no n-sized array beyond conv and rounded
-        conv = np.fft.irfftn(x.spectrum() * y.spectrum(), s=shape, axes=axes)
+        conv = np.fft.irfftn(_spectrum_product(x, y), s=shape, axes=axes)
         rounded = np.rint(conv)
         conv -= rounded
         residual = float(np.abs(conv, out=conv).max()) if conv.size else 0.0
+        del conv
         if residual < _FFT_RESIDUAL_LIMIT:
             return rounded.astype(np.int64).reshape(-1)
+        del rounded
     # exact fallback: accumulate the other side shifted by each support point
     # of the side with the smaller support, times that point's weight
+    fa, fb = x.hist(), y.hist()
     small, other = (fa, fb) if np.count_nonzero(fa) <= np.count_nonzero(fb) else (fb, fa)
     out = np.zeros(shape, dtype=np.int64)
     oth = other.reshape(shape).astype(np.int64)

@@ -112,17 +112,18 @@ def _cyclic_digits(moduli: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
 def _cyclic_mul(digits: Tuple[Tuple[int, int], ...], n: int, a, b) -> np.ndarray:
     """Elementwise product in the cyclic product of order ``n`` whose digits
     (m, s) come from :func:`_cyclic_digits`: x + y, less m*s for each digit
-    where d(x) + d(y) >= m.  The digits are taken at each operand's own
-    shape, so at the broadcast shape run only the add and, per digit, one
-    compare and the subtraction of m*s where it holds; no ``%`` runs there."""
+    where d(x) + d(y) >= m.  Lower digits are q - q // m * m at each
+    operand's own shape (an int64 ``%`` costs four ``//``); after them the
+    sum is below 2n, so the leading digit (m*s = n) carries when it reaches n."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     out = a + b
     for m, s in digits:
-        da, db = (a // s, b // s) if s > 1 else (a, b)
-        if m * s < n:  # the leading digit needs no reduction
-            da, db = da % m, db % m
-        out -= (da >= m - db) * (m * s)
+        if m * s == n:
+            out -= (out >= n) * n
+            continue
+        qa, qb = (a // s, b // s) if s > 1 else (a, b)
+        out -= (qa - qa // m * m >= m - (qb - qb // m * m)) * (m * s)
     return out
 
 
@@ -355,7 +356,9 @@ class CyclicGroup(FiniteGroup):
         self.cyclic_moduli = (n,)
         self._digits = _cyclic_digits(self.cyclic_moduli)
         self.is_abelian = True
-        self.inverse_table = ((-np.arange(n, dtype=np.int64)) % n).astype(np.int32)
+        # i to n - i and 0 to 0, in int32 without temporaries
+        self.inverse_table = np.arange(n, 0, -1, dtype=np.int32)
+        self.inverse_table[:1] = 0
 
     def mul(self, i: int, j: int) -> int:
         return (i + j) % self.order

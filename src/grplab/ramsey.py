@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .counting import CountReport, _pair_count, _prefixes, _product_counts, _subproducts, all_nonempty_subsets
+from .counting import CountReport, _Factor, _pair_count, _prefixes, _product_counts, _subproducts, all_nonempty_subsets
 from .counting import count_mixing_tuples, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec, require_nonnegative
 from .groups import PRODUCT_BLOCK, FiniteGroup
@@ -196,11 +196,13 @@ def _best_schur_move(
     so A + B + Z is the only (n, k) array a step holds.
     """
     n = group.order
-    inv = group.inverse_table.astype(np.int64)
     abz = np.zeros((n, k), dtype=np.int64)
     for j in range(k):
-        idx = np.flatnonzero(colors == j)
-        for left, right in ((idx, inv[idx]), (inv[idx], idx), (idx, idx)):
+        # C's factor keeps its spectrum, and C^-1's is its conjugate: on a
+        # cyclic product the three products transform C once
+        c = _Factor(group, np.flatnonzero(colors == j))
+        ci = c.inverse()
+        for left, right in ((c, ci), (ci, c), (c, c)):
             abz[:, j] += _product_counts(group, left, right)
     elements = np.arange(n)
     palette = np.arange(k)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from typing import Tuple
 
 import numpy as np
@@ -25,6 +26,16 @@ FLEET_SPECS = [
 ]
 
 _cache: dict = {}
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes that tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fleet_group(spec: str):

@@ -11,7 +11,6 @@ and the divisibility search for the least irreducible modulus.
 from __future__ import annotations
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from grplab.gf import PrimePowerField
 from grplab.groups import build_group, parse_group_spec
 from grplab.rng import SplitMix64
 
-from conftest import _gf_scalar_ops, _int_to_poly, _poly_trim
+from conftest import _gf_scalar_ops, _int_to_poly, _poly_trim, traced_peak
 
 # q -> (order, digest of the indexing)
 PSL2_DIGESTS = {
@@ -157,12 +156,7 @@ GF1024_DIGEST = "3912611093aa987c2639df1ef2795d8a7b26af3ad191492aed34f0ece31a897
 
 
 def test_large_field_is_pinned_and_built_in_bounded_memory():
-    tracemalloc.start()
-    try:
-        f = PrimePowerField(1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    f, peak = traced_peak(lambda: PrimePowerField(1024))
     h = hashlib.sha256()
     for table in (f.mul_table, f.add_table):
         h.update(np.asarray(table, dtype=np.int32).tobytes())

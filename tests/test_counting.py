@@ -8,10 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import FLEET_SPECS, RULE_GROUPS, fleet_group, pair_rule, rule_sets
+from conftest import FLEET_SPECS, RULE_GROUPS, fleet_group, pair_rule, rule_sets, traced_peak
 from grplab import counting
 from grplab.counting import (
     FiberFunction,
+    _Factor,
+    _product_counts,
     _torsion_free,
     all_nonempty_subsets,
     convolution_identity_check,
@@ -32,7 +34,7 @@ from grplab.errors import (
 )
 from grplab.groups import build_group, element_order
 from grplab.rng import SplitMix64, derive
-from grplab.sets import GroupSubset, make_set
+from grplab.sets import GroupSubset, doubling_constant, make_set, product_set
 
 
 def _random_subset(group, density, seed):
@@ -183,6 +185,115 @@ def test_cyclic_convolution_bound_counts_the_weights():
     fa = np.array([3 << 40, 1, 0, 0, 0], dtype=np.int64)
     fb = np.array([(1 << 20) + 1, 0, 5, 0, 0], dtype=np.int64)
     assert np.array_equal(cyclic_convolution(z5, fa, fb), _convolution_oracle(z5, fa, fb))
+
+
+# --- memory and transforms of the FFT engine --------------------------------
+
+MB = 2**20
+
+
+def _dense_sets(g, count, density=0.5):
+    """``count`` seeded sets whose index arrays exist before any trace."""
+    rng = np.random.default_rng(g.order)
+    sets = [GroupSubset(g, rng.random(g.order) < density) for _ in range(count)]
+    for s in sets:
+        s.indices
+    return sets
+
+
+@pytest.fixture(scope="module")
+def z200000_sets():
+    g = build_group("Z/200000")
+    return g, _dense_sets(g, 3)
+
+
+@pytest.mark.parametrize(
+    "operation, bound",
+    [
+        # an n-sized float64 array or complex half-spectrum is 1.5 MiB here:
+        # two one-use sides peak at three of them (10.8 MB when the
+        # histograms and both spectra outlived the transforms), ap3 with
+        # its weights at three (12.2 MB), a self-product at two (10.7 MB)
+        ("xyz", 6),
+        ("ap3", 6),
+        ("aa", 4.5),
+    ],
+)
+def test_a_convolution_at_the_order_cap_holds_few_arrays_of_the_order(z200000_sets, operation, bound):
+    g, (a, b, c) = z200000_sets
+    run = {
+        "xyz": lambda: count_xy_eq_z(a, b, c).engine,
+        "ap3": lambda: count_ap3(a).engine,
+        "aa": lambda: product_set(a, a).card,
+    }[operation]
+    got, peak = traced_peak(run)
+    assert got == ("AbelianFFT" if operation != "aa" else g.order)
+    assert peak < bound * MB, peak
+
+
+def _count_transforms(monkeypatch):
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _real=real, _name=name, **kw: (
+            calls.__setitem__(_name, calls[_name] + 1) or _real(*args, **kw)))
+    return calls
+
+
+@pytest.mark.parametrize("operation", ["ap3", "doubling", "product_set", "xyz", "product_counts"])
+def test_a_self_product_is_one_factor_and_one_transform(operation, monkeypatch):
+    g = build_group("Z/3000")
+    a = make_set(g, "interval:0,700")
+    want = {
+        "ap3": lambda: count_ap3(a, "cayley").count,
+        "doubling": lambda: Fraction(product_set(a, a).card, a.card),
+        "product_set": lambda: product_set(a, a).to_index_list(),
+        "xyz": lambda: count_xy_eq_z(a, a, a, "cayley").count,
+        "product_counts": lambda: _product_counts(g, a.indices, a.indices, "cayley").tolist(),
+    }[operation]()
+    got = {
+        "ap3": lambda: count_ap3(a).count,
+        "doubling": lambda: doubling_constant(a),
+        "product_set": lambda: product_set(a, a).to_index_list(),
+        "xyz": lambda: count_xy_eq_z(a, a, a).count,
+        "product_counts": lambda: _product_counts(g, a.indices, a.indices, "fft").tolist(),
+    }[operation]
+    calls = _count_transforms(monkeypatch)
+    assert got() == want
+    assert calls == {"rfftn": 1, "irfftn": 1}
+
+
+@pytest.mark.parametrize("limit", [0, counting._FFT_RESIDUAL_LIMIT])
+@pytest.mark.parametrize("spec", ["Z/12 x Z/35", "Z/3 x Z/5 x Z/7", "Z/600"])
+def test_held_mirror_and_one_use_factors_stay_exact(spec, limit, monkeypatch):
+    # a residual limit of 0 sends every product through its transforms and
+    # then to the exact fallback, which must rebuild each histogram that
+    # was dropped once its spectrum existed; at the usual limit a held
+    # spectrum must come out of each product unchanged
+    monkeypatch.setattr(counting, "_FFT_RESIDUAL_LIMIT", limit)
+    g = build_group(spec)
+    a, b, c = (_random_subset(g, 0.3, seed) for seed in (1, 2, 3))
+    inverses = g.inverse_table[a.indices].astype(np.int64)
+
+    def brute(left, right):
+        return _product_counts(g, left, right, "brute")
+
+    calls = _count_transforms(monkeypatch)
+    f = _Factor(g, a.indices)
+    # a mirror factor: A*A^-1 and A^-1*A, A^-1 read through A
+    assert np.array_equal(_product_counts(g, f, f.inverse(), "fft"), brute(a.indices, inverses))
+    assert np.array_equal(_product_counts(g, f.inverse(), f, "fft"), brute(inverses, a.indices))
+    # a caller's factor reused after a product that owned its other side
+    assert np.array_equal(_product_counts(g, f, b.indices, "fft"), brute(a.indices, b.indices))
+    assert np.array_equal(_product_counts(g, c.indices, f, "fft"), brute(c.indices, a.indices))
+    assert np.array_equal(_product_counts(g, f, f, "fft"), brute(a.indices, a.indices))
+    assert np.array_equal(_product_counts(g, b.indices, b.indices, "fft"), brute(b.indices, b.indices))
+    # and a mirror of a factor known only by its histogram
+    h = _Factor(g, hist=np.bincount(b.indices, minlength=g.order) * 3)
+    assert np.array_equal(cyclic_convolution(g, h.inverse(), f), 3 * brute(g.inverse_table[b.indices].astype(np.int64), a.indices))
+    # A once, B and C once each in the products that owned them, B once as
+    # a self-product and B's weighted histogram once
+    assert calls == {"rfftn": 5, "irfftn": 7}
 
 
 # --- three-term progressions -------------------------------------------------

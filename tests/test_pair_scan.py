@@ -4,7 +4,6 @@ blocks small enough that each scan runs in several blocks."""
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from grplab.groups import (
 from grplab.ramsey import Coloring
 from grplab.sets import GroupSubset, is_product_free, make_set, product_set
 
-from conftest import FLEET_SPECS
+from conftest import FLEET_SPECS, traced_peak
 
 # 5 x 5 pairs come in blocks of 2, 2 and 1 rows
 SMALL_BLOCK = 14
@@ -148,12 +147,7 @@ def _kernel_block_peak(spec):
     assert side * side == groups.PRODUCT_BLOCK
     rng = np.random.default_rng(0)
     left, right = rng.integers(0, g.order, side), rng.integers(0, g.order, side)
-    tracemalloc.start()
-    try:
-        block = next(_pair_blocks(g._mul_kernel, left, right))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    block, peak = traced_peak(lambda: next(_pair_blocks(g._mul_kernel, left, right)))
     assert block.shape == (side, side)
     return peak
 
@@ -232,12 +226,7 @@ def test_results_do_not_depend_on_the_block_size(spec, monkeypatch, tmp_path):
 def test_the_build_check_holds_one_block_at_a_time():
     # 10.7 MB traced with n-sized operands, 3.5 MB in blocks of 2^16
     g = build_group("Z/2 x Z/2 x Z/50000")
-    tracemalloc.start()
-    try:
-        _validate_identity_and_inverses(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: _validate_identity_and_inverses(g))
     assert peak < 5 * 2**20, peak
 
 

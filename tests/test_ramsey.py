@@ -3,7 +3,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from grplab.ramsey import (
 from grplab.rng import SplitMix64, derive
 from grplab.sets import GroupSubset, make_set
 
-from conftest import FLEET_SPECS, fleet_group
+from conftest import FLEET_SPECS, fleet_group, traced_peak
 
 
 def test_coloring_round_trip():
@@ -224,12 +223,7 @@ def test_schur_step_at_k_equal_n_holds_one_n_by_k_array():
     g = build_group(f"Z/{n}")
     colors = np.array(Coloring.random(g, k, 5).color_of)
     counts = [_schur_count_of_mask(g, colors == j) for j in range(k)]
-    tracemalloc.start()
-    try:
-        move = ramsey._best_schur_move(g, colors, counts, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    move, peak = traced_peak(lambda: ramsey._best_schur_move(g, colors, counts, k))
     assert peak <= 2 * n * k * 8, peak
     element, new_color, after = move
     colors[element] = new_color
@@ -270,12 +264,7 @@ def test_search_matches_the_oracle_driven_search(monkeypatch, spec, k, iteration
 def test_search_with_k_near_n_holds_o_nk_memory(monkeypatch):
     # an (n, k, k) int64 array of trial counts alone would take 1.7 MB here
     z60 = build_group("Z/60")
-    tracemalloc.start()
-    try:
-        got = schur_adversarial_search(z60, 60, iterations=2, restarts=1, seed=3).to_dict()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: schur_adversarial_search(z60, 60, iterations=2, restarts=1, seed=3).to_dict())
     assert peak <= 32 * 60 * 60 * 8, peak
     assert got == _oracle_driven_search(monkeypatch, z60, 60, iterations=2, restarts=1, seed=3)
 
@@ -700,14 +689,9 @@ def test_sampled_density_matches_tuples_checked_from_scratch(spec, n, monkeypatc
     g = build_group(spec)
     col = Coloring.random(g, 2, 3)
     samples = 3000
-    tracemalloc.start()
-    try:
-        started = time.perf_counter()
-        out = monochromatic_tuple_density(col, n, samples=samples, seed=4)
-        elapsed = time.perf_counter() - started
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    started = time.perf_counter()
+    out, peak = traced_peak(lambda: monochromatic_tuple_density(col, n, samples=samples, seed=4))
+    elapsed = time.perf_counter() - started
     assert peak <= 4 << 20, peak
     assert elapsed < 10, elapsed
     for j, entry in enumerate(out["per_color"]):
@@ -729,12 +713,7 @@ def test_sampled_cip_holds_at_most_a_block_of_subproducts(monkeypatch):
     col = Coloring(s4, np.zeros(s4.order, dtype=np.int64), 1)
     samples = (1 << 16) // 10
     monkeypatch.setattr(ramsey, "MAX_EXACT_ITERATIONS", 0)
-    tracemalloc.start()
-    try:
-        out = monochromatic_tuple_density(col, 10, samples=samples, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: monochromatic_tuple_density(col, 10, samples=samples, seed=2))
     assert out["per_color"] == [{"color": 0, "density": 1.0, "stderr": 0.0, "samples": samples, "exact": False}]
     assert peak <= 32 << 20, peak
 

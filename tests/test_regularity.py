@@ -18,7 +18,7 @@ from grplab.regularity import (
 )
 from grplab.sets import GroupSubset, make_set
 
-from conftest import fleet_group
+from conftest import fleet_group, traced_peak
 
 
 # --- direct quantifier-by-enumeration oracles, independent of the checkers
@@ -408,18 +408,12 @@ def test_product_rich_witness_is_rechecked_on_the_set_layer(monkeypatch):
 
 def test_sampled_regular_position_on_slow_growing_sets_stays_small():
     import time
-    import tracemalloc
 
     # S S^-1 of a 1000-element subset of an interval has about 4000 values,
     # far below the 10^6 pairs, so each drawn value must not cost s^3 products
     a = make_set(build_group("Z/100000"), "interval:0,2000")
-    tracemalloc.start()
     start = time.monotonic()
-    try:
-        got = check_regular_position(a, a, a, Fraction(1, 2), mode="sampled", trials=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: check_regular_position(a, a, a, Fraction(1, 2), mode="sampled", trials=3))
     assert got.to_dict() == {"status": NO_VIOLATION_FOUND, "samples": 3}
     assert time.monotonic() - start < 10
     assert peak < 40 * 2**20

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import FLEET_SPECS, fleet_group
+from conftest import FLEET_SPECS, fleet_group, traced_peak
 from grplab import counting
 from grplab.cli import main
 from grplab.counting import ENGINE_CAYLEY, ENGINE_FFT, _Factor, _product_counts
@@ -204,6 +204,17 @@ def test_stats_on_a_cyclic_product_transforms_each_set_once(set_spec, transforms
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert calls == transforms
+
+
+def test_stats_at_the_order_cap_hold_few_arrays_of_the_order():
+    # A's kept spectrum, the product in hand and its transform output: 7.7 MB
+    # traced, 10.8 MB when every histogram outlived its spectrum
+    g = build_group("Z/2 x Z/2 x Z/50000")
+    a = make_set(g, "random:0.05,12345")
+    a.indices
+    got, peak = traced_peak(lambda: set_statistics(a, 3))
+    assert got.doubling == Fraction(g.order, a.card)
+    assert peak < 9 * 2**20, peak
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from grplab.spectral import (
     regular_representation_degrees,
 )
 
-from conftest import FLEET_SPECS, _dihedral_table, fleet_group
+from conftest import FLEET_SPECS, _dihedral_table, fleet_group, traced_peak
 
 
 @pytest.mark.parametrize("spec", FLEET_SPECS)
@@ -181,12 +179,7 @@ def test_dihedral_degrees(m):
 
 def test_degrees_at_the_class_cap_stay_within_their_memory_budget():
     g = TableGroup(_dihedral_table(597), "D597")
-    tracemalloc.start()
-    try:
-        profile = character_degrees(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    profile, peak = traced_peak(lambda: character_degrees(g))
     assert profile.class_count == 300
     assert peak <= 32 << 20, peak
 
