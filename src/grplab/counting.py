@@ -200,24 +200,22 @@ class _Factor:
                 self._norms = (int(h.sum()), int(h.max()))
         return self._norms
 
-    def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            if self._mirror is not None:
-                self._spectrum = np.conj(self._mirror.spectrum())
-            else:
-                self.norms()  # taken before the histogram goes
-                f = self.hist().reshape(tuple(self.g.cyclic_moduli)).astype(np.float64)
-                if self.indices is not None:
-                    self._hist = None
-                self._spectrum = np.fft.rfftn(f)
-        return self._spectrum
-
-    def spend(self) -> np.ndarray:
-        """The spectrum for one product, which a ``once`` factor forgets."""
-        s = self.spectrum()
-        if self.once:
-            self._spectrum = None
-        return s
+    def spend(self) -> Tuple[np.ndarray, bool]:
+        """(s, conjugate) for one product: the spectrum is s, or its complex
+        conjugate for a mirror, whose s is its base's and which keeps none of
+        its own.  A ``once`` factor forgets s."""
+        if self._mirror is not None:
+            s, conjugate = self._mirror.spend()
+            return s, not conjugate
+        s = self._spectrum
+        if s is None:
+            self.norms()  # taken before the histogram goes
+            f = self.hist().reshape(tuple(self.g.cyclic_moduli)).astype(np.float64)
+            if self.indices is not None:
+                self._hist = None
+            s = np.fft.rfftn(f)
+        self._spectrum = None if self.once else s
+        return s, False
 
     def inverse(self) -> "_Factor":
         """The factor of the inverses: histogram f(x^-1), and for real f the
@@ -232,13 +230,18 @@ def _factor(g: FiniteGroup, side) -> _Factor:
 
 
 def _spectrum_product(x: _Factor, y: _Factor) -> np.ndarray:
-    """x's spectrum times y's, written over a ``once`` factor's spectrum
-    where there is one; a ``once`` spectrum not written over is freed as
-    this returns."""
-    sx = x.spend()
-    sy = sx if y is x else y.spend()
-    out = sx if x.once else sy if y.once else None
-    return np.multiply(sx, sy, out=out)
+    """x's spectrum times y's in one array, written over a ``once`` factor's
+    spectrum where there is one; a ``once`` spectrum not written over is
+    freed as this returns.  A mirror's conjugate is formed in the product's
+    own array, so conj(s_A)·s_B holds no third spectrum."""
+    sx, cx = x.spend()
+    sy, cy = (sx, cx) if y is x else y.spend()
+    if cx != cy:
+        out = np.conjugate(sx if cx else sy)
+        out *= sy if cx else sx
+        return out
+    out = np.multiply(sx, sy, out=sx if x.once else sy if y.once else None)
+    return np.conjugate(out, out=out) if cx else out
 
 
 def cyclic_convolution(g: FiniteGroup, fa, fb) -> np.ndarray:

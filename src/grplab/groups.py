@@ -21,8 +21,11 @@ broadcast shape.  A direct product
 (``Z/a x Z/b`` included) indexes its elements in mixed radix, last factor
 fastest.  Z/n and every product of cyclic groups, nested ones included, add
 digit by digit with carries dropped (:func:`_cyclic_mul`): x + y, less m*s
-for each digit of modulus m and stride s whose two summands reach m.  Other
-direct products multiply factor by factor through each factor's kernel.
+for each digit of modulus m and stride s whose two summands reach m, in a
+few division-light passes (int32 below order 2^30).  Other direct products
+multiply factor by factor through each factor's kernel.  A direct
+product's inverse table is the outer sum of its factors' tables, each
+times its stride.
 Construction works on whole arrays: PSL2(q) lists SL2(q) in closed form
 and takes each element's point images from the field tables, and a
 permutation group closes its generators one breadth-first layer of keys at
@@ -31,9 +34,9 @@ same indexing.
 
 Every "all x in one index array times all y in another" scan, here and in
 the counting and set layers, goes through :func:`_pair_blocks`, at most
-PRODUCT_BLOCK products per block; the passes over every element (the check
-that each build runs, a direct product's inverse table) go through
-:func:`_index_blocks`, PRODUCT_BLOCK indices per block.  At 2^16 a kernel
+PRODUCT_BLOCK products per block; the check that each build runs sweeps
+every element once through :func:`_index_blocks`, PRODUCT_BLOCK indices per
+block.  At 2^16 a kernel
 block peaks near 1.3 MB traced, so its temporaries fit a 2 MB L2 cache.
 
 A ``table:`` CSV is validated exactly at every order: it must be a Latin
@@ -109,22 +112,42 @@ def _cyclic_digits(moduli: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
     return tuple(digits)
 
 
+def _radix_digits(x: np.ndarray, moduli: Sequence[int]):
+    """Yield the mixed-radix digits of indices ``x`` over ``moduli``, both
+    fastest first: each is q - q // m * m for q the quotient left by the
+    digits before it, one ``//`` a digit (an int64 ``%`` costs four), and
+    the leading digit is the last quotient."""
+    for m in moduli[:-1]:
+        q = x // m
+        yield x - q * m
+        x = q
+    yield x
+
+
 def _cyclic_mul(digits: Tuple[Tuple[int, int], ...], n: int, a, b) -> np.ndarray:
     """Elementwise product in the cyclic product of order ``n`` whose digits
     (m, s) come from :func:`_cyclic_digits`: x + y, less m*s for each digit
-    where d(x) + d(y) >= m.  Lower digits are q - q // m * m at each
-    operand's own shape (an int64 ``%`` costs four ``//``); after them the
-    sum is below 2n, so the leading digit (m*s = n) carries when it reaches n."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    out = a + b
-    for m, s in digits:
-        if m * s == n:
-            out -= (out >= n) * n
-            continue
-        qa, qb = (a // s, b // s) if s > 1 else (a, b)
-        out -= (qa - qa // m * m >= m - (qb - qb // m * m)) * (m * s)
-    return out
+    where d(x) + d(y) >= m.  The lower digits are taken at each operand's
+    own shape (:func:`_radix_digits`) and each carry is subtracted as an
+    m*s-or-0 array.  After them the sum is below 2n, so the leading digit
+    (the last, m*s = n) is settled without a compare: n is subtracted and
+    added back where the sign bit shows the sum was below n.  With two or
+    more digits and n < 2^30 all of it runs in int32, whose division and
+    passes are the cheaper, and only the result is widened; a one-digit Z/n
+    has no division, was slower with an int32 sum and stays int64."""
+    dtype = np.int32 if len(digits) > 1 and n < 1 << 30 else np.int64
+    out = np.add(a, b, dtype=dtype)
+    if len(digits) > 1:
+        a = np.asarray(a, dtype=dtype)
+        b = np.asarray(b, dtype=dtype)
+        moduli = [m for m, _ in digits]
+        for (m, s), da, db in zip(digits[:-1], _radix_digits(a, moduli), _radix_digits(b, moduli)):
+            out -= np.multiply(da >= m - db, m * s, dtype=dtype)
+    out -= n
+    wrap = out >> (8 * out.itemsize - 1)  # -1 where the sum was below n
+    wrap &= n
+    out += wrap
+    return out.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -659,21 +682,26 @@ class GeneralDirectProductGroup(FiniteGroup):
             self.cyclic_moduli = tuple(m for g in self.components for m in g.cyclic_moduli)
             self._digits = _cyclic_digits(self.cyclic_moduli)
 
-        self.inverse_table = np.empty(self.order, dtype=np.int32)
-        for idx in _index_blocks(self.order):
-            self.inverse_table[idx] = sum(
-                g.inverse_table[(idx // s) % g.order].astype(np.int64) * s
-                for g, s in zip(self.components, self._strides)
-            )
+        # the inverse of (x_1, ..., x_k) is (x_1^-1, ..., x_k^-1): the outer
+        # sum of each factor's int32 table times its stride, last factor fastest
+        inverse = np.zeros((), dtype=np.int32)
+        for g, s in zip(self.components, self._strides):
+            inverse = np.add.outer(inverse, g.inverse_table * s)
+        self.inverse_table = inverse.reshape(-1)
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._digits is not None:
             return _cyclic_mul(self._digits, self.order, a, b)
+        # int64 digits: a point-image factor's kernel would convert int32
+        # ones at every gather
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for g, s in zip(self.components, self._strides):
-            out += g._mul_kernel((a // s) % g.order, (b // s) % g.order) * s
+        # the last factor is the fastest digit
+        comps = self.components[::-1]
+        orders = [g.order for g in comps]
+        for g, s, da, db in zip(comps, self._strides[::-1], _radix_digits(a, orders), _radix_digits(b, orders)):
+            out += g._mul_kernel(da, db) * s
         return out
 
     def mul(self, i: int, j: int) -> int:
@@ -856,23 +884,26 @@ def _require_associative(group: FiniteGroup) -> None:
 
 
 def _validate_identity_and_inverses(group: FiniteGroup) -> None:
-    """0 is a two-sided identity and ``inverse_table`` holds inverses.  The
-    three checks run in turn, each over blocks of PRODUCT_BLOCK indices with
-    the identity as a scalar operand."""
+    """0 is a two-sided identity and ``inverse_table`` holds inverses.  One
+    sweep over blocks of PRODUCT_BLOCK indices runs the three checks, with
+    the identity as a scalar operand.  Each block's inverses are widened to
+    int64 once, since the point-image kernels would convert an int32 index
+    at every gather.  A left-identity failure anywhere is reported before a
+    right-identity one, and that before a wrong inverse: the sweep stops at
+    the first left failure, and after a right failure checks only the left."""
     mul = group.mul_arrays
-
-    def inverts(idx: np.ndarray) -> bool:
-        inv = group.inverse_table[idx].astype(np.int64)
-        return not (np.any(mul(idx, inv) != 0) or np.any(mul(inv, idx) != 0))
-
-    checks = (
-        ("identity fails on the left", lambda idx: np.array_equal(mul(0, idx), idx)),
-        ("identity fails on the right", lambda idx: np.array_equal(mul(idx, 0), idx)),
-        ("inverse table is wrong", inverts),
-    )
-    for message, holds in checks:
-        if not all(holds(idx) for idx in _index_blocks(group.order)):
-            raise NotAGroup(message)
+    right = inverses = True
+    for idx in _index_blocks(group.order):
+        if not np.array_equal(mul(0, idx), idx):
+            raise NotAGroup("identity fails on the left")
+        right = right and np.array_equal(mul(idx, 0), idx)
+        if right and inverses:
+            inv = group.inverse_table[idx].astype(np.int64)
+            inverses = not (np.count_nonzero(mul(idx, inv)) or np.count_nonzero(mul(inv, idx)))
+    if not right:
+        raise NotAGroup("identity fails on the right")
+    if not inverses:
+        raise NotAGroup("inverse table is wrong")
 
 
 def verify_group_axioms(group: FiniteGroup, *, seed: int = 0) -> None:

@@ -11,6 +11,7 @@ and return exactly what the scalar methods would return one call at a time.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List
 
 import numpy as np
@@ -92,6 +93,18 @@ class SplitMix64:
         out = np.empty(m, dtype=np.float64)
         for lo, hi, words in self._blocks(m):
             out[lo:hi] = (words >> 11).astype(np.float64) * (1.0 / (1 << 53))
+        return out
+
+    def bernoulli_array(self, m: int, p: float) -> np.ndarray:
+        """m bools, each ``uniform() < p`` for 0 <= p <= 1; equals m such
+        checks.  A draw is k / 2^53 exactly, k the word's top 53 bits, so it
+        is below p just when k < ceil(p * 2^53), exact for a float p: each
+        block of words is compared as integers, and no float array is made."""
+        limit = np.uint64(math.ceil(p * (1 << 53)))
+        out = np.empty(m, dtype=bool)
+        for lo, hi, words in self._blocks(m):
+            words >>= np.uint64(11)
+            np.less(words, limit, out=out[lo:hi])
         return out
 
     def randrange_array(self, n: int, m: int) -> np.ndarray:

@@ -382,7 +382,7 @@ def make_set(group: FiniteGroup, spec: Union[SetSpec, str]) -> GroupSubset:
     if isinstance(spec, RandomSet):
         if not 0.0 <= spec.density <= 1.0:
             raise MalformedSpec(f"density {spec.density} outside [0,1]")
-        return GroupSubset(group, SplitMix64(spec.seed).uniform_array(n) < spec.density)
+        return GroupSubset(group, SplitMix64(spec.seed).bernoulli_array(n, spec.density))
     if isinstance(spec, SubgroupSet):
         for g in spec.generators:
             if not 0 <= g < n:

@@ -296,6 +296,41 @@ def test_held_mirror_and_one_use_factors_stay_exact(spec, limit, monkeypatch):
     assert calls == {"rfftn": 5, "irfftn": 7}
 
 
+def test_a_mirror_product_forms_the_conjugate_in_its_output(z200000_sets):
+    # A's spectrum is held; A^-1's conjugate is written into the product's
+    # own array: 5.3 MB traced when the mirror kept a conjugate copy
+    g, (a, _, _) = z200000_sets
+    f = _Factor(g, a.indices)
+    _product_counts(g, f, f)
+    got, peak = traced_peak(lambda: _product_counts(g, f, f.inverse()))
+    assert peak < 4.5 * MB, peak
+    assert np.array_equal(got, _product_counts(g, a.indices, g.inverse_table[a.indices].astype(np.int64)))
+
+
+@pytest.mark.parametrize("limit", [0, counting._FFT_RESIDUAL_LIMIT])
+@pytest.mark.parametrize("spec", ["Z/12 x Z/35", "Z/3 x Z/5 x Z/7", "Z/600"])
+def test_each_side_of_a_mirror_product_is_exact(spec, limit, monkeypatch):
+    # a mirror against a one-use side, against a held factor, against
+    # itself and against a second mirror of its base; limit 0 sends each
+    # to the exact fallback
+    monkeypatch.setattr(counting, "_FFT_RESIDUAL_LIMIT", limit)
+    g = build_group(spec)
+    a, b = (_random_subset(g, 0.3, seed) for seed in (4, 5))
+    inv = g.inverse_table[a.indices].astype(np.int64)
+    f = _Factor(g, a.indices)
+    mirror = f.inverse()
+    for left, right, want in [
+        (mirror, b.indices, (inv, b.indices)),
+        (b.indices, mirror, (b.indices, inv)),
+        (mirror, f, (inv, a.indices)),
+        (mirror, mirror, (inv, inv)),
+        (mirror, f.inverse(), (inv, inv)),
+    ]:
+        assert np.array_equal(_product_counts(g, left, right, "fft"), _product_counts(g, *want, "brute"))
+    # A's held spectrum came through every product unchanged
+    assert np.array_equal(_product_counts(g, f, f, "fft"), _product_counts(g, a.indices, a.indices, "brute"))
+
+
 # --- three-term progressions -------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -193,6 +193,100 @@ def test_the_cyclic_inverse_table_is_written_in_int32():
     assert g.inverse_table.dtype == np.int32
     assert np.array_equal(g.inverse_table, -np.arange(g.order) % g.order)
     assert groups.CyclicGroup(1).inverse_table.tolist() == [0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DirectProduct((Cyclic(3), DirectProduct((Cyclic(4), Cyclic(1), Cyclic(5))), Cyclic(2))),
+        DirectProduct((DirectProduct((Cyclic(2), Cyclic(2))), DirectProduct((Cyclic(1), Cyclic(9))))),
+        "Z/1 x Z/6",
+        "Z/1 x Z/1",
+        "Z/2 x Z/1 x Z/3 x Z/1",
+        DirectProduct((PSL2(5), Cyclic(3))),
+        DirectProduct((Cyclic(2), DirectProduct((PSL2(5), Cyclic(1))), Cyclic(4))),
+        DirectProduct((Cyclic(3), parse_group_spec("perm:(1 2 3 4);(1 2)"))),
+    ],
+)
+def test_the_broadcast_inverse_table_inverts_each_component(spec):
+    # the oracle takes each element apart into component indices and inverts
+    # every component by its own scalar ``inv``
+    g = build_group(spec)
+    comps = g.components
+    orders = [c.order for c in comps]
+    parts = np.unravel_index(np.arange(g.order), orders)
+    want = np.ravel_multi_index([[c.inv(int(x)) for x in part] for c, part in zip(comps, parts)], orders)
+    assert g.inverse_table.dtype == np.int32
+    assert g.inverse_table.shape == (g.order,)
+    assert g.inverse_table.tolist() == want.tolist()
+    assert all(g.mul(i, int(g.inverse_table[i])) == 0 for i in range(g.order))
+
+
+def _digitwise(moduli, a, b):
+    """The product in Z/m_1 x ... x Z/m_k, digit by digit."""
+    da = np.unravel_index(np.asarray(a, dtype=np.int64), moduli)
+    db = np.unravel_index(np.asarray(b, dtype=np.int64), moduli)
+    return np.ravel_multi_index([(x + y) % m for x, y, m in zip(da, db, moduli)], moduli)
+
+
+def _random_moduli(rng):
+    """1 to 5 moduli: powers of two, 1s and others, order at most 2^22."""
+    moduli = []
+    for _ in range(int(rng.integers(1, 6))):
+        kind = rng.integers(3)
+        m = 1 if kind == 0 else 2 ** int(rng.integers(1, 8)) if kind == 1 else int(rng.integers(2, 300))
+        if prod(moduli) * m <= 1 << 22:
+            moduli.append(m)
+    return tuple(moduli)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_carry_rule_equals_the_digitwise_sum(seed):
+    rng = np.random.default_rng(seed)
+    moduli = _random_moduli(rng)
+    n = prod(moduli)
+    digits = groups._cyclic_digits(moduli)
+    a, b = rng.integers(0, n, 500), rng.integers(0, n, 500)
+    # sums that hit n and 2n - 2
+    a = np.concatenate((a, [0, n - 1, n - 1, 1 % n]))
+    b = np.concatenate((b, [0, n - 1, 1 % n, n - 1]))
+    got = groups._cyclic_mul(digits, n, a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _digitwise(moduli, a, b)), moduli
+    # int32 operands, as inverse tables hold them
+    assert np.array_equal(groups._cyclic_mul(digits, n, a.astype(np.int32), b), got)
+    # broadcast operands
+    col, row = a[:40, None], b[None, :30]
+    assert np.array_equal(groups._cyclic_mul(digits, n, col, row), _digitwise(moduli, col, row))
+    # 0-d operands: Python ints, numpy scalars and 0-d arrays
+    x, y = int(a[0]), int(b[0])
+    want = int(_digitwise(moduli, x, y))
+    for left, right in ((x, y), (np.int64(x), y), (np.array(x), np.array(y)), (x, np.int32(y))):
+        assert int(groups._cyclic_mul(digits, n, left, right)) == want
+    assert np.array_equal(groups._cyclic_mul(digits, n, x, b), _digitwise(moduli, x, b))
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        (2, (1 << 29) - 1),  # int32 just below 2^30: 2n - 2 < 2^31
+        (2, 1 << 29),  # 2^30, the first int64 order
+        (3, 5, 71582789),  # just above 2^30: the sum needs int64
+        (2, 1 << 30),  # 2^31
+        (1 << 16, 1 << 16),  # 2^32
+        (7, 1, 1000003, 999983),
+    ],
+)
+def test_the_carry_rule_keeps_int64_for_large_orders(moduli):
+    # an order cap this high admits these groups, but not their n-sized
+    # tables here, so the rule is checked on its own
+    n = prod(moduli)
+    rng = np.random.default_rng(n % 1000)
+    a = np.concatenate((rng.integers(0, n, 2000), [n - 1, n - 1, 0]))
+    b = np.concatenate((rng.integers(0, n, 2000), [n - 1, 1, 0]))
+    got = groups._cyclic_mul(groups._cyclic_digits(moduli), n, a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _digitwise(moduli, a, b))
 
 
 @pytest.mark.parametrize("n", [1, 2, 200000])

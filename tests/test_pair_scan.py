@@ -257,3 +257,28 @@ def test_the_blocked_build_check_refuses_each_fault(spec, block, monkeypatch):
         g.inverse_table[i] = 0  # only the identity inverts to 0
         with pytest.raises(NotAGroup, match="^inverse table is wrong$"):
             _validate_identity_and_inverses(g)
+
+
+@pytest.mark.parametrize(
+    "spec, block", [("Z/50", 7), ("PSL2(13)", 7), ("Z/6 x Z/4", 5), ("Z/2 x Z/2 x Z/50000", 1 << 16)]
+)
+def test_the_one_sweep_build_check_keeps_the_order_of_its_messages(spec, block, monkeypatch):
+    # faults of two checks in the first and the last block: the check named
+    # first in the docstring wins, whichever block holds its fault
+    monkeypatch.setattr(groups, "PRODUCT_BLOCK", block)
+    last = build_group(spec).order - 1
+
+    def bad_inverse(g, i=1):
+        g.inverse_table[i] = 0  # only the identity inverts to 0
+        return g
+
+    cases = [
+        (lambda g: _broken(bad_inverse(g), (last, 0)), "identity fails on the right"),
+        (lambda g: _broken(bad_inverse(g, last), (2, 0)), "identity fails on the right"),
+        (lambda g: _broken(bad_inverse(g), (0, last)), "identity fails on the left"),
+        (lambda g: _broken(_broken(g, (2, 0)), (0, last)), "identity fails on the left"),
+        (lambda g: _broken(_broken(bad_inverse(g), (2, 0)), (0, last)), "identity fails on the left"),
+    ]
+    for fault, message in cases:
+        with pytest.raises(NotAGroup, match=f"^{message}$"):
+            _validate_identity_and_inverses(fault(build_group(spec)))

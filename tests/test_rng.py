@@ -74,6 +74,30 @@ def test_uniform_array_matches_scalar_stream(seed, m):
     _after_block(SplitMix64.uniform_array, SplitMix64.uniform, seed, m)
 
 
+# 0 and 1, the least and the largest float below 1 that a draw can fall
+# under, and the densities of the benchmark's random: sets
+DENSITIES = [0.0, 2.0**-53, 0.01, 0.15, 0.3, 0.5, 1 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("seed", SEEDS + [1 << 63])
+@pytest.mark.parametrize("p", DENSITIES)
+def test_bernoulli_array_matches_the_uniform_compare(seed, p):
+    m = _BLOCK + 3
+    want = SplitMix64(seed).uniform_array(m) < p
+    assert np.array_equal(SplitMix64(seed).bernoulli_array(m, p), want)
+    _after_block(lambda s, m: s.bernoulli_array(m, p), lambda s: s.uniform() < p, seed, 1000)
+
+
+def test_bernoulli_array_splits_at_the_exact_draw():
+    # a density equal to a draw excludes it, one ulp above includes it
+    s = SplitMix64(7)
+    u = SplitMix64(7).uniform_array(50)
+    for k in (3, 17, 49):
+        assert SplitMix64(7).bernoulli_array(50, float(u[k]))[k] == False  # noqa: E712
+        assert SplitMix64(7).bernoulli_array(50, float(np.nextafter(u[k], 2)))[k] == True  # noqa: E712
+    assert s.bernoulli_array(0, 0.5).dtype == np.bool_
+
+
 # 1 and powers of two reject nothing; 2^64 // 3 + 1 rejects about a third of
 # the words and 2^62 + 12345 about a quarter
 MODULI = [1, 2, 1 << 63, 20011, (1 << 64) // 3 + 1, (1 << 62) + 12345]
@@ -95,7 +119,7 @@ def test_block_draws_reject_bad_arguments():
         with pytest.raises(ValueError):
             SplitMix64(3).randrange_array(n, 4)
     s = SplitMix64(3)
-    for block in (s.next_u64_array, s.uniform_array, lambda m: s.randrange_array(5, m)):
+    for block in (s.next_u64_array, s.uniform_array, lambda m: s.bernoulli_array(m, 0.5), lambda m: s.randrange_array(5, m)):
         with pytest.raises(ValueError):
             block(-1)
 

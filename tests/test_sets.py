@@ -27,7 +27,7 @@ from grplab.sets import (
     tripling_constant,
 )
 
-from conftest import RULE_GROUPS, fleet_group, rule_sets
+from conftest import RULE_GROUPS, fleet_group, rule_sets, traced_peak
 
 settings.register_profile("suite", settings(max_examples=60, deadline=None))
 settings.load_profile("suite")
@@ -276,6 +276,15 @@ def test_make_set_random_is_seeded():
     assert a == b
     assert a != c
     assert 0 < a.card < 100
+
+
+def test_a_random_set_is_drawn_without_a_float_array():
+    # the mask alone is 0.19 MB; 3.03 MB traced when every draw became an
+    # n-sized float64 array before the compare
+    g = build_group("Z/200000")
+    a, peak = traced_peak(lambda: make_set(g, "random:0.5,1"))
+    assert peak < 2.3 * 2**20, peak
+    assert np.array_equal(a.mask, SplitMix64(1).uniform_array(g.order) < 0.5)
 
 
 def test_make_set_explicit_and_json_round_trip():
