@@ -318,12 +318,13 @@ def count_ap3(a: GroupSubset, engine: str = "auto") -> CountReport:
 
 
 def _ap3_fast(g: FiniteGroup, a: GroupSubset) -> Tuple[int, int]:
-    # reparametrize by (x, m=xy): y = x^-1 m, and x y^2 = m y
+    # reparametrize by (x, m=xy): y = x^-1 m, and x y^2 = m y = m x^-1 m,
+    # one word a block
     ai = a.indices
     count = 0
-    for ys in _pair_blocks(g.mul_arrays, g.inverse_table[ai].astype(np.int64), ai):
-        count += int(a.mask[g.mul_arrays(ai[None, :], ys)].sum())
-        del ys
+    for last in _pair_blocks(lambda x_inv, m: g.mul_arrays(m, x_inv, m), g.inverse_table[ai], ai):
+        count += int(np.count_nonzero(a.mask[last]))
+        del last
     # y is the identity exactly when m = x, and then x, xy, xy^2 all lie in A
     return count, a.card
 

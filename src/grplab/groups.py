@@ -14,10 +14,13 @@ Above TABLE_CAP every vector product goes to the kernel.  PSL2(q) and
 permutation groups share one kernel (:class:`PointImageGroup`): an element
 is its images of the points it acts on (PSL2(q) on the q + 1 points of the
 projective line), a product's image of x is f(g(x)), and the product is
-found by its images of a greedy base of the action, one dense table per
-base level.  The base images of the right factor are gathered at its own
-shape, so only the composition's gathers and the table reads run at the
-broadcast shape.  A direct product
+found by its images of a greedy base of the action in dense tables of the
+platform index type: one over the leading base points (PSL2's whole base),
+then one a base level.  Each operand is widened once.  When the left factor
+varies along rows and the right along columns (every pair scan), each left
+row's images are gathered once and read at the right factor's base images;
+a word a*b*c... composes its images right to left and is looked up once.
+A direct product
 (``Z/a x Z/b`` included) indexes its elements in mixed radix, last factor
 fastest.  Z/n and every product of cyclic groups, nested ones included, add
 digit by digit with carries dropped (:func:`_cyclic_mul`): x + y, less m*s
@@ -36,8 +39,8 @@ Every "all x in one index array times all y in another" scan, here and in
 the counting and set layers, goes through :func:`_pair_blocks`, at most
 PRODUCT_BLOCK products per block; the check that each build runs sweeps
 every element once through :func:`_index_blocks`, PRODUCT_BLOCK indices per
-block.  At 2^16 a kernel
-block peaks near 1.3 MB traced, so its temporaries fit a 2 MB L2 cache.
+block.  At 2^16 a point-image
+block peaks near 0.65 MB traced, so its temporaries fit a 2 MB L2 cache.
 
 A ``table:`` CSV is validated exactly at every order: it must be a Latin
 square with a two-sided identity and pass Light's associativity test on a
@@ -307,25 +310,41 @@ class FiniteGroup:
         return str(i)
 
     # -- vector ops -------------------------------------------------------
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of index arrays (numpy broadcasting rules).
+    def mul_arrays(self, a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> np.ndarray:
+        """Elementwise product of index arrays (numpy broadcasting rules);
+        with ``more``, of the word a*b*..., multiplied left to right.
 
-        Gathers from the Cayley table once it is built.  Below TABLE_CAP the
-        table is built when the kernel products evaluated so far by this
-        method, this call's included, reach n^2.
+        Gathers from the Cayley table once it is built, a word one gather a
+        factor.  Below TABLE_CAP the table is built when the kernel products
+        evaluated so far by this method, this call's included, reach n^2; a
+        word of k factors counts k - 1 products an entry.  A point-image
+        kernel composes a word's images and looks it up once; every other
+        kernel folds it pairwise.  The axiom checks
+        (:func:`verify_group_axioms`, :func:`_require_associative`) keep
+        pairwise products, since they test associativity itself.
         """
         table = self._table
         if table is None and self.order <= TABLE_CAP:
-            self._kernel_products += np.broadcast(a, b).size
+            self._kernel_products += np.broadcast(a, b, *more).size * (1 + len(more))
             if self._kernel_products >= self.order * self.order:
                 table = self.table
         if table is None:
-            return self._mul_kernel(a, b)
-        return table[a, b].astype(np.int64)
+            return self._mul_word((a, b) + more) if more else self._mul_kernel(a, b)
+        out = table[a, b]
+        for c in more:
+            out = table[out, c]
+        return out.astype(np.int64)
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The subclass's own elementwise product, without the table."""
         raise NotImplementedError
+
+    def _mul_word(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """The product of a word without the table: the kernel, left to right."""
+        out = factors[0]
+        for f in factors[1:]:
+            out = self._mul_kernel(out, f)
+        return out
 
     def pow_arrays(self, idx: np.ndarray, m: int) -> np.ndarray:
         acc = np.zeros(np.broadcast(idx, idx).shape, dtype=np.int64)
@@ -412,72 +431,43 @@ class TableGroup(FiniteGroup):
         return self._table[a, b].astype(np.int64)
 
 
-def _greedy_base(images: np.ndarray) -> List[int]:
-    """A base of the group whose elements are the rows of ``images``: each
-    point the least one whose images split the classes of the elements that
-    agree on the points before it, until every element stands alone.  A
-    point that the earlier base images fix stays fixed, so each point is
-    tried once, one sort each.  A base of fewer than two points is padded
-    by repeating one, so the index always has a first and a last level."""
-    n, width = images.shape
-    base: List[int] = []
-    node = np.zeros(n, dtype=np.int64)
-    classes = 1
-    for point in range(width):
-        if classes == n:
-            break
-        live, node = np.unique(node * width + images[:, point], return_inverse=True)
-        if len(live) > classes:
-            base.append(point)
-            classes = len(live)
-    if classes < n:
-        raise NotAGroup("the point images do not separate the elements")
-    return base if len(base) > 1 else (base or [0]) * 2
-
-
 class PointImageGroup(FiniteGroup):
     """A group acting faithfully on ``width`` points, each element stored as
     its images of every point (one byte each up to 256 points); subclasses
     build the images in their own element order and the labels.
 
     Composition convention: (f*g)(x) = f(g(x)), one gather from f's images
-    at g's image of x.  An element is found by its images of a base
-    (:func:`_greedy_base`; Seress, *Permutation Group Algorithms*, ch. 4)
-    in one dense table per base level, with no hashing.  A node of level 0
-    is the image of b_0; level i reads slot node*width + (image of b_i),
-    which holds the next node, numbered in order and stored times width so
-    that the next level only adds, and at the last level the element index.
-    A slot that no element reaches holds the level's dead node, which has
-    an all-dead row of its own, or -1 at the last level, which raises
-    NotAGroup.  The nodes of level i are the cosets of the stabilizer of
-    b_0..b_i, so each level at least doubles them, and the tables hold at
-    most width*(n + width + len(base)) entries: int32 in the middle levels,
-    int64 in the last.  The kernel, the scalar ``mul`` (over memoryviews)
-    and the inverse table all walk these tables (:meth:`_lookup`).
+    at g's image of x.  An element is found by its images of a greedy base
+    (Seress, *Permutation Group Algorithms*, ch. 4) in dense tables, with no
+    hashing (:mod:`grplab._baseindex`).  The first table reads the images
+    of the first ``_depth`` base points as one base-width number; every
+    later table reads slot node*width + (image of its base point).  Each
+    table holds the next node, numbered in order and stored times width so
+    that the next level only adds, and the last the element index.  A slot
+    that no element reaches holds the level's dead node, which has an
+    all-dead row of its own, or -1 at the last level, which raises
+    NotAGroup.  The tables, the slots and ``_width`` are of the platform
+    index type, so no ``take`` converts its index.  The kernel, the scalar
+    ``mul`` (over memoryviews) and the inverse table all walk these tables
+    (:meth:`_lookup`).
     """
 
     def __init__(self, images: np.ndarray, spec_text: str) -> None:
+        from ._baseindex import base_index, greedy_base
+
         n, width = images.shape
         super().__init__(n, spec_text)
         self.images = images
-        self.base = _greedy_base(images)
-        self._width = np.int32(width)  # so b_0's slot from uint8 images does not wrap
+        self.base = greedy_base(images)
+        self._width = np.intp(width)
         # column i holds every element's image of b_i
         self._columns = np.ascontiguousarray(images[:, self.base].T)
-        node, rows = self._columns[0].astype(np.int64), width
-        self._tables: List[np.ndarray] = []
-        for column in self._columns[1:-1]:
-            live, node = np.unique(node * width + column, return_inverse=True)
-            table = np.full(rows * width, len(live) * width, dtype=np.int32)
-            table[live] = np.arange(0, len(live) * width, width)
-            self._tables.append(table)
-            rows = len(live) + 1
-        last = np.full(rows * width, -1, dtype=np.int64)
-        last[node * width + self._columns[-1]] = np.arange(n)
-        self._tables.append(last)
+        self._depth, self._tables = base_index(self._columns, width)
         # zero-copy views for the scalar mul, whose items read as Python ints
-        levels = tuple((memoryview(t), int(b)) for t, b in zip(self._tables, self.base[1:]))
-        self._views = (memoryview(images.ravel()), width, int(self.base[0]), levels)
+        first, *lead, last = [int(b) for b in self.base[:self._depth]]
+        tables = [memoryview(t) for t in self._tables]
+        levels = tuple(zip(tables[1:], self.base[self._depth:]))
+        self._views = (memoryview(images.ravel()), width, first, lead, last, tables[0], levels)
         # the inverse of g sends b to the x with g(x) = b; found in row blocks
         # of at most PRODUCT_BLOCK images, so no (n, width) temporary is built
         step = max(1, PRODUCT_BLOCK // width)
@@ -491,26 +481,60 @@ class PointImageGroup(FiniteGroup):
         the images of b_0, b_1, ... one array at a time; raises NotAGroup
         where no element has them."""
         images = iter(base_images)
-        slot = next(images) * self._width
+        width = self._width
+        slot = np.multiply(next(images), width, dtype=np.intp)
+        for _, image in zip(range(self._depth - 2), images):
+            slot += image
+            slot *= width
         for table, image in zip(self._tables, images):
             slot += image
-            slot = table.take(slot)
+            # every slot is in range; read in place, which a bounds-checked
+            # take would do through a copy
+            slot = table.take(slot, out=slot if slot.ndim else None, mode="clip")
         if slot.size and slot.min() < 0:
             raise NotAGroup("product fell outside the element set")
         return slot
 
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # each base column is gathered at b's own shape, so only the
-        # composition's gather and the table reads run at the product's
-        images = self.images.ravel()
-        row = np.asarray(a, dtype=np.int64) * self._width
-        return self._lookup(images.take(row + column[b]) for column in self._columns)
+        return self._mul_word((a, b))
+
+    def _mul_word(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        # each factor is widened to intp once; the word's image of b_i is
+        # f_1(f_2(...f_k(b_i))), composed right to left, then looked up once
+        *outer, last = [np.asarray(f, dtype=np.intp) for f in factors]
+        images = self.images
+        flat = images.ravel()
+        steps = []
+        composed = [last]
+        for f in reversed(outer):
+            shape = np.broadcast(*composed).shape
+            if f.ndim == len(shape) == 2 and f.shape[1] == 1 == shape[0]:
+                # f varies along rows and the images so far along columns:
+                # f's image rows are gathered once and read at those images
+                steps.append((images[f[:, 0]], None))
+            else:
+                steps.append((None, f * self._width))
+            composed.append(f)
+
+        def base_images(column):
+            image = column[last]
+            for rows, offset in steps:
+                if rows is None:
+                    image = flat.take(offset + image)
+                else:
+                    image = rows.take(image[0], axis=1)
+            return image
+
+        return self._lookup(base_images(column) for column in self._columns)
 
     def mul(self, i: int, j: int) -> int:
         # the kernel's walk, one product in Python
-        images, w, first, levels = self._views
+        images, w, point, lead, last, first, levels = self._views
         row, col = i * w, j * w
-        slot = images[row + images[col + first]] * w
+        slot = images[row + images[col + point]] * w
+        for point in lead:
+            slot = (slot + images[row + images[col + point]]) * w
+        slot = first[slot + images[row + images[col + last]]]
         for table, point in levels:
             slot = table[slot + images[row + images[col + point]]]
         if slot < 0:
@@ -692,10 +716,6 @@ class GeneralDirectProductGroup(FiniteGroup):
     def _mul_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._digits is not None:
             return _cyclic_mul(self._digits, self.order, a, b)
-        # int64 digits: a point-image factor's kernel would convert int32
-        # ones at every gather
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         # the last factor is the fastest digit
         comps = self.components[::-1]
@@ -886,9 +906,8 @@ def _require_associative(group: FiniteGroup) -> None:
 def _validate_identity_and_inverses(group: FiniteGroup) -> None:
     """0 is a two-sided identity and ``inverse_table`` holds inverses.  One
     sweep over blocks of PRODUCT_BLOCK indices runs the three checks, with
-    the identity as a scalar operand.  Each block's inverses are widened to
-    int64 once, since the point-image kernels would convert an int32 index
-    at every gather.  A left-identity failure anywhere is reported before a
+    the identity as a scalar operand and the block's int32 inverses as they
+    are.  A left-identity failure anywhere is reported before a
     right-identity one, and that before a wrong inverse: the sweep stops at
     the first left failure, and after a right failure checks only the left."""
     mul = group.mul_arrays
@@ -898,7 +917,7 @@ def _validate_identity_and_inverses(group: FiniteGroup) -> None:
             raise NotAGroup("identity fails on the left")
         right = right and np.array_equal(mul(idx, 0), idx)
         if right and inverses:
-            inv = group.inverse_table[idx].astype(np.int64)
+            inv = group.inverse_table[idx]
             inverses = not (np.count_nonzero(mul(idx, inv)) or np.count_nonzero(mul(inv, idx)))
     if not right:
         raise NotAGroup("identity fails on the right")
@@ -992,7 +1011,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
         gens = _generating_set(group)
         edges = np.empty((2 * len(gens), n), dtype=np.int64)
         for k, s in enumerate(gens):
-            fwd = group.mul_arrays(group.mul_arrays(group.inv(s), idx), s)
+            fwd = group.mul_arrays(group.inv(s), idx, s)
             edges[2 * k] = fwd
             edges[2 * k + 1][fwd] = idx  # the reverse edges, by one scatter
         while True:

@@ -369,6 +369,28 @@ def test_ap3_fast_matches_brute(spec):
         assert (fast.count, fast.degenerate_count) == (brute.count, brute.degenerate_count)
 
 
+NONABELIAN_FLEET = [s for s in FLEET_SPECS if not fleet_group(s).is_abelian] + ["PSL2(13)", "PSL2(29)"]
+
+
+@pytest.mark.parametrize("spec", NONABELIAN_FLEET)
+def test_ap3_word_matches_brute_and_the_pairwise_path(spec):
+    # m x^-1 m as one word against its pairwise fold m (x^-1 m), and against
+    # the scalar loop where the order allows it
+    g = fleet_group(spec) if spec in FLEET_SPECS else build_group(spec)
+    for seed, density in ((1, 0.3), (2, 0.6)):
+        a = _random_subset(g, density if g.order < 1000 else 0.05, seed)
+        ai = a.indices
+        x_inv = g.inverse_table[ai]
+        pairwise = 0
+        for lo in range(0, len(ai), 16):
+            ys = g.mul_arrays(x_inv[lo:lo + 16, None], ai[None, :])
+            pairwise += int(np.count_nonzero(a.mask[g.mul_arrays(ai[None, :], ys)]))
+        fast = counting._ap3_fast(g, a)
+        assert fast == (pairwise, a.card)
+        if g.order <= 1092:
+            assert fast == counting._ap3_brute(g, a)
+
+
 def test_ap3_interval_closed_form():
     # pairs (x, z) of equal parity inside the interval: ceil(m^2 / 2)
     z50 = build_group("Z/50")

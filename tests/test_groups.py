@@ -482,10 +482,11 @@ def test_classes_take_at_most_3n_products_per_generator(monkeypatch):
     products = 0
     mul_arrays = g.mul_arrays
 
-    def counted(a, b):
+    def counted(a, b, *more):
+        # a word of k factors is k - 1 products an entry
         nonlocal products
-        products += np.broadcast(a, b).size
-        return mul_arrays(a, b)
+        products += np.broadcast(a, b, *more).size * (1 + len(more))
+        return mul_arrays(a, b, *more)
 
     monkeypatch.setattr(g, "mul_arrays", counted)
     assert conjugacy_classes(g).count == 600
@@ -954,10 +955,12 @@ def test_psl2_images_and_index_sizes(q):
     assert g.images.itemsize == 1 and g.images.nbytes == n * w
     # 0 and 1 split the elements into the (q+1)q ordered pairs of distinct
     # points (PSL2(q) is 2-transitive), and 2 separates them: (q+1)^2 slots
-    # at the middle level and (q(q+1) + 1)(q+1) at the last
-    assert g.base == [0, 1, 2]
-    assert [t.size for t in g._tables] == [w * w, (q * w + 1) * w]
-    assert _index_entries(g) == w**3 + w and np.count_nonzero(g._tables[-1] >= 0) == n
+    # at the middle level and (q(q+1) + 1)(q+1) at the last would hold
+    # (q+1)^3 + (q+1), so one dense (q+1)^3 table over all three replaces them
+    assert g.base == [0, 1, 2] and g._depth == 3
+    assert [t.size for t in g._tables] == [w**3]
+    assert _index_entries(g) == w**3 and np.count_nonzero(g._tables[-1] >= 0) == n
+    assert g._tables[0].dtype == np.intp
     # each row permutes the q + 1 points
     assert np.array_equal(np.sort(g.images, axis=1), np.broadcast_to(np.arange(w), (n, w)))
     assert np.array_equal(g._lookup(g.images[:, b] for b in g.base), np.arange(n))
@@ -1083,9 +1086,13 @@ def test_psl2_scalar_mul_matches_the_kernel(q):
 def _index_path(g, k):
     """The slot that element k reads at each level of the index, walked from
     its own images of the base."""
-    slots = []
-    slot = int(g.images[k, g.base[0]]) * g.images.shape[1]
-    for table, point in zip(g._tables, g.base[1:]):
+    w = g.images.shape[1]
+    slot = 0
+    for point in g.base[:g._depth]:
+        slot = slot * w + int(g.images[k, point])
+    slots = [slot]
+    slot = int(g._tables[0][slot])
+    for table, point in zip(g._tables[1:], g.base[g._depth:]):
         slot += int(g.images[k, point])
         slots.append(slot)
         slot = int(table[slot])
@@ -1100,9 +1107,10 @@ def _check_corrupt_index_entries(spec, levels=tuple(CORRUPT_LEVELS)):
     """A product's slot at the first middle level sent to the dead node (the
     largest entry of a middle table), or its slot at the last level to -1:
     both the kernel and the scalar mul must then refuse it."""
-    for at, dead in (CORRUPT_LEVELS[level] for level in levels):
+    for level in levels:
+        at, dead = CORRUPT_LEVELS[level]
         g = build_group(spec)
-        assert len(g._tables) > 1
+        assert level == "last" or len(g._tables) > 1
         i, j = 5, 17
         k = g.mul(i, j)
         table = g._tables[at]
@@ -1114,7 +1122,9 @@ def _check_corrupt_index_entries(spec, levels=tuple(CORRUPT_LEVELS)):
 
 
 def test_psl2_corrupt_index_entry_raises_from_kernel_and_scalar_mul():
-    _check_corrupt_index_entries("PSL2(11)")
+    # PSL2's index is one (q+1)^3 table, which is its last level
+    assert len(build_group("PSL2(11)")._tables) == 1
+    _check_corrupt_index_entries("PSL2(11)", ["last"])
 
 
 @pytest.mark.parametrize("level", CORRUPT_LEVELS)
@@ -1168,3 +1178,161 @@ def test_subgroup_closure_extends_a_given_subgroup_in_place():
     assert groups._subgroup_closure(g, [6], member) is member
     assert np.flatnonzero(member).tolist() == [0, 2, 4, 6, 8, 10]
     assert np.flatnonzero(groups._subgroup_closure(g, [])).tolist() == [0]
+
+
+# words: mul_arrays(a, b, *more) multiplies left to right; a point-image
+# kernel composes the word's images and looks it up once
+
+
+def _word_group(spec):
+    """A fresh group, so that its Cayley table is not yet built."""
+    if spec == "PSL2(5) x Z/3":
+        return build_group(DirectProduct((PSL2(5), Cyclic(3))))
+    return build_group(spec)
+
+
+def _word_operands(n, rng):
+    """Words of the shapes the kernels must broadcast: 0-d factors, vectors,
+    the ap3 layout (1,c)*(r,1)*(1,c), a column times a row, a row times a
+    block, four factors, and int32 factors next to int64 ones."""
+    col = rng.integers(0, n, size=(5, 1))
+    row = rng.integers(0, n, size=(1, 7))
+    vec = rng.integers(0, n, size=9)
+    block = rng.integers(0, n, size=(5, 7))
+    zero_d = [np.asarray(v) for v in rng.integers(0, n, size=3)]
+    return [
+        tuple(zero_d),
+        (zero_d[0], vec, zero_d[1]),
+        (vec, vec[::-1].copy(), rng.integers(0, n, size=9)),
+        (row, col, row),
+        (col, row, col),
+        (row, block, col),
+        (col, row, block, zero_d[2]),
+        (row.astype(np.int32), col, row),
+        (col.astype(np.int32), row.astype(np.int32), col.astype(np.int32)),
+        (vec.astype(np.int32), vec, vec.astype(np.int32)),
+    ]
+
+
+WORD_SPECS = FLEET_SPECS + ["PSL2(5) x Z/3", "PSL2(13)", "perm:(1 2 3 4 5 6 7);(1 2)", "PSL2(29)"]
+
+
+@pytest.mark.parametrize("spec", WORD_SPECS)
+def test_a_word_equals_its_pairwise_fold(spec):
+    g = _word_group(spec)
+    n = g.order
+    rng = np.random.default_rng(n)
+    words = _word_operands(n, rng)
+    for built in (False, True):
+        if built:
+            assert g.table is not None or n > TABLE_CAP
+        for word in words:
+            fold = g.mul_arrays(word[0], word[1])
+            for f in word[2:]:
+                fold = g.mul_arrays(fold, f)
+            got = g.mul_arrays(*word)
+            assert got.shape == np.broadcast(*word).shape and got.dtype == np.int64
+            assert np.array_equal(got, fold), (built, [f.shape for f in word])
+            # the scalar product, one entry at a time
+            flat = [f.ravel().tolist() for f in np.broadcast_arrays(*word)]
+            want = []
+            for entry in zip(*flat):
+                k = entry[0]
+                for v in entry[1:]:
+                    k = g.mul(k, v)
+                want.append(k)
+            assert got.ravel().tolist() == want
+    assert (g._table is None) == (n > TABLE_CAP)
+
+
+@pytest.mark.parametrize("spec", ["PSL2(5)", "perm:(1 2 3 4);(1 2)", "Z/60", "PSL2(5) x Z/3"])
+def test_a_word_counts_its_products_toward_the_table(spec):
+    # a word of k factors is k - 1 products an entry
+    g = _word_group(spec)
+    n = g.order
+    x = np.arange(n)
+    start = g._kernel_products  # the build check's
+    g.mul_arrays(x[:, None], x[None, :5], 0)
+    assert g._kernel_products == start + 2 * 5 * n and g._table is None
+    g.mul_arrays(x, x, x, x)
+    assert g._kernel_products == start + 2 * 5 * n + 3 * n and g._table is None
+    # the word that reaches n^2 builds the table, and is read from it
+    rest = n * n - g._kernel_products
+    left = np.resize(x, (rest + 1) // 2)
+    got = g.mul_arrays(left, 1, left)
+    assert g._table is not None
+    assert np.array_equal(got, g._mul_kernel(g._mul_kernel(left, 1), left))
+
+
+# the fused first table: as many leading base points as keep it no larger
+# than the level tables it replaces
+
+FUSED_SPECS = [f"PSL2({q})" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)] + [
+    "perm:(1 2 3 4 5);(1 2)",
+    "perm:(1 2 3 4 5 6);(1 2)",
+]
+
+
+@pytest.mark.parametrize("spec", FUSED_SPECS)
+def test_the_fused_index_gives_every_product(spec):
+    g = build_group(spec)
+    n, width = g.images.shape
+    assert len(g._tables) == len(g.base) - g._depth + 1
+    assert g._tables[0].size == width**g._depth
+    assert all(t.dtype == np.intp for t in g._tables)
+    # every product by a brute composition of image rows, found by a sorted
+    # search over the rows read as base-width numbers
+    weights = width ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    keys = g.images.astype(np.int64) @ weights
+    order = np.argsort(keys)
+    y = np.arange(n)
+    for lo in range(0, n, 64):
+        x = np.arange(lo, min(lo + 64, n))
+        composed = np.take_along_axis(g.images[x][:, None, :], g.images[y][None, :, :].astype(np.intp), axis=2)
+        found = order[np.searchsorted(keys, composed @ weights, sorter=order)]
+        assert np.array_equal(g._mul_kernel(x[:, None], y[None, :]), found)
+        assert np.array_equal(g._mul_kernel(np.repeat(x, n), np.tile(y, len(x))), found.ravel())
+
+
+def test_fusion_takes_the_dense_table_where_it_is_no_larger():
+    # PSL2(q): (q+1)^3 slots against (q+1)^2 + (q(q+1) + 1)(q+1), so one table
+    for q in (5, 29):
+        g = build_group(f"PSL2({q})")
+        assert g._depth == 3 and len(g._tables) == 1
+    # S7 on 7 points: 7^3 <= 49 + 43*7 fuses three base points, 7^4 > 49 +
+    # 301 + 211*7 stops there, so S7 keeps four of its five levels
+    g = build_group("perm:(1 2 3 4 5 6 7);(1 2)")
+    assert g.base == [0, 1, 2, 3, 4, 5] and g._depth == 3
+    assert [t.size for t in g._tables] == [7**3, 211 * 7, 841 * 7, 2521 * 7]
+    # S3^5 on 15 points: 15^3 > 15^2 + 7*15, so no fusion
+    assert build_group(AWKWARD_PERMS[4])._depth == 2
+
+
+def test_the_psl2_73_index_stays_within_its_bytes():
+    g = build_group("PSL2(73)")
+    assert sum(t.nbytes for t in g._tables) <= 3.25e6
+    assert [t.size for t in g._tables] == [74**3]
+
+
+@pytest.mark.parametrize("spec", ["PSL2(11)", "PSL2(29)", "perm:(1 2 3 4 5 6);(1 2)", "perm:(1 2 3 4 5 6 7);(1 2)"])
+def test_a_corrupted_image_row_raises_from_every_path(spec):
+    # a row that sends every point to point 0 has base images no element has,
+    # and so has its product with any element on either side
+    g = build_group(spec)
+    n = g.order
+    bad = 5
+    g.images[bad] = 0
+    g._columns[:, bad] = 0
+    others = np.arange(n - 10, n)
+    for a, b in (
+        (np.array([bad]), others),  # one flat product row
+        (np.array([[bad], [1]]), others[None, :]),  # a row block
+        (others[:, None], np.array([[bad, 2]])),  # the corrupted row on the right
+        (np.asarray(bad), np.asarray(3)),
+    ):
+        with pytest.raises(NotAGroup, match="outside the element set"):
+            g._mul_kernel(a, b)
+    with pytest.raises(NotAGroup, match="outside the element set"):
+        g._mul_word((others[None, :], np.array([[bad]]), others[None, :]))
+    with pytest.raises(NotAGroup, match="outside the element set"):
+        g.mul(bad, 3)
