@@ -1,7 +1,11 @@
 """grplab command-line interface.
 
-Exit codes: 0 success, 1 usage or malformed input, 2 invariant violation,
-3 budget exceeded.  Reports are canonical JSON (or CSV with --format csv);
+Every command but ``sweep`` is a function ``(args, group) -> payload``:
+``main`` settles the common flags, builds the ``--group`` once, and emits
+``{"group": ..., **payload}``.  Exit codes: 0 success, else the failing
+error's ``exit_code`` (1 usage or malformed input, 2 invariant violation,
+3 budget exceeded; an assertion exits 2, running out of memory 3, a file
+or value error 1).  Reports are canonical JSON (or CSV with --format csv);
 elapsed_ms is recorded as 0 unless --timing is given, keeping identical
 runs byte-identical.
 """
@@ -23,31 +27,13 @@ from .counting import (
     count_power_equation,
     count_xy_eq_z,
 )
-from .groups import build_group, conjugacy_classes
+from .groups import FiniteGroup, build_group, conjugacy_classes
 from .reports import canonical_json, rows_to_csv, _flatten
 from .sets import make_set, set_statistics
 from .spectral import character_degrees, quasirandomness_degree
 
 # ramsey, regularity and lab are imported by the handlers that run them, so a
 # count, stats, group or quasirandom call never loads them
-
-_USAGE_ERRORS = (
-    errors.MalformedSpec,
-    errors.NotPrimePower,
-    errors.ConfigInvalid,
-    errors.GroupMismatch,
-    errors.DomainMismatch,
-    errors.EngineUnsupported,
-    errors.KindUnsupportedForGroup,
-    errors.EmptySet,
-)
-_INVARIANT_ERRORS = (errors.NotAGroup, errors.ValidationFailed, errors.PointwiseIdentityFailed)
-_BUDGET_ERRORS = (
-    errors.OrderCapExceeded,
-    errors.BudgetExceeded,
-    errors.ExactCapExceeded,
-    errors.GridTooLarge,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,8 +56,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timing", action="store_true", help="record wall-clock in reports")
 
 
-def _settle_common(args: argparse.Namespace) -> None:
-    """Fill unset common flags from the config file; explicit flags win."""
+def _settle_common(args: argparse.Namespace) -> Any:
+    """Fill unset common flags from the config file; explicit flags win.
+    Returns the config read, or None without --config."""
     cfg = None
     if args.config:
         from .lab import load_config
@@ -83,43 +70,39 @@ def _settle_common(args: argparse.Namespace) -> None:
         args.threads = cfg.threads if cfg else 1
     errors.require_nonnegative(threads=args.threads)
     if args.format is None:
-        args.format = cfg.format if cfg and cfg.format in ("json", "csv") else "json"
+        args.format = cfg.format if cfg else "json"
     if cfg and cfg.timing:
         args.timing = True
+    return cfg
 
 
 def _args_group(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--classes", action="store_true", help="include the conjugacy partition")
 
 
 def _args_stats(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--set", required=True, dest="set_spec")
     p.add_argument("--m-max", type=int, default=5)
 
 
 def _args_count(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--sets", nargs="+", required=True)
     p.add_argument("--equation", required=True, help="xyz | ap3 | power:n1,n2,n3 | mixing:n")
     p.add_argument("--engine", choices=("auto", "brute", "fft"), default="auto")
 
 
 def _args_mixing(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sets", nargs="*", default=[], help="2^n-1 set specs in binary-subset order")
     p.add_argument("--set-all", dest="set_all", help="one set spec used for every subset")
     p.add_argument("--engine", choices=("auto", "brute", "fft"), default="auto")
 
 
-def _args_quasirandom(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
+def _args_none(p: argparse.ArgumentParser) -> None:
+    pass  # quasirandom takes only --group; sweep's recipe, sets and grid come from --config
 
 
 def _args_schur(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--coloring", help="coloring file or random:k,seed")
     p.add_argument("--search", action="store_true", help="adversarial minimizing search")
     p.add_argument("--k", type=int, default=2)
@@ -128,7 +111,6 @@ def _args_schur(p: argparse.ArgumentParser) -> None:
 
 
 def _args_hindman(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--coloring", required=True, help="coloring file or random:k,seed")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nontrivial", action="store_true")
@@ -136,7 +118,6 @@ def _args_hindman(p: argparse.ArgumentParser) -> None:
 
 
 def _args_cip(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
@@ -151,19 +132,13 @@ def _args_check(p: argparse.ArgumentParser, trials: int) -> None:
 
 
 def _args_regular(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--sets", nargs=3, required=True)
     _args_check(p, trials=500)
 
 
 def _args_rich(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True)
     p.add_argument("--set", required=True, dest="set_spec")
     _args_check(p, trials=2000)
-
-
-def _args_sweep(p: argparse.ArgumentParser) -> None:
-    pass  # the recipe, its sets and its grid come from --config
 
 
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
@@ -178,6 +153,8 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         # a command that argv does not run never parses, so it needs no -h
         p = sub.add_parser(name, help=command.help, add_help=name == chosen)
         if name == chosen:
+            if name != "sweep":
+                p.add_argument("--group", required=True)
             command.add_arguments(p)
             _add_common(p)
     return parser
@@ -216,10 +193,8 @@ def _write_report(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_group(args: argparse.Namespace, started: float) -> None:
-    group = build_group(args.group)
+def _cmd_group(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     payload: Dict[str, Any] = {
-        "group": args.group,
         "spec": group.spec_text,
         "order": group.order,
         "abelian": group.is_abelian,
@@ -229,20 +204,17 @@ def _cmd_group(args: argparse.Namespace, started: float) -> None:
         cc = conjugacy_classes(group)
         payload["class_count"] = cc.count
         payload["class_sizes"] = cc.sizes()
-    _emit(payload, args, started)
+    return payload
 
 
-def _cmd_stats(args: argparse.Namespace, started: float) -> None:
-    group = build_group(args.group)
+def _cmd_stats(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     a = make_set(group, args.set_spec)
-    payload = {
-        "group": args.group,
+    return {
         "set": args.set_spec,
         "card": a.card,
         "density": a.density,
         **set_statistics(a, args.m_max)._asdict(),
     }
-    _emit(payload, args, started)
 
 
 def _mixing_subsets(n: int) -> List[Tuple[int, ...]]:
@@ -256,8 +228,7 @@ def _count_mixing(n: int, sets: Sequence, engine: str) -> CountReport:
     return count_mixing_tuples(n, dict(zip(_mixing_subsets(n), sets)), engine)
 
 
-def _cmd_count(args: argparse.Namespace, started: float) -> None:
-    group = build_group(args.group)
+def _cmd_count(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     sets = [make_set(group, s) for s in args.sets]
     equation = args.equation
     if equation == "xyz":
@@ -288,12 +259,10 @@ def _cmd_count(args: argparse.Namespace, started: float) -> None:
         rep = _count_mixing(n, sets, args.engine)
     else:
         raise errors.MalformedSpec(f"unknown equation {equation!r}")
-    payload = {"group": args.group, "sets": list(args.sets), **rep.to_dict()}
-    _emit(payload, args, started)
+    return {"sets": list(args.sets), **rep.to_dict()}
 
 
-def _cmd_mixing(args: argparse.Namespace, started: float) -> None:
-    group = build_group(args.group)
+def _cmd_mixing(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     k = len(_mixing_subsets(args.n))
     if not args.set_all and len(args.sets) != k:
         raise errors.ConfigInvalid(f"mixing n={args.n} needs {k} sets in binary-subset order")
@@ -301,121 +270,86 @@ def _cmd_mixing(args: argparse.Namespace, started: float) -> None:
     made = {s: make_set(group, s) for s in dict.fromkeys(specs)}
     set_specs = specs * k if args.set_all else list(specs)
     rep = _count_mixing(args.n, [made[s] for s in set_specs], args.engine)
-    payload = {"group": args.group, "sets": set_specs, **rep.to_dict()}
-    _emit(payload, args, started)
+    return {"sets": set_specs, **rep.to_dict()}
 
 
-def _cmd_quasirandom(args: argparse.Namespace, started: float) -> None:
-    group = build_group(args.group)
+def _cmd_quasirandom(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     profile = character_degrees(group, seed=args.seed)
-    payload = {
-        "group": args.group,
+    return {
         "order": group.order,
         "class_count": profile.class_count,
         "degrees": list(profile.degrees),
         "quasirandomness_degree": quasirandomness_degree(group, seed=args.seed),
         "abelianization_order": profile.abelianization_order,
     }
-    _emit(payload, args, started)
 
 
-def _cmd_schur(args: argparse.Namespace, started: float) -> None:
+def _cmd_schur(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     from .ramsey import schur_adversarial_search, schur_counts
 
-    group = build_group(args.group)
     if args.search:
         result = schur_adversarial_search(
             group, args.k, iterations=args.iterations, restarts=args.restarts, seed=args.seed
         )
-        payload = {"group": args.group, "mode": "search", **result.to_dict()}
-    else:
-        if not args.coloring:
-            raise errors.ConfigInvalid("schur needs --coloring (or --search)")
-        coloring = _load_coloring(group, args.coloring)
-        rep = schur_counts(coloring)
-        payload = {"group": args.group, "coloring": args.coloring, **rep.to_dict()}
-    _emit(payload, args, started)
+        return {"mode": "search", **result.to_dict()}
+    if not args.coloring:
+        raise errors.ConfigInvalid("schur needs --coloring (or --search)")
+    rep = schur_counts(_load_coloring(group, args.coloring))
+    return {"coloring": args.coloring, **rep.to_dict()}
 
 
-def _cmd_hindman(args: argparse.Namespace, started: float) -> None:
+def _cmd_hindman(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     from .ramsey import monochromatic_tuple_search
 
-    group = build_group(args.group)
     coloring = _load_coloring(group, args.coloring)
     result = monochromatic_tuple_search(
         coloring, args.n, budget=args.budget, nontrivial=args.nontrivial
     )
-    payload = {
-        "group": args.group,
+    return {
         "coloring": args.coloring,
         "n": args.n,
         "nontrivial": args.nontrivial,
         **result.to_dict(),
     }
-    _emit(payload, args, started)
 
 
-def _cmd_cip(args: argparse.Namespace, started: float) -> None:
+def _cmd_cip(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     from .ramsey import cip_density_experiment
 
-    group = build_group(args.group)
-    payload = cip_density_experiment(
+    return cip_density_experiment(
         group, args.k, args.n, trials=args.trials, seed=args.seed, samples=args.samples
     )
-    _emit(payload, args, started)
 
 
-def _cmd_regular(args: argparse.Namespace, started: float) -> None:
+def _cmd_regular(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     from .regularity import _as_fraction, check_regular_position
 
-    group = build_group(args.group)
     sets = [make_set(group, s) for s in args.sets]
     eps = _as_fraction(args.eps)
     verdict = check_regular_position(
         sets[0], sets[1], sets[2], eps, mode=args.mode, trials=args.trials, seed=args.seed
     )
-    payload = {
-        "group": args.group,
-        "sets": list(args.sets),
-        "eps": eps,
-        "mode": args.mode,
-        **verdict.to_dict(),
-    }
-    _emit(payload, args, started)
+    return {"sets": list(args.sets), "eps": eps, "mode": args.mode, **verdict.to_dict()}
 
 
-def _cmd_rich(args: argparse.Namespace, started: float) -> None:
+def _cmd_rich(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
     from .regularity import _as_fraction, check_product_rich
 
-    group = build_group(args.group)
     a = make_set(group, args.set_spec)
     eps = _as_fraction(args.eps)
     verdict = check_product_rich(a, eps, mode=args.mode, trials=args.trials, seed=args.seed)
-    payload = {
-        "group": args.group,
-        "set": args.set_spec,
-        "eps": eps,
-        "mode": args.mode,
-        **verdict.to_dict(),
-    }
-    _emit(payload, args, started)
+    return {"set": args.set_spec, "eps": eps, "mode": args.mode, **verdict.to_dict()}
 
 
-def _cmd_sweep(args: argparse.Namespace, started: float) -> None:
+def _cmd_sweep(args: argparse.Namespace) -> None:
+    """Run the config's recipe over its grid and write the reports itself:
+    one JSON list, or the merged CSV rows."""
     if not args.config:
         raise errors.ConfigInvalid("sweep needs --config")
-    from .lab import load_config, sweep
+    from .lab import sweep
 
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        errors.require_nonnegative(threads=args.threads)
-        cfg.threads = args.threads
-    if args.format is not None:
-        cfg.format = args.format
-    if args.timing:
-        cfg.timing = True
+    cfg = _settle_common(args)
+    cfg.seed, cfg.threads, cfg.format, cfg.timing = args.seed, args.threads, args.format, args.timing
     reports, rows = sweep(cfg)
     if cfg.format == "csv":
         text = rows_to_csv(rows)
@@ -425,7 +359,7 @@ def _cmd_sweep(args: argparse.Namespace, started: float) -> None:
 
 
 class _Command(NamedTuple):
-    run: Callable[[argparse.Namespace, float], None]
+    run: Callable[..., Any]  # (args, group) -> payload; sweep's takes args alone
     help: str
     add_arguments: Callable[[argparse.ArgumentParser], None]
 
@@ -436,14 +370,14 @@ _COMMANDS = {
     "count": _Command(_cmd_count, "count solutions of an equation", _args_count),
     "mixing": _Command(_cmd_mixing, "count mixing tuples (all subproducts constrained)", _args_mixing),
     "quasirandom": _Command(
-        _cmd_quasirandom, "character degrees and quasirandomness degree", _args_quasirandom
+        _cmd_quasirandom, "character degrees and quasirandomness degree", _args_none
     ),
     "schur": _Command(_cmd_schur, "per-color product-triple counts", _args_schur),
     "hindman": _Command(_cmd_hindman, "monochromatic product-tuple search", _args_hindman),
     "cip": _Command(_cmd_cip, "monochromatic tuple densities over random colorings", _args_cip),
     "regular": _Command(_cmd_regular, "regular-position check for three sets", _args_regular),
     "rich": _Command(_cmd_rich, "product-richness check for one set", _args_rich),
-    "sweep": _Command(_cmd_sweep, "run a recipe config over its grid", _args_sweep),
+    "sweep": _Command(_cmd_sweep, "run a recipe config over its grid", _args_none),
 }
 
 
@@ -459,32 +393,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return code
         return 1 if exc.code else 0
     started = time.monotonic()
+    run = _COMMANDS[args.command].run
     try:
-        if args.command != "sweep":
+        if args.command == "sweep":
+            run(args)
+        else:
             _settle_common(args)
-        _COMMANDS[args.command].run(args, started)
-    except _USAGE_ERRORS as exc:
-        print(f"grplab: {exc}", file=sys.stderr)
-        return 1
-    except _INVARIANT_ERRORS as exc:
-        print(f"grplab: invariant violation: {exc}", file=sys.stderr)
-        return 2
+            _emit({"group": args.group, **run(args, build_group(args.group))}, args, started)
+        return 0
+    except errors.GrplabError as exc:
+        code, message = exc.exit_code, str(exc)
     except AssertionError as exc:
-        print(f"grplab: invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except _BUDGET_ERRORS as exc:
-        print(f"grplab: budget exceeded: {exc}", file=sys.stderr)
-        return 3
+        code, message = 2, str(exc)
     except MemoryError:
-        print("grplab: budget exceeded: out of memory", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"grplab: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"grplab: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        code, message = 3, "out of memory"
+    except (OSError, ValueError) as exc:
+        code, message = 1, str(exc)
+    prefix = {2: "invariant violation: ", 3: "budget exceeded: "}.get(code, "")
+    print(f"grplab: {prefix}{message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

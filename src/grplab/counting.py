@@ -358,7 +358,7 @@ def count_power_equation(
     exponents (``extras["torsion_free"]``).
     """
     if min(n1, n2, n3) < 1:
-        raise ValueError("exponents must be >= 1")
+        raise MalformedSpec("exponents must be >= 1")
     g = a.group
     engine = _resolve_engine(g, engine, a.card * a.card)
     ai = a.indices

@@ -1,10 +1,17 @@
-"""Exception hierarchy shared by all grplab modules."""
+"""Exception hierarchy shared by all grplab modules.
+
+Each class carries the CLI's exit code for it in ``exit_code``: 1 for usage
+or malformed input (the default), 2 for an invariant violation, 3 for an
+exceeded budget.  A subclass inherits its parent's code.
+"""
 
 from __future__ import annotations
 
 
 class GrplabError(Exception):
     """Base class for all errors raised by grplab."""
+
+    exit_code = 1
 
 
 class MalformedSpec(GrplabError):
@@ -14,6 +21,8 @@ class MalformedSpec(GrplabError):
 class OrderCapExceeded(GrplabError):
     """Constructing the group would exceed the configured order cap."""
 
+    exit_code = 3
+
 
 class NotPrimePower(GrplabError):
     """PSL2 requires a prime-power field size."""
@@ -21,6 +30,8 @@ class NotPrimePower(GrplabError):
 
 class NotAGroup(GrplabError):
     """A multiplication table fails the group axioms."""
+
+    exit_code = 2
 
 
 class GroupMismatch(GrplabError):
@@ -34,6 +45,8 @@ class EmptySet(GrplabError):
 class ExactCapExceeded(GrplabError):
     """Exact subset enumeration is only offered below a hard size cap."""
 
+    exit_code = 3
+
 
 class KindUnsupportedForGroup(GrplabError):
     """The requested set constructor does not apply to this group."""
@@ -41,6 +54,8 @@ class KindUnsupportedForGroup(GrplabError):
 
 class BudgetExceeded(GrplabError):
     """An iteration or memory budget would be exceeded."""
+
+    exit_code = 3
 
 
 class DomainMismatch(GrplabError):
@@ -50,9 +65,13 @@ class DomainMismatch(GrplabError):
 class PointwiseIdentityFailed(GrplabError):
     """The pointwise product identity holds on too small a fraction of the domain."""
 
+    exit_code = 2
+
 
 class ValidationFailed(GrplabError):
     """A numerical result failed its exact integer validation."""
+
+    exit_code = 2
 
 
 class EngineUnsupported(GrplabError):
@@ -65,6 +84,8 @@ class ConfigInvalid(GrplabError):
 
 class GridTooLarge(GrplabError):
     """A sweep grid exceeds the cell cap."""
+
+    exit_code = 3
 
 
 def require_nonnegative(**counts: int) -> None:

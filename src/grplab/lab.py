@@ -24,17 +24,6 @@ from .spectral import quasirandomness_degree
 # the recipes that run ramsey or regularity import it themselves, so a
 # config file or a counting recipe never loads them
 
-RECIPES = (
-    "mixing-trend",
-    "roth-small-doubling",
-    "power-equation",
-    "schur",
-    "hindman",
-    "regular-position",
-    "product-rich",
-    "growth-profile",
-)
-
 GRID_CELL_CAP = 10_000
 
 
@@ -94,6 +83,8 @@ class ExperimentConfig(PlainRecord):
         cfg.threads = int(data.get("threads", 1))
         require_nonnegative(threads=cfg.threads)
         cfg.format = str(data.get("format", "json"))
+        if cfg.format not in ("json", "csv"):
+            raise ConfigInvalid(f"format must be json or csv, got {cfg.format!r}")
         cfg.timing = bool(data.get("timing", False))
         grid = data.get("grid", {})
         if not isinstance(grid, dict) or any(not isinstance(v, list) for v in grid.values()):
@@ -406,6 +397,7 @@ _RECIPE_RUNNERS: Dict[str, Callable[[ExperimentConfig, ExperimentReport], None]]
     "product-rich": _recipe_product_rich,
     "growth-profile": _recipe_growth_profile,
 }
+RECIPES = tuple(_RECIPE_RUNNERS)
 
 
 def run_recipe(cfg: ExperimentConfig) -> ExperimentReport:

@@ -81,13 +81,6 @@ class SplitMix64:
             hi = min(m, lo + _BLOCK)
             yield lo, hi, self._block(hi - lo)
 
-    def next_u64_array(self, m: int) -> np.ndarray:
-        """The next m words; equals m calls of :meth:`next_u64`."""
-        out = np.empty(m, dtype=np.uint64)
-        for lo, hi, words in self._blocks(m):
-            out[lo:hi] = words
-        return out
-
     def uniform_array(self, m: int) -> np.ndarray:
         """m floats; equals m calls of :meth:`uniform`."""
         out = np.empty(m, dtype=np.float64)
@@ -135,8 +128,3 @@ class SplitMix64:
             pool[i], pool[j] = pool[j], pool[i]
             out.append(pool[i])
         return out
-
-
-def stream(seed: int, *path: int) -> SplitMix64:
-    """Stream for a derived substream seed; see :func:`derive`."""
-    return SplitMix64(derive(seed, *path))

@@ -417,6 +417,13 @@ def test_power_equation_identity_singleton():
     assert rep.count == 1
 
 
+def test_power_equation_refuses_exponents_below_one():
+    a = GroupSubset.from_indices(build_group("Z/5"), [0])
+    for exponents in ((0, 1, 1), (1, -2, 1), (1, 1, 0)):
+        with pytest.raises(MalformedSpec, match="^exponents must be >= 1$"):
+            count_power_equation(a, *exponents)
+
+
 def test_power_111_equals_xyz():
     g = build_group("Z/7")
     a = _random_subset(g, 0.6, 17)

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from grplab import cli, errors
 from grplab.cli import main
 from grplab.errors import ConfigInvalid, GridTooLarge, MalformedSpec
+from grplab.groups import build_group
 from grplab.lab import ExperimentConfig, parse_config_text, run_recipe, sweep
 from grplab.reports import canonical_json, rows_to_csv
 
@@ -44,6 +46,8 @@ def test_parse_config_rejects_garbage():
         parse_config_text("seed = 1")  # missing recipe
     with pytest.raises(ConfigInvalid):
         parse_config_text("recipe = \"schur\"\nnot json = value")
+    with pytest.raises(ConfigInvalid, match="format must be json or csv, got 'xml'"):
+        parse_config_text("recipe = \"schur\"\nformat = \"xml\"")
 
 
 def test_run_recipe_growth_profile():
@@ -422,9 +426,7 @@ def test_cli_exit_codes(capsys, tmp_path):
 
 
 def test_cli_maps_memory_error_to_budget_exit(capsys, monkeypatch):
-    import grplab.cli as cli
-
-    def exhausted(args, started):
+    def exhausted(args, group):
         raise MemoryError
 
     monkeypatch.setitem(cli._COMMANDS, "group", cli._COMMANDS["group"]._replace(run=exhausted))
@@ -432,6 +434,87 @@ def test_cli_maps_memory_error_to_budget_exit(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.strip() == "grplab: budget exceeded: out of memory"
+
+
+def _error_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+class _UnlistedError(errors.GrplabError):
+    """An error class that no module of grplab raises or names."""
+
+
+# the exit code of each error class; every other subclass of GrplabError exits 1
+EXIT_CODES = {
+    errors.NotAGroup: 2,
+    errors.ValidationFailed: 2,
+    errors.PointwiseIdentityFailed: 2,
+    errors.OrderCapExceeded: 3,
+    errors.BudgetExceeded: 3,
+    errors.ExactCapExceeded: 3,
+    errors.GridTooLarge: 3,
+}
+PREFIXES = {1: "grplab: ", 2: "grplab: invariant violation: ", 3: "grplab: budget exceeded: "}
+ERROR_CLASSES = [errors.GrplabError, *_error_classes(errors.GrplabError)]
+
+
+def test_the_exit_code_walk_sees_every_error_class():
+    assert len(ERROR_CLASSES) == 17  # the base, its 15 subclasses and _UnlistedError
+    assert _UnlistedError in ERROR_CLASSES and set(EXIT_CODES) <= set(ERROR_CLASSES)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+def test_cli_exits_with_the_error_classes_code(error, capsys, monkeypatch):
+    def failing(args, group):
+        raise error("the message")
+
+    monkeypatch.setitem(cli._COMMANDS, "group", cli._COMMANDS["group"]._replace(run=failing))
+    code, out, err = _run_cli(["group", "--group", "Z/6"], capsys)
+    assert code == error.exit_code == EXIT_CODES.get(error, 1)
+    assert out == ""
+    assert err == PREFIXES[code] + "the message\n"
+
+
+def test_a_handler_returns_its_payload_and_writes_nothing(capsys):
+    argv = ["count", "--group", "Z/5", "--sets", "explicit:0,1,3", "--equation", "ap3"]
+    args = cli.build_parser(argv).parse_args(argv)
+    payload = cli._COMMANDS["count"].run(args, build_group("Z/5"))
+    assert capsys.readouterr() == ("", "")
+    assert payload["sets"] == ["explicit:0,1,3"] and payload["equation"] == "ap3"
+    assert "group" not in payload and "seed" not in payload
+    code, out, _ = _run_cli(argv, capsys)
+    assert code == 0
+    assert out == canonical_json({"group": "Z/5", **payload, "seed": 0, "elapsed_ms": 0})
+
+
+def test_cli_refuses_power_exponents_below_one(capsys):
+    argv = ["count", "--group", "Z/5", "--sets", "explicit:0", "--equation", "power:0,1,1"]
+    assert _run_cli(argv, capsys) == (1, "", "grplab: exponents must be >= 1\n")
+
+
+def test_cli_refuses_a_config_format_other_than_json_or_csv(capsys, tmp_path):
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text('recipe = "growth-profile"\ngroups = ["Z/8"]\nsets = ["interval:0,2"]\nformat = "xml"\n')
+    want = (1, "", "grplab: format must be json or csv, got 'xml'\n")
+    # an explicit --format does not save a config that names another format
+    for argv in (["sweep"], ["sweep", "--format", "json"], ["group", "--group", "Z/6"]):
+        assert _run_cli(argv + ["--config", str(cfg)], capsys) == want
+
+
+def test_cli_sweep_settles_its_flags_like_every_command(capsys, tmp_path):
+    # without --config sweep fails first, before its other flags are checked
+    argv = ["sweep", "--threads", "-3", "--format", "csv"]
+    assert _run_cli(argv, capsys) == (1, "", "grplab: sweep needs --config\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("seed = 7\n", 'seed = 7\nformat = "csv"\n'))
+    code, out, _ = _run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0 and out.startswith("card,cell_index,")  # csv from the config
+    code, out, _ = _run_cli(["sweep", "--config", str(cfg), "--format", "json", "--seed", "8"], capsys)
+    (report,) = json.loads(out)
+    assert code == 0 and report["seed"] == 8
+    assert report["config"]["format"] == "json" and report["config"]["seed"] == 8
 
 
 @pytest.mark.parametrize("argv", [

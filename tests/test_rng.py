@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from grplab.rng import _BLOCK, SplitMix64, derive, mix64, stream
+from grplab.rng import _BLOCK, SplitMix64, derive, mix64
 
 
 def test_mix64_reference_values():
@@ -14,9 +14,9 @@ def test_mix64_reference_values():
 
 
 def test_streams_are_reproducible_and_distinct():
-    a = [stream(42, 1).next_u64() for _ in range(4)]
-    b = [stream(42, 1).next_u64() for _ in range(4)]
-    c = [stream(42, 2).next_u64() for _ in range(4)]
+    a = [SplitMix64(derive(42, 1)).next_u64() for _ in range(4)]
+    b = [SplitMix64(derive(42, 1)).next_u64() for _ in range(4)]
+    c = [SplitMix64(derive(42, 2)).next_u64() for _ in range(4)]
     assert a == b
     assert a != c
 
@@ -64,7 +64,11 @@ def _after_block(block, scalar, seed, m):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("m", SIZES)
 def test_next_u64_array_matches_scalar_stream(seed, m):
-    got = _after_block(SplitMix64.next_u64_array, SplitMix64.next_u64, seed, m)
+    # the raw words of the blocks that every *_array draw reads
+    def words(s, m):
+        return np.concatenate([np.empty(0, np.uint64)] + [w for _, _, w in s._blocks(m)])
+
+    got = _after_block(words, SplitMix64.next_u64, seed, m)
     assert all(0 <= w < 1 << 64 for w in got)
 
 
@@ -119,7 +123,7 @@ def test_block_draws_reject_bad_arguments():
         with pytest.raises(ValueError):
             SplitMix64(3).randrange_array(n, 4)
     s = SplitMix64(3)
-    for block in (s.next_u64_array, s.uniform_array, lambda m: s.bernoulli_array(m, 0.5), lambda m: s.randrange_array(5, m)):
+    for block in (s.uniform_array, lambda m: s.bernoulli_array(m, 0.5), lambda m: s.randrange_array(5, m)):
         with pytest.raises(ValueError):
             block(-1)
 
