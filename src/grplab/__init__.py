@@ -14,14 +14,10 @@ import importlib
 # submodule -> the public names it lends the package
 _EXPORTS = {
     "counting": (
-        "ConvolutionIdentityResult",
         "CountReport",
         "FiberFunction",
-        "all_nonempty_subsets",
-        "convolution_identity_check",
         "count_ap3",
         "count_fiber_equation",
-        "count_mixing_tuples",
         "count_power_equation",
         "count_xy_eq_z",
     ),
@@ -38,7 +34,6 @@ _EXPORTS = {
         "conjugacy_classes",
         "element_order",
         "parse_group_spec",
-        "verify_group_axioms",
     ),
     "lab": ("ExperimentConfig", "load_config", "parse_config_text", "run_recipe", "sweep"),
     "ramsey": (
@@ -77,6 +72,13 @@ _EXPORTS = {
         "character_degrees",
         "quasirandomness_degree",
         "regular_representation_degrees",
+    ),
+    "tables": ("verify_group_axioms",),
+    "tuples": (
+        "ConvolutionIdentityResult",
+        "all_nonempty_subsets",
+        "convolution_identity_check",
+        "count_mixing_tuples",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,13 +1,12 @@
 """The dense index of a group acting on points, for
-:class:`grplab.groups.PointImageGroup`: a greedy base of the action, and the
-tables that find an element by its images of that base.
+:class:`grplab.pointimage.PointImageGroup`: a greedy base of the action, and
+the tables that find an element by its images of that base.
 
-It is a module of its own, imported by the first point-image group built,
-so that a command on other groups does not compile it and ``groups`` stays
-small to compile: under CPython 3.11, compiling a module took about 0.55 MB
+Only :mod:`grplab.pointimage` imports it, so a command on other groups does
+not compile it.  Under CPython 3.11, compiling a module took about 0.55 MB
 more peak memory once it passed about 8192 tokens (seen between 7957 and
-8241), and without a bytecode cache every process that imported ``groups``
-with this code in it kept about 0.4 MB more resident set.
+8241), and without a bytecode cache every process that compiled a module
+past that size kept about 0.4 MB more resident set.
 """
 
 from __future__ import annotations

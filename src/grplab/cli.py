@@ -18,22 +18,15 @@ import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import errors
-from .counting import (
-    CountReport,
-    _check_mixing_n,
-    all_nonempty_subsets,
-    count_ap3,
-    count_mixing_tuples,
-    count_power_equation,
-    count_xy_eq_z,
-)
+from .counting import CountReport, count_ap3, count_power_equation, count_xy_eq_z
 from .groups import FiniteGroup, build_group, conjugacy_classes
 from .reports import canonical_json, rows_to_csv, _flatten
 from .sets import make_set, set_statistics
 from .spectral import character_degrees, quasirandomness_degree
 
-# ramsey, regularity and lab are imported by the handlers that run them, so a
-# count, stats, group or quasirandom call never loads them
+# ramsey, regularity, lab and the tuple walks are imported by the handlers
+# that run them, so a group, stats or quasirandom call, or an xyz, ap3 or
+# power count, never loads them
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,12 +212,16 @@ def _cmd_stats(args: argparse.Namespace, group: FiniteGroup) -> Dict[str, Any]:
 
 def _mixing_subsets(n: int) -> List[Tuple[int, ...]]:
     """The subsets of `mixing:n`, binary order; n outside 2..4 is refused before any subset is listed."""
+    from .tuples import _check_mixing_n, all_nonempty_subsets
+
     _check_mixing_n(n)
     return all_nonempty_subsets(n)
 
 
 def _count_mixing(n: int, sets: Sequence, engine: str) -> CountReport:
     """The mixing count of `count --equation mixing:n` and `mixing`: one set per subset, binary order."""
+    from .tuples import count_mixing_tuples
+
     return count_mixing_tuples(n, dict(zip(_mixing_subsets(n), sets)), engine)
 
 

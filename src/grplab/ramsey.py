@@ -7,9 +7,9 @@ elements a_1..a_n have all of their increasing-order subproducts inside B_0.
 Greedy element choice (argmax of the surviving set, ties to the least
 index) makes the run deterministic; a backtracking search with prefix
 pruning covers the colorings the greedy misses; it is the first tuple of
-the one prefix walk ``counting._prefixes``.  Every subproduct here, in a
+the one prefix walk ``tuples._prefixes``.  Every subproduct here, in a
 witness, a backtracking prefix or a block of sampled tuples, comes from the
-one recurrence ``counting._subproducts``.
+one recurrence ``tuples._subproducts``.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .counting import CountReport, _Factor, _pair_count, _prefixes, _product_counts, _subproducts, all_nonempty_subsets
-from .counting import count_mixing_tuples, count_xy_eq_z
+from .counting import CountReport, _Factor, _pair_count, _product_counts, count_xy_eq_z
 from .errors import BudgetExceeded, MalformedSpec, require_nonnegative
 from .groups import PRODUCT_BLOCK, FiniteGroup
 from .reports import PlainRecord
 from .rng import SplitMix64, derive
 from .sets import GroupSubset
+from .tuples import _prefixes, _subproducts, all_nonempty_subsets, count_mixing_tuples
 
 DEFAULT_NODE_BUDGET = 10**7
 MAX_EXACT_ITERATIONS = 10**8

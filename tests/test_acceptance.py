@@ -15,12 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from grplab.counting import (
-    convolution_identity_check,
-    count_ap3,
-    count_power_equation,
-    count_xy_eq_z,
-)
+from grplab.counting import count_ap3, count_power_equation, count_xy_eq_z
 from grplab.groups import build_group
 from grplab.lab import ExperimentConfig, run_recipe, sweep
 from grplab.ramsey import (
@@ -37,6 +32,7 @@ from grplab.regularity import VIOLATED, check_product_rich, check_regular_positi
 from grplab.rng import SplitMix64, derive
 from grplab.sets import GroupSubset, doubling_constant, make_set
 from grplab.spectral import character_degrees, quasirandomness_degree
+from grplab.tuples import convolution_identity_check
 
 MASTER_SEED = 20260808
 

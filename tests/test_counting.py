@@ -9,21 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import FLEET_SPECS, RULE_GROUPS, fleet_group, pair_rule, rule_sets, traced_peak
-from grplab import counting
+from grplab import counting, tuples
 from grplab.counting import (
     FiberFunction,
     _Factor,
     _product_counts,
     _torsion_free,
-    all_nonempty_subsets,
-    convolution_identity_check,
     count_ap3,
     count_fiber_equation,
-    count_mixing_tuples,
     count_power_equation,
     count_xy_eq_z,
     cyclic_convolution,
 )
+from grplab.tuples import all_nonempty_subsets, convolution_identity_check, count_mixing_tuples
 from grplab.errors import (
     BudgetExceeded,
     DomainMismatch,
@@ -655,13 +653,13 @@ def test_prefix_walk_matches_the_filtered_product(any_fleet_group, length):
 
     expect = []
     for tup in itertools.product(*lists):
-        prods = counting._subproducts(g.mul, tup)
+        prods = tuples._subproducts(g.mul, tup)
         if all(inside(k, v) for k, v in enumerate(prods)):
             expect.append((tup, prods))
-    walk = counting._prefixes(g.mul, choices, inside, length)
+    walk = tuples._prefixes(g.mul, choices, inside, length)
     assert [(prefix, list(prods)) for prefix, prods in walk] == expect
     tried.clear()
-    first = next(counting._prefixes(g.mul, choices, inside, length), None)
+    first = next(tuples._prefixes(g.mul, choices, inside, length), None)
     assert (None if first is None else first[0]) == (expect[0][0] if expect else None)
     if expect and length:
         # the walk stops at its first tuple: no later candidate is tried
@@ -779,7 +777,7 @@ def test_every_auto_pair_count_follows_the_pair_rule(spec, step, monkeypatch, ca
     fiber = count_fiber_equation(f, f, sq)
     assert (fiber.engine, fiber.count) == (want, power[1].count)
 
-    if g.order**2 <= counting.MIXING_BUDGET:
+    if g.order**2 <= tuples.MIXING_BUDGET:
         mixing = count_mixing_tuples(2, {(1,): a, (2,): b, (1, 2): c})
         assert (mixing.engine, mixing.count) == (want, xyz[1].count)
 

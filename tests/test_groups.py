@@ -8,20 +8,19 @@ import pytest
 from grplab.counting import count_ap3
 from grplab.errors import MalformedSpec, NotAGroup, NotPrimePower, OrderCapExceeded
 from grplab import groups
+from grplab.cyclic import CyclicGroup, _cyclic_digits, _cyclic_mul
 from grplab.groups import (
     TABLE_CAP,
     Cyclic,
     DirectProduct,
     PSL2,
-    TableGroup,
-    _require_associative,
-    _require_latin_square,
     build_group,
     conjugacy_classes,
     element_order,
     parse_group_spec,
-    verify_group_axioms,
 )
+from grplab.pointimage import PermutationGroup, PointImageGroup, PSL2Group
+from grplab.tables import TableGroup, _require_associative, _require_latin_square, verify_group_axioms
 from grplab.sets import make_set
 
 from conftest import FLEET_SPECS, _dihedral_table, _gf_scalar_ops, fleet_group, traced_peak
@@ -188,11 +187,11 @@ def test_the_carry_rule_agrees_with_the_scalar_product_on_every_pair(spec):
 def test_the_cyclic_inverse_table_is_written_in_int32():
     # n - i for i > 0: only the table it keeps (0.76 MB; 3.05 MB traced
     # when it went through n-sized int64 temporaries)
-    g, peak = traced_peak(lambda: groups.CyclicGroup(200000))
+    g, peak = traced_peak(lambda: CyclicGroup(200000))
     assert peak < 2**20, peak
     assert g.inverse_table.dtype == np.int32
     assert np.array_equal(g.inverse_table, -np.arange(g.order) % g.order)
-    assert groups.CyclicGroup(1).inverse_table.tolist() == [0]
+    assert CyclicGroup(1).inverse_table.tolist() == [0]
 
 
 @pytest.mark.parametrize(
@@ -245,25 +244,25 @@ def test_the_carry_rule_equals_the_digitwise_sum(seed):
     rng = np.random.default_rng(seed)
     moduli = _random_moduli(rng)
     n = prod(moduli)
-    digits = groups._cyclic_digits(moduli)
+    digits = _cyclic_digits(moduli)
     a, b = rng.integers(0, n, 500), rng.integers(0, n, 500)
     # sums that hit n and 2n - 2
     a = np.concatenate((a, [0, n - 1, n - 1, 1 % n]))
     b = np.concatenate((b, [0, n - 1, 1 % n, n - 1]))
-    got = groups._cyclic_mul(digits, n, a, b)
+    got = _cyclic_mul(digits, n, a, b)
     assert got.dtype == np.int64
     assert np.array_equal(got, _digitwise(moduli, a, b)), moduli
     # int32 operands, as inverse tables hold them
-    assert np.array_equal(groups._cyclic_mul(digits, n, a.astype(np.int32), b), got)
+    assert np.array_equal(_cyclic_mul(digits, n, a.astype(np.int32), b), got)
     # broadcast operands
     col, row = a[:40, None], b[None, :30]
-    assert np.array_equal(groups._cyclic_mul(digits, n, col, row), _digitwise(moduli, col, row))
+    assert np.array_equal(_cyclic_mul(digits, n, col, row), _digitwise(moduli, col, row))
     # 0-d operands: Python ints, numpy scalars and 0-d arrays
     x, y = int(a[0]), int(b[0])
     want = int(_digitwise(moduli, x, y))
     for left, right in ((x, y), (np.int64(x), y), (np.array(x), np.array(y)), (x, np.int32(y))):
-        assert int(groups._cyclic_mul(digits, n, left, right)) == want
-    assert np.array_equal(groups._cyclic_mul(digits, n, x, b), _digitwise(moduli, x, b))
+        assert int(_cyclic_mul(digits, n, left, right)) == want
+    assert np.array_equal(_cyclic_mul(digits, n, x, b), _digitwise(moduli, x, b))
 
 
 @pytest.mark.parametrize(
@@ -284,7 +283,7 @@ def test_the_carry_rule_keeps_int64_for_large_orders(moduli):
     rng = np.random.default_rng(n % 1000)
     a = np.concatenate((rng.integers(0, n, 2000), [n - 1, n - 1, 0]))
     b = np.concatenate((rng.integers(0, n, 2000), [n - 1, 1, 0]))
-    got = groups._cyclic_mul(groups._cyclic_digits(moduli), n, a, b)
+    got = _cyclic_mul(_cyclic_digits(moduli), n, a, b)
     assert got.dtype == np.int64
     assert np.array_equal(got, _digitwise(moduli, a, b))
 
@@ -1134,8 +1133,8 @@ def test_permutation_corrupt_index_entry_raises_from_kernel_and_scalar_mul(level
 
 def test_point_image_groups_share_one_kernel():
     # one kernel, one scalar mul and one lookup for PSL2 and permutations
-    for cls in (groups.PSL2Group, groups.PermutationGroup):
-        assert issubclass(cls, groups.PointImageGroup)
+    for cls in (PSL2Group, PermutationGroup):
+        assert issubclass(cls, PointImageGroup)
         assert not {"_mul_kernel", "mul", "_lookup"} & set(vars(cls)), cls
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -16,6 +17,8 @@ from grplab.errors import ConfigInvalid, GridTooLarge, MalformedSpec
 from grplab.groups import build_group
 from grplab.lab import ExperimentConfig, parse_config_text, run_recipe, sweep
 from grplab.reports import canonical_json, rows_to_csv
+
+from conftest import source_tokens
 
 CONFIG_TEXT = """
 # growth of an interval under symmetrized powers
@@ -302,12 +305,12 @@ def test_cli_mixing_takes_the_count_engines(argv, capsys):
     (["count", "--group", "Z/4", "--sets", "explicit:0", "--equation", "mixing:0"], 0),
 ])
 def test_cli_refuses_mixing_below_two_before_listing_subsets(argv, n, capsys, monkeypatch):
-    import grplab.cli as cli
+    import grplab.tuples as tuples
 
     def listed(n):
         raise AssertionError(f"listed the 2^{n} - 1 subsets")
 
-    monkeypatch.setattr(cli, "all_nonempty_subsets", listed)
+    monkeypatch.setattr(tuples, "all_nonempty_subsets", listed)
     code, out, err = _run_cli(argv, capsys)
     assert (code, out, err) == (1, "", f"grplab: mixing tuples need n >= 2, got {n}\n")
 
@@ -523,12 +526,12 @@ def test_cli_sweep_settles_its_flags_like_every_command(capsys, tmp_path):
     ["count", "--group", "Z/4", "--sets", "explicit:0", "explicit:1", "--equation", "mixing:5"],
 ])
 def test_cli_refuses_mixing_above_four_before_listing_subsets(argv, capsys, monkeypatch):
-    import grplab.cli as cli
+    import grplab.tuples as tuples
 
     def listed(n):
         raise AssertionError(f"listed the 2^{n} - 1 subsets")
 
-    monkeypatch.setattr(cli, "all_nonempty_subsets", listed)
+    monkeypatch.setattr(tuples, "all_nonempty_subsets", listed)
     code, out, err = _run_cli(argv, capsys)
     assert code == 3
     assert out == ""
@@ -611,8 +614,13 @@ def test_cli_import_leaves_out_concurrent_futures():
 
 
 CLI_MODULES = ["grplab"] + [
-    f"grplab.{m}" for m in ("cli", "errors", "groups", "gf", "rng", "sets", "counting", "spectral", "reports")
+    f"grplab.{m}" for m in ("cli", "errors", "groups", "rng", "sets", "counting", "spectral", "reports")
 ]
+# the modules that building each group family loads, and the tuple walks
+CYCLIC = ["grplab.cyclic"]
+POINT_IMAGE = ["grplab._baseindex", "grplab.gf", "grplab.pointimage"]
+TABLE = ["grplab.tables"]
+TUPLES = ["grplab.tuples"]
 
 RUN_MAIN = (
     "import contextlib, io, sys\n"
@@ -637,22 +645,105 @@ def test_cli_import_loads_only_the_core_modules():
     assert _loaded_after("import grplab.cli") == sorted(CLI_MODULES)
 
 
+# what the benchmark's build timer and tracer look up, at start-up, in the
+# modules that ``import grplab.cli`` loads: a lazy import of one of these
+# modules, or one of these names moved out of it, would hide it from them
+CHOKE_POINTS = {
+    "grplab.groups": ("build_group", "FiniteGroup.table", "TABLE_CAP"),
+    "grplab.rng": ("SplitMix64",),
+    "grplab.counting": ("cyclic_convolution", "count_xy_eq_z", "count_ap3", "count_power_equation"),
+    "grplab.spectral": ("character_degrees", "abelianization_order"),
+}
+
+
+def test_the_cli_import_loads_every_benchmark_choke_point():
+    loaded = _loaded_after("import grplab.cli")
+    for module, names in CHOKE_POINTS.items():
+        assert module in loaded, module
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            scope = vars(importlib.import_module(module))
+            scope = vars(scope[owner]) if owner else scope
+            assert attr in scope, name
+            obj = scope[attr]
+            obj = obj.fget if isinstance(obj, property) else obj
+            assert not callable(obj) or obj.__module__ == module, name
+
+
+# tokens of grplab source that a Z/n xyz count compiles without a bytecode
+# cache: 17733 once the group families and the tuple walks left the modules
+# every command loads (22988 before), plus a little headroom
+XYZ_TOKEN_BUDGET = 18000
+
+
+def test_an_xyz_count_on_z_n_compiles_within_its_token_budget():
+    argv = ["count", "--group", "Z/12", "--sets", "random:0.5,1", "random:0.5,2", "random:0.5,3", "--equation", "xyz"]
+    package = Path(cli.__file__).parent
+    loaded = [m for m in _loaded_after(RUN_MAIN, *argv) if m.startswith("grplab")]
+    files = [package / ("__init__.py" if m == "grplab" else m.split(".", 1)[1] + ".py") for m in loaded]
+    assert sum(source_tokens(path) for path in files) <= XYZ_TOKEN_BUDGET
+
+
+# group family -> (its --group spec, the modules its build loads)
+FAMILIES = {
+    "Z/n": ("Z/12", CYCLIC),
+    "cyclic-product": ("Z/2 x Z/6", CYCLIC),
+    "PSL2": ("PSL2(5)", POINT_IMAGE),
+    "perm": ("perm:(1 2 3);(1 2)", POINT_IMAGE),
+    "table": ("table:{table}", TABLE),
+}
+# command -> (its arguments after --group, the modules it loads besides the family's)
+FAMILY_COMMANDS = {
+    "xyz": (["count", "--sets", "random:0.5,1", "random:0.5,2", "random:0.5,3", "--equation", "xyz"], []),
+    "ap3": (["count", "--sets", "random:0.5,1", "--equation", "ap3"], []),
+    "power": (["count", "--sets", "random:0.5,1", "--equation", "power:1,1,2"], []),
+    "count-mixing": (["count", "--sets", "random:0.5,1", "--equation", "mixing:2"], TUPLES),
+    "mixing": (["mixing", "--n", "2", "--set-all", "random:0.5,1"], TUPLES),
+    "hindman": (["hindman", "--coloring", "random:2,1", "--n", "2"], ["grplab.ramsey", *TUPLES]),
+    "cip": (["cip", "--k", "2", "--n", "2", "--trials", "1"], ["grplab.ramsey", "statistics", *TUPLES]),
+}
+# every command on every family: cyclic groups load no point-image or table
+# module, PSL2 and perm: groups no cyclic or table module, and only the
+# tuple commands load the tuple walks; the Z/n rows of xyz, hindman and cip
+# are the first rows of the table below
+FAMILY_ROWS = {
+    f"{command}-{family}": ([name, "--group", spec, *rest], family_modules + command_modules)
+    for command, ((name, *rest), command_modules) in FAMILY_COMMANDS.items()
+    for family, (spec, family_modules) in FAMILIES.items()
+    if not (family == "Z/n" and command in ("xyz", "hindman", "cip"))
+}
+
+
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["count", "--group", "Z/12", "--sets", "random:0.5,1", "random:0.5,2", "random:0.5,3", "--equation", "xyz"], []),
-        (["hindman", "--group", "Z/12", "--coloring", "random:2,1", "--n", "2"], ["grplab.ramsey"]),
-        (["rich", "--group", "Z/12", "--set", "explicit:1,2,3", "--eps", "1/2"], ["grplab.regularity"]),
-        (["sweep", "--config", "{growth}"], ["grplab.lab"]),
-        (["sweep", "--config", "{schur}"], ["grplab.lab", "grplab.ramsey"]),
-        (["stats", "--group", "Z/12", "--set", "interval:0,3", "--format", "csv"], ["csv"]),
-        (["cip", "--group", "Z/12", "--k", "2", "--n", "2", "--trials", "1"], ["grplab.ramsey", "statistics"]),
+        (["count", "--group", "Z/12", "--sets", "random:0.5,1", "random:0.5,2", "random:0.5,3", "--equation", "xyz"],
+         CYCLIC),
+        (["hindman", "--group", "Z/12", "--coloring", "random:2,1", "--n", "2"], ["grplab.ramsey", *TUPLES, *CYCLIC]),
+        (["rich", "--group", "Z/12", "--set", "explicit:1,2,3", "--eps", "1/2"], ["grplab.regularity", *CYCLIC]),
+        (["sweep", "--config", "{growth}"], ["grplab.lab", *CYCLIC]),
+        (["sweep", "--config", "{schur}"], ["grplab.lab", "grplab.ramsey", *TUPLES, *CYCLIC]),
+        (["stats", "--group", "Z/12", "--set", "interval:0,3", "--format", "csv"], ["csv", *CYCLIC]),
+        (["cip", "--group", "Z/12", "--k", "2", "--n", "2", "--trials", "1"],
+         ["grplab.ramsey", "statistics", *TUPLES, *CYCLIC]),
+        *FAMILY_ROWS.values(),
     ],
-    ids=["count-xyz", "hindman", "rich", "sweep-growth-profile", "sweep-schur", "stats-csv", "cip"],
+    ids=["count-xyz", "hindman", "rich", "sweep-growth-profile", "sweep-schur", "stats-csv", "cip", *FAMILY_ROWS],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
-    paths = {"growth": tmp_path / "growth.cfg", "schur": tmp_path / "schur.cfg"}
+    paths = {"growth": tmp_path / "growth.cfg", "schur": tmp_path / "schur.cfg", "table": tmp_path / "z3.csv"}
     paths["growth"].write_text(CONFIG_TEXT)
     paths["schur"].write_text(SCHUR_CONFIG)
+    paths["table"].write_text("0,1,2\n1,2,0\n2,0,1\n")
     argv = [arg.format(**paths) for arg in argv]
     assert _loaded_after(RUN_MAIN, *argv) == sorted(CLI_MODULES + extra)
+
+
+def test_a_direct_product_loads_each_family_of_its_factors():
+    # the grammar has only cyclic factors; a spec object can mix families
+    code = (
+        "import grplab.cli\n"
+        "from grplab.groups import PSL2, Cyclic, DirectProduct, build_group\n"
+        "assert build_group(DirectProduct((PSL2(5), Cyclic(3)))).order == 180\n"
+    )
+    assert _loaded_after(code) == sorted(CLI_MODULES + CYCLIC + POINT_IMAGE)

@@ -4,12 +4,13 @@ and the size of its modules."""
 from __future__ import annotations
 
 import importlib
-import tokenize
 from pathlib import Path
 
 import pytest
 
 import grplab
+
+from conftest import source_tokens
 
 
 def test_every_public_name_is_its_submodules_object():
@@ -51,10 +52,6 @@ MODULE_TOKEN_CAP = 7957
 
 def test_every_module_stays_below_the_compile_peak_jump():
     package = Path(grplab.__file__).parent
-    sizes = {}
-    for path in sorted(package.glob("*.py")):
-        with path.open("rb") as fh:
-            tokens = tokenize.tokenize(fh.readline)
-            sizes[path.name] = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+    sizes = {path.name: source_tokens(path) for path in sorted(package.glob("*.py"))}
     assert "groups.py" in sizes
     assert {name: n for name, n in sizes.items() if n > MODULE_TOKEN_CAP} == {}

@@ -19,14 +19,9 @@ from grplab.counting import (
     count_xy_eq_z,
 )
 from grplab.errors import NotAGroup
-from grplab.groups import (
-    TableGroup,
-    _pair_blocks,
-    _require_associative,
-    _validate_identity_and_inverses,
-    build_group,
-    conjugacy_classes,
-)
+from grplab.groups import _pair_blocks, _validate_identity_and_inverses, build_group, conjugacy_classes
+from grplab.pointimage import PointImageGroup
+from grplab.tables import TableGroup, _require_associative
 from grplab.ramsey import Coloring
 from grplab.sets import GroupSubset, is_product_free, make_set, product_set
 
@@ -222,6 +217,28 @@ def test_results_do_not_depend_on_the_block_size(spec, monkeypatch, tmp_path):
         for k, (want, got) in enumerate(zip(runs[0], run)):
             same = np.array_equal(want, got) if isinstance(want, np.ndarray) else want == got
             assert same, (block, k)
+
+
+def test_a_psl2_build_in_small_blocks_matches_the_default(monkeypatch):
+    # the point-image family reads groups.PRODUCT_BLOCK as it builds, so the
+    # inverse table and the build check look elements up in blocks this small
+    want = build_group("PSL2(7)")
+    sizes = []
+    lookup = PointImageGroup._lookup
+
+    def recorded(group, base_images):
+        found = lookup(group, base_images)
+        sizes.append(found.size)
+        return found
+
+    monkeypatch.setattr(groups, "PRODUCT_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(PointImageGroup, "_lookup", recorded)
+    got = build_group("PSL2(7)")
+    assert 0 < max(sizes) <= SMALL_BLOCK
+    assert np.array_equal(got.images, want.images)
+    assert np.array_equal(got.inverse_table, want.inverse_table)
+    idx = np.arange(got.order)
+    assert np.array_equal(got._mul_kernel(idx[:, None], idx[None, :]), want.table)
 
 
 def test_the_build_check_holds_one_block_at_a_time():

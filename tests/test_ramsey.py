@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grplab import counting, ramsey
-from grplab.counting import _subproducts, all_nonempty_subsets
+from grplab.tuples import _subproducts, all_nonempty_subsets
 from grplab.errors import MalformedSpec
 from grplab.groups import build_group
 from grplab.ramsey import (

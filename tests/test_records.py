@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grplab.counting import ConvolutionIdentityResult, CountReport, FiberFunction
+from grplab.counting import CountReport, FiberFunction
 from grplab.groups import (
     PSL2,
     ConjugacyClasses,
@@ -36,6 +36,7 @@ from grplab.regularity import RegularityVerdict
 from grplab.reports import ExperimentReport, canonical_json
 from grplab.sets import ExplicitSet, GapSet, GroupSubset, Interval, RandomSet, SubgroupSet
 from grplab.spectral import DegreeProfile
+from grplab.tuples import ConvolutionIdentityResult
 
 Z5 = build_group("Z/5")
 COLORS = np.array([0, 1, 1, 0, 1], dtype=np.int64)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from grplab.errors import BudgetExceeded, ValidationFailed
-from grplab.groups import Cyclic, DirectProduct, TableGroup, build_group, conjugacy_classes, parse_group_spec
+from grplab.groups import Cyclic, DirectProduct, build_group, conjugacy_classes, parse_group_spec
+from grplab.tables import TableGroup
 from grplab.spectral import (
     _class_sum_operator,
     abelianization_order,
